@@ -12,45 +12,24 @@
 //! * [`Architecture::Transformer`] — conv patch stem + learned positional
 //!   embedding + two pre-norm MHSA/FFN blocks + mean pooling (the SiT-stem
 //!   family).
+//!
+//! An encoder is one [`Seq`] declared over `tsnn`'s graph combinators, so
+//! training, serving and persistence share one forward/infer/backward and
+//! one param/buffer enumeration. Declaration order is the RNG draw order at
+//! build and the positional order of the store format.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsnn::layers::{
-    BatchNorm1d, Conv1d, Gelu, Layer, LayerNorm, Linear, MaxPool1d, MultiHeadSelfAttention, Relu,
+    BatchNorm1d, Concat, Conv1d, Gelu, GlobalAvgPool1d, LayerNorm, Linear, MaxPool1d,
+    MultiHeadSelfAttention, PositionalEmbedding, Relu, Reshape, Residual, SameMaxPool1d, Seq,
+    TokenMeanPool, Transpose,
 };
-use tsnn::{init, Param, Tensor};
 
-/// A trainable time-series encoder.
-///
-/// Training goes through the stateful `forward`/`backward` pair; serving
-/// goes through [`Encoder::infer`], which takes `&self` and is
-/// bit-identical to `forward(x, false)`. `Send + Sync` makes a trained
-/// encoder shareable across serving threads without cloning.
-pub trait Encoder: Send + Sync {
-    /// `(N, 1, L) → (N, D)` feature extraction.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
-    /// Inference-mode feature extraction: identical output to
-    /// `forward(x, false)` but immutable and thread-safe.
-    fn infer(&self, x: &Tensor) -> Tensor;
-    /// Backward pass; input gradient is discarded by callers (inputs are
-    /// data), but parameter gradients accumulate.
-    fn backward(&mut self, grad: &Tensor) -> Tensor;
-    /// Trainable parameters in a stable order.
-    fn params_mut(&mut self) -> Vec<&mut Param>;
-    /// Read-only view of the trainable parameters, `params_mut()` order.
-    fn params(&self) -> Vec<&Param>;
-    /// Non-trainable state in a stable order — batch-norm running statistics
-    /// — which persistence must save alongside the parameters.
-    fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
-        Vec::new()
-    }
-    /// Read-only view of the non-trainable state, `buffers_mut()` order.
-    fn buffers(&self) -> Vec<&Vec<f32>> {
-        Vec::new()
-    }
-    /// Output feature width `D`.
-    fn feature_dim(&self) -> usize;
-}
+/// Attention heads of the transformer encoder.
+const HEADS: usize = 4;
+/// Max-pool width of the transformer's patch stem (window → tokens).
+const PATCH: usize = 4;
 
 /// Selector architecture identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -89,1094 +68,152 @@ impl Architecture {
         Self::ALL.iter().copied().find(|a| a.name() == name)
     }
 
-    /// Builds the encoder for `window`-length inputs.
-    ///
-    /// `width` is the base channel count (default 12); the exact feature
-    /// width depends on the architecture and is reported by
-    /// [`Encoder::feature_dim`].
-    pub fn build(&self, window: usize, width: usize, seed: u64) -> Box<dyn Encoder> {
-        let mut rng = StdRng::seed_from_u64(seed);
+    /// Output feature width `D` of the encoder at base width `width`.
+    pub fn feature_dim(&self, width: usize) -> usize {
         match self {
-            Architecture::ConvNet => Box::new(ConvNetEncoder::new(width, &mut rng)),
-            Architecture::ResNet => Box::new(ResNetEncoder::new(width, &mut rng)),
-            Architecture::InceptionTime => Box::new(InceptionEncoder::new(width, &mut rng)),
-            Architecture::Transformer => Box::new(TransformerEncoder::new(window, width, &mut rng)),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ConvNet
-// ---------------------------------------------------------------------------
-
-struct ConvStage {
-    conv: Conv1d,
-    bn: BatchNorm1d,
-    relu: Relu,
-    pool: Option<MaxPool1d>,
-}
-
-impl ConvStage {
-    fn new(cin: usize, cout: usize, k: usize, pool: bool, rng: &mut StdRng) -> Self {
-        Self {
-            conv: Conv1d::new(cin, cout, k, rng),
-            bn: BatchNorm1d::new(cout),
-            relu: Relu::new(),
-            pool: pool.then(|| MaxPool1d::new(2)),
+            Architecture::ConvNet | Architecture::ResNet => 2 * width,
+            Architecture::InceptionTime => 4 * (width / 2).max(4),
+            // Divisible by the head count.
+            Architecture::Transformer => (2 * width).div_ceil(HEADS) * HEADS,
         }
     }
 
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.conv.forward(x, train);
-        let y = self.bn.forward(&y, train);
-        let y = self.relu.forward(&y, train);
-        match &mut self.pool {
-            Some(p) => p.forward(&y, train),
-            None => y,
+    /// Shortest window the encoder accepts: the ConvNet halves the length
+    /// twice, and the transformer stem needs at least two tokens.
+    pub fn min_window(&self) -> usize {
+        match self {
+            Architecture::ConvNet => 4,
+            Architecture::Transformer => 2 * PATCH,
+            Architecture::ResNet | Architecture::InceptionTime => 1,
         }
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let y = self.conv.infer(x);
-        let y = self.bn.infer(&y);
-        let y = self.relu.infer(&y);
-        match &self.pool {
-            Some(p) => p.infer(&y),
-            None => y,
-        }
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let g = match &mut self.pool {
-            Some(p) => p.backward(grad),
-            None => grad.clone(),
-        };
-        let g = self.relu.backward(&g);
-        let g = self.bn.backward(&g);
-        self.conv.backward(&g)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.conv.params_mut();
-        p.extend(self.bn.params_mut());
-        p
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut p = self.conv.params();
-        p.extend(self.bn.params());
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
-        vec![&mut self.bn.running_mean, &mut self.bn.running_var]
-    }
-
-    fn buffers(&self) -> Vec<&Vec<f32>> {
-        vec![&self.bn.running_mean, &self.bn.running_var]
-    }
-}
-
-/// Global average pooling `(N, C, L) → (N, C)` with cached input length.
-struct Gap {
-    in_shape: Option<Vec<usize>>,
-}
-
-impl Gap {
-    fn new() -> Self {
-        Self { in_shape: None }
-    }
-
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.in_shape = Some(x.shape().to_vec());
-        }
-        self.infer(x)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
-        let mut y = Tensor::zeros(&[n, c]);
-        for ni in 0..n {
-            let xb = x.batch(ni);
-            for ci in 0..c {
-                y.row_mut(ni)[ci] = xb[ci * l..(ci + 1) * l].iter().sum::<f32>() / l as f32;
+    /// Builds the encoder `(N, 1, window) → (N, D)` with `D =
+    /// feature_dim(width)`; `width` is the base channel count (default 12).
+    ///
+    /// Only the transformer's shape depends on `window`; the others build
+    /// at any length but serve only windows of at least
+    /// [`Architecture::min_window`], which the selector store and the
+    /// serving engine check.
+    ///
+    /// # Panics
+    /// Panics if a transformer's `window` is below `min_window()`.
+    pub fn build(&self, window: usize, width: usize, seed: u64) -> Seq {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let d = self.feature_dim(width);
+        match self {
+            Architecture::ConvNet => Seq::new()
+                .then(conv_bn(1, width, 7, rng))
+                .then(Relu::new())
+                .then(MaxPool1d::new(2))
+                .then(conv_bn(width, d, 5, rng))
+                .then(Relu::new())
+                .then(MaxPool1d::new(2))
+                .then(conv_bn(d, d, 3, rng))
+                .then(Relu::new())
+                .then(GlobalAvgPool1d::new()),
+            Architecture::ResNet => Seq::new()
+                .then(res_block(1, width, rng))
+                .then(res_block(width, d, rng))
+                .then(res_block(d, d, rng))
+                .then(GlobalAvgPool1d::new()),
+            Architecture::InceptionTime => {
+                let f = d / 4;
+                let modules = Seq::new()
+                    .then(inception_module(1, f, rng))
+                    .then(inception_module(d, f, rng));
+                Seq::new()
+                    .then(Residual::new(modules, Some(conv_bn(1, d, 1, rng))))
+                    .then(Relu::new())
+                    .then(GlobalAvgPool1d::new())
             }
-        }
-        y
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let shape = self.in_shape.take().expect("backward without forward");
-        let (n, c, l) = (shape[0], shape[1], shape[2]);
-        let mut gx = Tensor::zeros(&shape);
-        for ni in 0..n {
-            let g_row = grad.row(ni);
-            let ob = gx.batch_mut(ni);
-            for ci in 0..c {
-                let g = g_row[ci] / l as f32;
-                for v in &mut ob[ci * l..(ci + 1) * l] {
-                    *v = g;
-                }
-            }
-        }
-        gx
-    }
-}
-
-/// Plain three-stage ConvNet encoder.
-pub struct ConvNetEncoder {
-    s1: ConvStage,
-    s2: ConvStage,
-    s3: ConvStage,
-    gap: Gap,
-    dim: usize,
-}
-
-impl ConvNetEncoder {
-    fn new(width: usize, rng: &mut StdRng) -> Self {
-        let (c1, c2) = (width, 2 * width);
-        Self {
-            s1: ConvStage::new(1, c1, 7, true, rng),
-            s2: ConvStage::new(c1, c2, 5, true, rng),
-            s3: ConvStage::new(c2, c2, 3, false, rng),
-            gap: Gap::new(),
-            dim: c2,
-        }
-    }
-}
-
-impl Encoder for ConvNetEncoder {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.s1.forward(x, train);
-        let y = self.s2.forward(&y, train);
-        let y = self.s3.forward(&y, train);
-        self.gap.forward(&y, train)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let y = self.s1.infer(x);
-        let y = self.s2.infer(&y);
-        let y = self.s3.infer(&y);
-        self.gap.infer(&y)
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let g = self.gap.backward(grad);
-        let g = self.s3.backward(&g);
-        let g = self.s2.backward(&g);
-        self.s1.backward(&g)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.s1.params_mut();
-        p.extend(self.s2.params_mut());
-        p.extend(self.s3.params_mut());
-        p
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut p = self.s1.params();
-        p.extend(self.s2.params());
-        p.extend(self.s3.params());
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
-        let mut b = self.s1.buffers_mut();
-        b.extend(self.s2.buffers_mut());
-        b.extend(self.s3.buffers_mut());
-        b
-    }
-
-    fn buffers(&self) -> Vec<&Vec<f32>> {
-        let mut b = self.s1.buffers();
-        b.extend(self.s2.buffers());
-        b.extend(self.s3.buffers());
-        b
-    }
-
-    fn feature_dim(&self) -> usize {
-        self.dim
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ResNet
-// ---------------------------------------------------------------------------
-
-/// One TSC ResNet block: three conv-BN stages with a (projected) shortcut.
-struct ResBlock {
-    c1: Conv1d,
-    b1: BatchNorm1d,
-    r1: Relu,
-    c2: Conv1d,
-    b2: BatchNorm1d,
-    r2: Relu,
-    c3: Conv1d,
-    b3: BatchNorm1d,
-    shortcut: Option<(Conv1d, BatchNorm1d)>,
-    out_relu: Relu,
-    cached_input: Option<Tensor>,
-}
-
-impl ResBlock {
-    fn new(cin: usize, cout: usize, rng: &mut StdRng) -> Self {
-        Self {
-            c1: Conv1d::new(cin, cout, 7, rng),
-            b1: BatchNorm1d::new(cout),
-            r1: Relu::new(),
-            c2: Conv1d::new(cout, cout, 5, rng),
-            b2: BatchNorm1d::new(cout),
-            r2: Relu::new(),
-            c3: Conv1d::new(cout, cout, 3, rng),
-            b3: BatchNorm1d::new(cout),
-            shortcut: (cin != cout)
-                .then(|| (Conv1d::new(cin, cout, 1, rng), BatchNorm1d::new(cout))),
-            out_relu: Relu::new(),
-            cached_input: None,
-        }
-    }
-
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.c1.forward(x, train);
-        let y = self.b1.forward(&y, train);
-        let y = self.r1.forward(&y, train);
-        let y = self.c2.forward(&y, train);
-        let y = self.b2.forward(&y, train);
-        let y = self.r2.forward(&y, train);
-        let y = self.c3.forward(&y, train);
-        let mut y = self.b3.forward(&y, train);
-        let sc = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let s = conv.forward(x, train);
-                bn.forward(&s, train)
-            }
-            None => x.clone(),
-        };
-        y.add_assign(&sc);
-        if train {
-            self.cached_input = Some(x.clone());
-        }
-        self.out_relu.forward(&y, train)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let y = self.c1.infer(x);
-        let y = self.b1.infer(&y);
-        let y = self.r1.infer(&y);
-        let y = self.c2.infer(&y);
-        let y = self.b2.infer(&y);
-        let y = self.r2.infer(&y);
-        let y = self.c3.infer(&y);
-        let mut y = self.b3.infer(&y);
-        let sc = match &self.shortcut {
-            Some((conv, bn)) => bn.infer(&conv.infer(x)),
-            None => x.clone(),
-        };
-        y.add_assign(&sc);
-        self.out_relu.infer(&y)
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let g = self.out_relu.backward(grad);
-        // Main path.
-        let gm = self.b3.backward(&g);
-        let gm = self.c3.backward(&gm);
-        let gm = self.r2.backward(&gm);
-        let gm = self.b2.backward(&gm);
-        let gm = self.c2.backward(&gm);
-        let gm = self.r1.backward(&gm);
-        let gm = self.b1.backward(&gm);
-        let mut gx = self.c1.backward(&gm);
-        // Shortcut path.
-        let gs = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let s = bn.backward(&g);
-                conv.backward(&s)
-            }
-            None => g,
-        };
-        gx.add_assign(&gs);
-        self.cached_input = None;
-        gx
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.c1.params_mut();
-        p.extend(self.b1.params_mut());
-        p.extend(self.c2.params_mut());
-        p.extend(self.b2.params_mut());
-        p.extend(self.c3.params_mut());
-        p.extend(self.b3.params_mut());
-        if let Some((conv, bn)) = &mut self.shortcut {
-            p.extend(conv.params_mut());
-            p.extend(bn.params_mut());
-        }
-        p
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut p = self.c1.params();
-        p.extend(self.b1.params());
-        p.extend(self.c2.params());
-        p.extend(self.b2.params());
-        p.extend(self.c3.params());
-        p.extend(self.b3.params());
-        if let Some((conv, bn)) = &self.shortcut {
-            p.extend(conv.params());
-            p.extend(bn.params());
-        }
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
-        let mut b = vec![
-            &mut self.b1.running_mean,
-            &mut self.b1.running_var,
-            &mut self.b2.running_mean,
-            &mut self.b2.running_var,
-            &mut self.b3.running_mean,
-            &mut self.b3.running_var,
-        ];
-        if let Some((_, bn)) = &mut self.shortcut {
-            b.push(&mut bn.running_mean);
-            b.push(&mut bn.running_var);
-        }
-        b
-    }
-
-    fn buffers(&self) -> Vec<&Vec<f32>> {
-        let mut b = vec![
-            &self.b1.running_mean,
-            &self.b1.running_var,
-            &self.b2.running_mean,
-            &self.b2.running_var,
-            &self.b3.running_mean,
-            &self.b3.running_var,
-        ];
-        if let Some((_, bn)) = &self.shortcut {
-            b.push(&bn.running_mean);
-            b.push(&bn.running_var);
-        }
-        b
-    }
-}
-
-/// The TSC ResNet encoder (three residual blocks + GAP).
-pub struct ResNetEncoder {
-    blocks: Vec<ResBlock>,
-    gap: Gap,
-    dim: usize,
-}
-
-impl ResNetEncoder {
-    fn new(width: usize, rng: &mut StdRng) -> Self {
-        let (c1, c2) = (width, 2 * width);
-        Self {
-            blocks: vec![
-                ResBlock::new(1, c1, rng),
-                ResBlock::new(c1, c2, rng),
-                ResBlock::new(c2, c2, rng),
-            ],
-            gap: Gap::new(),
-            dim: c2,
-        }
-    }
-}
-
-impl Encoder for ResNetEncoder {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut y = x.clone();
-        for b in &mut self.blocks {
-            y = b.forward(&y, train);
-        }
-        self.gap.forward(&y, train)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let mut y = x.clone();
-        for b in &self.blocks {
-            y = b.infer(&y);
-        }
-        self.gap.infer(&y)
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut g = self.gap.backward(grad);
-        for b in self.blocks.iter_mut().rev() {
-            g = b.backward(&g);
-        }
-        g
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = Vec::new();
-        for b in &mut self.blocks {
-            p.extend(b.params_mut());
-        }
-        p
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut p = Vec::new();
-        for b in &self.blocks {
-            p.extend(b.params());
-        }
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
-        let mut out = Vec::new();
-        for b in &mut self.blocks {
-            out.extend(b.buffers_mut());
-        }
-        out
-    }
-
-    fn buffers(&self) -> Vec<&Vec<f32>> {
-        let mut out = Vec::new();
-        for b in &self.blocks {
-            out.extend(b.buffers());
-        }
-        out
-    }
-
-    fn feature_dim(&self) -> usize {
-        self.dim
-    }
-}
-
-// ---------------------------------------------------------------------------
-// InceptionTime
-// ---------------------------------------------------------------------------
-
-/// Stride-1, same-length max pooling of width 3 (the inception pool path).
-struct MaxPool3Same {
-    argmax: Option<Vec<usize>>,
-    in_shape: Option<Vec<usize>>,
-}
-
-impl MaxPool3Same {
-    fn new() -> Self {
-        Self {
-            argmax: None,
-            in_shape: None,
-        }
-    }
-
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
-        let mut y = Tensor::zeros(&[n, c, l]);
-        let mut argmax = vec![0usize; n * c * l];
-        for ni in 0..n {
-            let xb = x.batch(ni);
-            let yb = y.batch_mut(ni);
-            for ci in 0..c {
-                let row = &xb[ci * l..(ci + 1) * l];
-                for t in 0..l {
-                    let lo = t.saturating_sub(1);
-                    let hi = (t + 2).min(l);
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_i = lo;
-                    for (i, &v) in row[lo..hi].iter().enumerate() {
-                        if v > best {
-                            best = v;
-                            best_i = lo + i;
-                        }
-                    }
-                    yb[ci * l + t] = best;
-                    argmax[(ni * c + ci) * l + t] = best_i;
-                }
-            }
-        }
-        if train {
-            self.argmax = Some(argmax);
-            self.in_shape = Some(x.shape().to_vec());
-        }
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
-        let mut y = Tensor::zeros(&[n, c, l]);
-        for ni in 0..n {
-            let xb = x.batch(ni);
-            let yb = y.batch_mut(ni);
-            for ci in 0..c {
-                let row = &xb[ci * l..(ci + 1) * l];
-                for t in 0..l {
-                    let lo = t.saturating_sub(1);
-                    let hi = (t + 2).min(l);
-                    let mut best = f32::NEG_INFINITY;
-                    for &v in &row[lo..hi] {
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                    yb[ci * l + t] = best;
-                }
-            }
-        }
-        y
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let argmax = self.argmax.take().expect("backward without forward");
-        let shape = self.in_shape.take().expect("backward without forward");
-        let (n, c, l) = (shape[0], shape[1], shape[2]);
-        let mut gx = Tensor::zeros(&shape);
-        for ni in 0..n {
-            let gb = grad.batch(ni);
-            let ob = gx.batch_mut(ni);
-            for ci in 0..c {
-                for t in 0..l {
-                    ob[ci * l + argmax[(ni * c + ci) * l + t]] += gb[ci * l + t];
-                }
-            }
-        }
-        gx
-    }
-}
-
-/// Concatenates rank-3 tensors along the channel axis.
-fn concat_channels(parts: &[Tensor]) -> Tensor {
-    let n = parts[0].dim(0);
-    let l = parts[0].dim(2);
-    let c_total: usize = parts.iter().map(|p| p.dim(1)).sum();
-    let mut out = Tensor::zeros(&[n, c_total, l]);
-    for ni in 0..n {
-        let ob = out.batch_mut(ni);
-        let mut offset = 0;
-        for p in parts {
-            let c = p.dim(1);
-            ob[offset * l..(offset + c) * l].copy_from_slice(p.batch(ni));
-            offset += c;
-        }
-    }
-    out
-}
-
-/// Splits a channel-gradient back into per-part gradients.
-fn split_channels(grad: &Tensor, widths: &[usize]) -> Vec<Tensor> {
-    let n = grad.dim(0);
-    let l = grad.dim(2);
-    let mut outs: Vec<Tensor> = widths.iter().map(|&c| Tensor::zeros(&[n, c, l])).collect();
-    for ni in 0..n {
-        let gb = grad.batch(ni);
-        let mut offset = 0;
-        for (o, &c) in outs.iter_mut().zip(widths) {
-            o.batch_mut(ni)
-                .copy_from_slice(&gb[offset * l..(offset + c) * l]);
-            offset += c;
-        }
-    }
-    outs
-}
-
-/// One inception module: bottleneck → three kernel scales ∥ pooled 1×1 path,
-/// concatenated, batch-normed, ReLU.
-struct InceptionModule {
-    bottleneck: Option<Conv1d>,
-    convs: Vec<Conv1d>,
-    pool: MaxPool3Same,
-    pool_conv: Conv1d,
-    bn: BatchNorm1d,
-    relu: Relu,
-    f: usize,
-}
-
-impl InceptionModule {
-    fn new(cin: usize, f: usize, rng: &mut StdRng) -> Self {
-        let bottleneck = (cin > 1).then(|| Conv1d::new(cin, f, 1, rng));
-        let bc = if cin > 1 { f } else { 1 };
-        Self {
-            bottleneck,
-            convs: [5usize, 11, 21]
-                .iter()
-                .map(|&k| Conv1d::new(bc, f, k, rng))
-                .collect(),
-            pool: MaxPool3Same::new(),
-            pool_conv: Conv1d::new(cin, f, 1, rng),
-            bn: BatchNorm1d::new(4 * f),
-            relu: Relu::new(),
-            f,
-        }
-    }
-
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let b = match &mut self.bottleneck {
-            Some(conv) => conv.forward(x, train),
-            None => x.clone(),
-        };
-        let mut parts: Vec<Tensor> = self
-            .convs
-            .iter_mut()
-            .map(|c| c.forward(&b, train))
-            .collect();
-        let pooled = self.pool.forward(x, train);
-        parts.push(self.pool_conv.forward(&pooled, train));
-        let y = concat_channels(&parts);
-        let y = self.bn.forward(&y, train);
-        self.relu.forward(&y, train)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let b = match &self.bottleneck {
-            Some(conv) => conv.infer(x),
-            None => x.clone(),
-        };
-        let mut parts: Vec<Tensor> = self.convs.iter().map(|c| c.infer(&b)).collect();
-        let pooled = self.pool.infer(x);
-        parts.push(self.pool_conv.infer(&pooled));
-        let y = concat_channels(&parts);
-        let y = self.bn.infer(&y);
-        self.relu.infer(&y)
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let g = self.relu.backward(grad);
-        let g = self.bn.backward(&g);
-        let widths = vec![self.f; 4];
-        let parts = split_channels(&g, &widths);
-        // Pool path.
-        let gp = self.pool_conv.backward(&parts[3]);
-        let mut gx = self.pool.backward(&gp);
-        // Conv paths through the bottleneck.
-        let mut gb: Option<Tensor> = None;
-        for (conv, gpart) in self.convs.iter_mut().zip(&parts[..3]) {
-            let g = conv.backward(gpart);
-            match &mut gb {
-                Some(acc) => acc.add_assign(&g),
-                None => gb = Some(g),
-            }
-        }
-        let gb = gb.expect("three conv paths");
-        match &mut self.bottleneck {
-            Some(conv) => gx.add_assign(&conv.backward(&gb)),
-            None => gx.add_assign(&gb),
-        }
-        gx
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = Vec::new();
-        if let Some(b) = &mut self.bottleneck {
-            p.extend(b.params_mut());
-        }
-        for c in &mut self.convs {
-            p.extend(c.params_mut());
-        }
-        p.extend(self.pool_conv.params_mut());
-        p.extend(self.bn.params_mut());
-        p
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut p = Vec::new();
-        if let Some(b) = &self.bottleneck {
-            p.extend(b.params());
-        }
-        for c in &self.convs {
-            p.extend(c.params());
-        }
-        p.extend(self.pool_conv.params());
-        p.extend(self.bn.params());
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
-        vec![&mut self.bn.running_mean, &mut self.bn.running_var]
-    }
-
-    fn buffers(&self) -> Vec<&Vec<f32>> {
-        vec![&self.bn.running_mean, &self.bn.running_var]
-    }
-}
-
-/// InceptionTime-style encoder: two modules with a residual shortcut + GAP.
-pub struct InceptionEncoder {
-    m1: InceptionModule,
-    m2: InceptionModule,
-    shortcut_conv: Conv1d,
-    shortcut_bn: BatchNorm1d,
-    out_relu: Relu,
-    gap: Gap,
-    dim: usize,
-}
-
-impl InceptionEncoder {
-    fn new(width: usize, rng: &mut StdRng) -> Self {
-        let f = (width / 2).max(4);
-        let m1 = InceptionModule::new(1, f, rng);
-        let m2 = InceptionModule::new(4 * f, f, rng);
-        Self {
-            shortcut_conv: Conv1d::new(1, 4 * f, 1, rng),
-            shortcut_bn: BatchNorm1d::new(4 * f),
-            out_relu: Relu::new(),
-            gap: Gap::new(),
-            dim: 4 * f,
-            m1,
-            m2,
-        }
-    }
-}
-
-impl Encoder for InceptionEncoder {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y1 = self.m1.forward(x, train);
-        let mut y2 = self.m2.forward(&y1, train);
-        let s = self.shortcut_conv.forward(x, train);
-        let s = self.shortcut_bn.forward(&s, train);
-        y2.add_assign(&s);
-        let y = self.out_relu.forward(&y2, train);
-        self.gap.forward(&y, train)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let y1 = self.m1.infer(x);
-        let mut y2 = self.m2.infer(&y1);
-        let s = self.shortcut_conv.infer(x);
-        let s = self.shortcut_bn.infer(&s);
-        y2.add_assign(&s);
-        let y = self.out_relu.infer(&y2);
-        self.gap.infer(&y)
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let g = self.gap.backward(grad);
-        let g = self.out_relu.backward(&g);
-        // Residual split.
-        let gs = self.shortcut_bn.backward(&g);
-        let mut gx = self.shortcut_conv.backward(&gs);
-        let gm = self.m2.backward(&g);
-        gx.add_assign(&self.m1.backward(&gm));
-        gx
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.m1.params_mut();
-        p.extend(self.m2.params_mut());
-        p.extend(self.shortcut_conv.params_mut());
-        p.extend(self.shortcut_bn.params_mut());
-        p
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut p = self.m1.params();
-        p.extend(self.m2.params());
-        p.extend(self.shortcut_conv.params());
-        p.extend(self.shortcut_bn.params());
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
-        let mut b = self.m1.buffers_mut();
-        b.extend(self.m2.buffers_mut());
-        b.push(&mut self.shortcut_bn.running_mean);
-        b.push(&mut self.shortcut_bn.running_var);
-        b
-    }
-
-    fn buffers(&self) -> Vec<&Vec<f32>> {
-        let mut b = self.m1.buffers();
-        b.extend(self.m2.buffers());
-        b.push(&self.shortcut_bn.running_mean);
-        b.push(&self.shortcut_bn.running_var);
-        b
-    }
-
-    fn feature_dim(&self) -> usize {
-        self.dim
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Transformer (conv stem)
-// ---------------------------------------------------------------------------
-
-/// Transposes `(N, C, L) ↔ (N, L, C)`.
-fn transpose_cl(x: &Tensor) -> Tensor {
-    let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
-    let mut out = Tensor::zeros(&[n, l, c]);
-    for ni in 0..n {
-        let xb = x.batch(ni);
-        let ob = out.batch_mut(ni);
-        for ci in 0..c {
-            for t in 0..l {
-                ob[t * c + ci] = xb[ci * l + t];
+            Architecture::Transformer => {
+                assert!(
+                    window >= self.min_window(),
+                    "window too short for the transformer stem"
+                );
+                let tokens = window / PATCH;
+                Seq::new()
+                    .then(Conv1d::new(1, d, 5, rng))
+                    .then(Relu::new())
+                    .then(MaxPool1d::new(PATCH))
+                    .then(Transpose::new())
+                    .then(PositionalEmbedding::new(tokens, d, rng))
+                    .then(transformer_block(d, tokens, rng))
+                    .then(transformer_block(d, tokens, rng))
+                    .then(LayerNorm::new(d))
+                    .then(TokenMeanPool::new())
             }
         }
     }
-    out
 }
 
-/// One pre-norm transformer block.
-struct TransformerBlock {
-    ln1: LayerNorm,
-    attn: MultiHeadSelfAttention,
-    ln2: LayerNorm,
-    ff1: Linear,
-    gelu: Gelu,
-    ff2: Linear,
-    token_shape: Option<Vec<usize>>,
+/// Conv followed by batch norm.
+fn conv_bn(cin: usize, cout: usize, k: usize, rng: &mut StdRng) -> Seq {
+    Seq::new()
+        .then(Conv1d::new(cin, cout, k, rng))
+        .then(BatchNorm1d::new(cout))
 }
 
-impl TransformerBlock {
-    fn new(dim: usize, heads: usize, rng: &mut StdRng) -> Self {
-        Self {
-            ln1: LayerNorm::new(dim),
-            attn: MultiHeadSelfAttention::new(dim, heads, rng),
-            ln2: LayerNorm::new(dim),
-            ff1: Linear::new(dim, 2 * dim, rng),
-            gelu: Gelu::new(),
-            ff2: Linear::new(2 * dim, dim, rng),
-            token_shape: None,
-        }
-    }
-
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (n, t, d) = (x.dim(0), x.dim(1), x.dim(2));
-        // x + attn(ln(x))
-        let h = self.ln1.forward(x, train);
-        let a = self.attn.forward(&h, train);
-        let mut y = x.clone();
-        y.add_assign(&a);
-        // y + ff(ln(y))
-        let h2 = self.ln2.forward(&y, train);
-        let flat = h2.reshape(&[n * t, d]);
-        let f = self.ff1.forward(&flat, train);
-        let f = self.gelu.forward(&f, train);
-        let f = self.ff2.forward(&f, train).reshape(&[n, t, d]);
-        let mut out = y;
-        out.add_assign(&f);
-        if train {
-            self.token_shape = Some(vec![n, t, d]);
-        }
-        out
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let (n, t, d) = (x.dim(0), x.dim(1), x.dim(2));
-        // x + attn(ln(x))
-        let h = self.ln1.infer(x);
-        let a = self.attn.infer(&h);
-        let mut y = x.clone();
-        y.add_assign(&a);
-        // y + ff(ln(y))
-        let h2 = self.ln2.infer(&y);
-        let flat = h2.reshape(&[n * t, d]);
-        let f = self.ff1.infer(&flat);
-        let f = self.gelu.infer(&f);
-        let f = self.ff2.infer(&f).reshape(&[n, t, d]);
-        let mut out = y;
-        out.add_assign(&f);
-        out
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let shape = self.token_shape.take().expect("backward without forward");
-        let (n, t, d) = (shape[0], shape[1], shape[2]);
-        // FFN residual.
-        let gf = self.ff2.backward(&grad.clone().reshape(&[n * t, d]));
-        let gf = self.gelu.backward(&gf);
-        let gf = self.ff1.backward(&gf);
-        let g_h2 = self.ln2.backward(&gf.reshape(&[n, t, d]));
-        let mut gy = grad.clone();
-        gy.add_assign(&g_h2);
-        // Attention residual.
-        let ga = self.attn.backward(&gy);
-        let g_h1 = self.ln1.backward(&ga);
-        let mut gx = gy;
-        gx.add_assign(&g_h1);
-        gx
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.ln1.params_mut();
-        p.extend(self.attn.params_mut());
-        p.extend(self.ln2.params_mut());
-        p.extend(self.ff1.params_mut());
-        p.extend(self.ff2.params_mut());
-        p
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut p = self.ln1.params();
-        p.extend(self.attn.params());
-        p.extend(self.ln2.params());
-        p.extend(self.ff1.params());
-        p.extend(self.ff2.params());
-        p
-    }
+/// One TSC ResNet block: three conv-BN stages (k = 7/5/3) plus a shortcut
+/// that is projected when the width changes, then ReLU.
+fn res_block(cin: usize, cout: usize, rng: &mut StdRng) -> Seq {
+    let main = Seq::new()
+        .then(conv_bn(cin, cout, 7, rng))
+        .then(Relu::new())
+        .then(conv_bn(cout, cout, 5, rng))
+        .then(Relu::new())
+        .then(conv_bn(cout, cout, 3, rng));
+    let shortcut = (cin != cout).then(|| conv_bn(cin, cout, 1, rng));
+    Seq::new()
+        .then(Residual::new(main, shortcut))
+        .then(Relu::new())
 }
 
-/// Conv-stem transformer encoder.
-pub struct TransformerEncoder {
-    stem_conv: Conv1d,
-    stem_relu: Relu,
-    stem_pool: MaxPool1d,
-    pos: Param,
-    blocks: Vec<TransformerBlock>,
-    final_ln: LayerNorm,
-    dim: usize,
-    tokens: usize,
-    batch: Option<usize>,
+/// One inception module: bottleneck → three kernel scales ∥ pooled 1×1
+/// path, concatenated (`4f` channels), batch-normed, ReLU.
+fn inception_module(cin: usize, f: usize, rng: &mut StdRng) -> Seq {
+    let mut scales = Seq::new();
+    if cin > 1 {
+        scales = scales.then(Conv1d::new(cin, f, 1, rng));
+    }
+    let bc = if cin > 1 { f } else { 1 };
+    let convs = [5, 11, 21]
+        .iter()
+        .map(|&k| Seq::new().then(Conv1d::new(bc, f, k, rng)))
+        .collect();
+    let pooled = Seq::new()
+        .then(SameMaxPool1d::new(3))
+        .then(Conv1d::new(cin, f, 1, rng));
+    Seq::new()
+        .then(Concat::new(vec![scales.then(Concat::new(convs)), pooled]))
+        .then(BatchNorm1d::new(4 * f))
+        .then(Relu::new())
 }
 
-impl TransformerEncoder {
-    fn new(window: usize, width: usize, rng: &mut StdRng) -> Self {
-        let heads = 4;
-        let dim = (2 * width).div_ceil(heads) * heads; // divisible by heads
-        let pool = 4;
-        let tokens = window / pool;
-        assert!(tokens >= 2, "window too short for the transformer stem");
-        Self {
-            stem_conv: Conv1d::new(1, dim, 5, rng),
-            stem_relu: Relu::new(),
-            stem_pool: MaxPool1d::new(pool),
-            pos: Param::new(init::normal(&[tokens, dim], 0.02, rng)),
-            blocks: vec![
-                TransformerBlock::new(dim, heads, rng),
-                TransformerBlock::new(dim, heads, rng),
-            ],
-            final_ln: LayerNorm::new(dim),
-            dim,
-            tokens,
-            batch: None,
-        }
-    }
-}
-
-impl Encoder for TransformerEncoder {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let n = x.dim(0);
-        let y = self.stem_conv.forward(x, train);
-        let y = self.stem_relu.forward(&y, train);
-        let y = self.stem_pool.forward(&y, train); // (N, D, T)
-        let mut tokens = transpose_cl(&y); // (N, T, D)
-                                           // Add positional embedding.
-        let (t, d) = (self.tokens, self.dim);
-        for ni in 0..n {
-            let tb = tokens.batch_mut(ni);
-            for (tv, &pv) in tb.iter_mut().zip(self.pos.value.data()) {
-                *tv += pv;
-            }
-        }
-        let mut z = tokens;
-        for b in &mut self.blocks {
-            z = b.forward(&z, train);
-        }
-        let z = self.final_ln.forward(&z, train);
-        // Mean pool over tokens.
-        let mut out = Tensor::zeros(&[n, d]);
-        for ni in 0..n {
-            let zb = z.batch(ni);
-            let o_row = out.row_mut(ni);
-            for ti in 0..t {
-                for di in 0..d {
-                    o_row[di] += zb[ti * d + di] / t as f32;
-                }
-            }
-        }
-        if train {
-            self.batch = Some(n);
-        }
-        out
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let n = x.dim(0);
-        let y = self.stem_conv.infer(x);
-        let y = self.stem_relu.infer(&y);
-        let y = self.stem_pool.infer(&y); // (N, D, T)
-        let mut tokens = transpose_cl(&y); // (N, T, D)
-        let (t, d) = (self.tokens, self.dim);
-        for ni in 0..n {
-            let tb = tokens.batch_mut(ni);
-            for (tv, &pv) in tb.iter_mut().zip(self.pos.value.data()) {
-                *tv += pv;
-            }
-        }
-        let mut z = tokens;
-        for b in &self.blocks {
-            z = b.infer(&z);
-        }
-        let z = self.final_ln.infer(&z);
-        // Mean pool over tokens.
-        let mut out = Tensor::zeros(&[n, d]);
-        for ni in 0..n {
-            let zb = z.batch(ni);
-            let o_row = out.row_mut(ni);
-            for ti in 0..t {
-                for di in 0..d {
-                    o_row[di] += zb[ti * d + di] / t as f32;
-                }
-            }
-        }
-        out
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let n = self.batch.take().expect("backward without forward");
-        let (t, d) = (self.tokens, self.dim);
-        // Mean-pool backward.
-        let mut gz = Tensor::zeros(&[n, t, d]);
-        for ni in 0..n {
-            let g_row = grad.row(ni);
-            let zb = gz.batch_mut(ni);
-            for ti in 0..t {
-                for di in 0..d {
-                    zb[ti * d + di] = g_row[di] / t as f32;
-                }
-            }
-        }
-        let mut g = self.final_ln.backward(&gz);
-        for b in self.blocks.iter_mut().rev() {
-            g = b.backward(&g);
-        }
-        // Positional embedding gradient: sum over batch.
-        for ni in 0..n {
-            let gb = g.batch(ni);
-            for (pg, &gv) in self.pos.grad.data_mut().iter_mut().zip(gb) {
-                *pg += gv;
-            }
-        }
-        // Back through the stem.
-        let g = transpose_cl(&g.reshape(&[n, t, d])); // interpret as (N,T,D) → (N,D,T)
-        let g = self.stem_pool.backward(&g);
-        let g = self.stem_relu.backward(&g);
-        self.stem_conv.backward(&g)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.stem_conv.params_mut();
-        p.push(&mut self.pos);
-        for b in &mut self.blocks {
-            p.extend(b.params_mut());
-        }
-        p.extend(self.final_ln.params_mut());
-        p
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut p = self.stem_conv.params();
-        p.push(&self.pos);
-        for b in &self.blocks {
-            p.extend(b.params());
-        }
-        p.extend(self.final_ln.params());
-        p
-    }
-
-    fn feature_dim(&self) -> usize {
-        self.dim
-    }
+/// One pre-norm transformer block over `(N, T, D)` tokens:
+/// `x + attn(ln(x))`, then `y + ffn(ln(y))` with the FFN applied token-wise.
+fn transformer_block(d: usize, tokens: usize, rng: &mut StdRng) -> Seq {
+    let attn = Seq::new()
+        .then(LayerNorm::new(d))
+        .then(MultiHeadSelfAttention::new(d, HEADS, rng));
+    let ffn = Seq::new()
+        .then(LayerNorm::new(d))
+        .then(Reshape::new(&[d]))
+        .then(Linear::new(d, 2 * d, rng))
+        .then(Gelu::new())
+        .then(Linear::new(2 * d, d, rng))
+        .then(Reshape::new(&[tokens, d]));
+    Seq::new()
+        .then(Residual::new(attn, None))
+        .then(Residual::new(ffn, None))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsnn::layers::Layer;
+    use tsnn::Tensor;
 
     fn probe(arch: Architecture) {
         let mut enc = arch.build(64, 8, 3);
@@ -1188,7 +225,7 @@ mod tests {
         );
         let z = enc.forward(&x, true);
         assert_eq!(z.dim(0), 4);
-        assert_eq!(z.dim(1), enc.feature_dim(), "{arch:?}");
+        assert_eq!(z.dim(1), arch.feature_dim(8), "{arch:?}");
         assert!(z.data().iter().all(|v| v.is_finite()), "{arch:?}");
         // Backward runs and produces an input-shaped gradient.
         let g = enc.backward(&Tensor::from_vec(z.shape(), vec![0.1; z.numel()]));
@@ -1243,10 +280,9 @@ mod tests {
 
     #[test]
     fn encoders_are_send_and_sync() {
-        fn check(_: &(dyn Encoder + Send + Sync)) {}
+        fn check<T: Send + Sync>(_: &T) {}
         for arch in Architecture::ALL {
-            let enc = arch.build(64, 8, 1);
-            check(enc.as_ref());
+            check(&arch.build(64, 8, 1));
         }
     }
 
@@ -1268,6 +304,22 @@ mod tests {
     }
 
     #[test]
+    fn min_window_is_the_shortest_window_that_serves() {
+        for arch in Architecture::ALL {
+            let w = arch.min_window();
+            let enc = arch.build(w, 4, 0);
+            let z = enc.infer(&Tensor::from_vec(&[2, 1, w], vec![0.5; 2 * w]));
+            assert_eq!(z.shape(), &[2, arch.feature_dim(4)], "{arch:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "window too short for the transformer stem")]
+    fn build_rejects_windows_below_the_minimum() {
+        let _ = Architecture::Transformer.build(4, 4, 0);
+    }
+
+    #[test]
     fn training_reduces_probe_loss() {
         // One-step sanity: SGD on a fixed batch lowers a quadratic probe.
         use tsnn::optim::Adam;
@@ -1278,7 +330,7 @@ mod tests {
                 .map(|i| ((i * 7 % 23) as f32 - 11.0) * 0.1)
                 .collect(),
         );
-        let target = Tensor::zeros(&[8, enc.feature_dim()]);
+        let target = Tensor::zeros(&[8, Architecture::ConvNet.feature_dim(4)]);
         let mut opt = Adam::new(0.01, 0.0);
         let mut first = None;
         let mut last = 0.0;
@@ -1296,25 +348,5 @@ mod tests {
             last = out.loss;
         }
         assert!(last < first.unwrap() * 0.9, "loss {first:?} → {last}");
-    }
-
-    #[test]
-    fn concat_split_roundtrip() {
-        let a = Tensor::from_vec(&[1, 2, 3], (0..6).map(|i| i as f32).collect());
-        let b = Tensor::from_vec(&[1, 1, 3], vec![10., 11., 12.]);
-        let cat = concat_channels(&[a.clone(), b.clone()]);
-        assert_eq!(cat.shape(), &[1, 3, 3]);
-        let parts = split_channels(&cat, &[2, 1]);
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let x = Tensor::from_vec(&[2, 3, 4], (0..24).map(|i| i as f32).collect());
-        let t = transpose_cl(&x);
-        assert_eq!(t.shape(), &[2, 4, 3]);
-        let back = transpose_cl(&t);
-        assert_eq!(back, x);
     }
 }

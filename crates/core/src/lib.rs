@@ -48,7 +48,6 @@ pub mod eval;
 mod hash;
 pub mod labels;
 pub mod manage;
-pub mod mlp;
 pub mod nonnn;
 pub mod pipeline;
 pub mod prune;

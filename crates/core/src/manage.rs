@@ -81,10 +81,26 @@ impl SelectorStore {
     }
 
     /// Loads a selector by name.
+    ///
+    /// # Errors
+    /// `InvalidData` when the manifest's window is shorter than its
+    /// architecture accepts ([`Architecture::min_window`]) or the weight
+    /// snapshot does not fit the rebuilt architecture.
     pub fn load(&self, name: &str) -> std::io::Result<TrainedSelector> {
         validate_name(name)?;
         let manifest: SelectorManifest =
             serde_json::from_slice(&std::fs::read(self.manifest_path(name))?)?;
+        if manifest.window < manifest.arch.min_window() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "selector {name:?}: window {} is shorter than the {} minimum of {}",
+                    manifest.window,
+                    manifest.arch.name(),
+                    manifest.arch.min_window()
+                ),
+            ));
+        }
         let state: SavedState = serde_json::from_slice(&std::fs::read(self.weights_path(name))?)?;
         let mut selector = TrainedSelector::build(
             manifest.arch,
@@ -293,6 +309,27 @@ mod tests {
         assert!(store.save("../evil", &s, "").is_err());
         assert!(store.save("", &s, "").is_err());
         assert!(store.load("no/slash").is_err());
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn load_rejects_windows_below_the_architecture_minimum() {
+        let store = temp_store("minwin");
+        // A ConvNet at window 2 builds and saves; a Transformer manifest
+        // edited down to window 4 would panic in the stem if built.
+        let convnet = TrainedSelector::build(Architecture::ConvNet, 2, 4, 1);
+        store.save("convnet", &convnet, "").unwrap();
+        let transformer = TrainedSelector::build(Architecture::Transformer, 8, 4, 1);
+        store.save("transformer", &transformer, "").unwrap();
+        let path = store.manifest_path("transformer");
+        let mut manifest: SelectorManifest =
+            serde_json::from_slice(&std::fs::read(&path).unwrap()).unwrap();
+        manifest.window = 4;
+        std::fs::write(&path, serde_json::to_vec(&manifest).unwrap()).unwrap();
+        for name in ["convnet", "transformer"] {
+            let err = store.load(name).err().expect("short window must not load");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+        }
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -399,9 +399,10 @@ impl SelectorEngine {
     ///
     /// # Errors
     /// `InvalidInput` when `window.length` disagrees with the window
-    /// length the selector was trained with — the same guard
-    /// [`SelectorEngine::load`] applies, catching the mismatch at deploy
-    /// time instead of panicking in a serving thread.
+    /// length the selector was trained with, or that length is shorter
+    /// than its architecture accepts ([`crate::Architecture::min_window`])
+    /// — the same guards [`SelectorEngine::load`] applies, catching the
+    /// mismatch at deploy time instead of panicking in a serving thread.
     pub fn deploy(
         &self,
         name: impl Into<String>,
@@ -409,6 +410,17 @@ impl SelectorEngine {
         window: WindowConfig,
     ) -> std::io::Result<()> {
         let name = name.into();
+        if model.window < model.arch.min_window() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "selector {name:?}: window {} is shorter than the {} minimum of {}",
+                    model.window,
+                    model.arch.name(),
+                    model.arch.min_window()
+                ),
+            ));
+        }
         if model.window != window.length {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -863,6 +875,22 @@ mod tests {
             "deployed selector serves the new weights"
         );
         let _ = in_flight.series_scores(&sine_series(0, 96));
+    }
+
+    #[test]
+    fn deploy_rejects_windows_below_the_architecture_minimum() {
+        // A ConvNet at window 2 builds, but its second pool would panic in
+        // the serving thread; deploy refuses it up front.
+        let engine = test_engine();
+        let window = WindowConfig {
+            length: 2,
+            stride: 2,
+            znormalize: true,
+        };
+        let short = TrainedSelector::build(Architecture::ConvNet, 2, 4, 5);
+        let err = engine.deploy("short", short, window).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(engine.get("short").is_none());
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl ReplicaSet {
         Self {
             replicas: (0..cfg.replicas.max(1))
                 .map(|_| Replica {
-                    core: master.replicate(cfg),
+                    core: master.replicate(),
                     out: None,
                 })
                 .collect(),

@@ -83,13 +83,13 @@ pub(crate) mod testutil {
 pub use objective::{BatchContext, LazyGrad, LossTerm, Objective, ObjectiveOutput, TermOutput};
 pub use session::{EpochReport, TrainCheckpoint, TrainSession};
 
-use crate::arch::{Architecture, Encoder};
+use crate::arch::Architecture;
 use crate::dataset::SelectorDataset;
 use crate::prune::PruningStrategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsad_models::ModelId;
-use tsnn::layers::{Layer, Linear};
+use tsnn::layers::{Layer, Linear, Seq};
 use tsnn::Tensor;
 
 /// PISL hyperparameters (§3, Table of §B.1).
@@ -257,7 +257,7 @@ pub struct TrainedSelector {
     pub width: usize,
     /// Seed used at build time (needed to rebuild for weight loading).
     pub seed: u64,
-    pub(crate) encoder: Box<dyn Encoder>,
+    pub(crate) encoder: Seq,
     pub(crate) classifier: Linear,
     /// Lazily pre-packed classifier weight panels: the serving hot path
     /// multiplies against the same (frozen) weights every batch, so the
@@ -271,16 +271,8 @@ impl TrainedSelector {
     pub fn build(arch: Architecture, window: usize, width: usize, seed: u64) -> Self {
         let encoder = arch.build(window, width, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC1A5);
-        let classifier = Linear::new(encoder.feature_dim(), ModelId::ALL.len(), &mut rng);
-        Self {
-            arch,
-            window,
-            width,
-            seed,
-            encoder,
-            classifier,
-            packed_classifier: std::sync::OnceLock::new(),
-        }
+        let classifier = Linear::new(arch.feature_dim(width), ModelId::ALL.len(), &mut rng);
+        Self::from_parts(arch, window, width, seed, encoder, classifier)
     }
 
     /// Assembles a trained selector from its parts (the session's
@@ -290,7 +282,7 @@ impl TrainedSelector {
         window: usize,
         width: usize,
         seed: u64,
-        encoder: Box<dyn Encoder>,
+        encoder: Seq,
         classifier: Linear,
     ) -> Self {
         Self {
@@ -338,7 +330,7 @@ impl TrainedSelector {
     /// Class logits for a batch of windows (inference mode, chunked).
     ///
     /// Immutable and thread-safe: the forward pass runs through the
-    /// encoder's [`Encoder::infer`] path, so one trained selector can score
+    /// encoder's [`Layer::infer`] path, so one trained selector can score
     /// concurrent batches from many threads.
     pub fn predict_logits(&self, windows: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let rows: Vec<&[f32]> = windows.iter().map(Vec::as_slice).collect();

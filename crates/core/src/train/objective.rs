@@ -29,10 +29,10 @@
 
 use super::{MkiConfig, PislConfig, TrainConfig};
 use crate::dataset::SelectorDataset;
-use crate::mlp::Mlp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use tsnn::layers::{Layer, Seq};
 use tsnn::loss::{cross_entropy, info_nce, soft_cross_entropy};
 use tsnn::{Param, Tensor};
 
@@ -245,8 +245,8 @@ impl LossTerm for PislSoft {
 /// two trainable projection MLPs `h_T` and `h_K`.
 pub struct MkiAlign {
     cfg: MkiConfig,
-    h_t: Mlp,
-    h_k: Mlp,
+    h_t: Seq,
+    h_k: Seq,
     /// Scratch for batch knowledge assembly, reclaimed via
     /// [`Tensor::into_data`] each batch (the same discipline as the PISL
     /// soft-target buffer — no per-batch allocation).
@@ -258,8 +258,8 @@ impl MkiAlign {
     /// derivation (`seed ^ 0x17E`, `h_T` drawn before `h_K`).
     pub fn new(cfg: MkiConfig, feature_dim: usize, text_dim: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x17E);
-        let h_t = Mlp::new(feature_dim, cfg.hidden, cfg.proj_dim, &mut rng);
-        let h_k = Mlp::new(text_dim, cfg.hidden, cfg.proj_dim, &mut rng);
+        let h_t = Seq::mlp(feature_dim, cfg.hidden, cfg.proj_dim, &mut rng);
+        let h_k = Seq::mlp(text_dim, cfg.hidden, cfg.proj_dim, &mut rng);
         Self {
             cfg,
             h_t,

@@ -32,7 +32,6 @@
 use super::dp::ReplicaSet;
 use super::objective::{BatchContext, Objective};
 use super::{TrainConfig, TrainStats, TrainedSelector};
-use crate::arch::Encoder;
 use crate::dataset::SelectorDataset;
 use crate::manage::{SavedState, SelectorStore};
 use crate::prune::{PruneSnapshot, PruneState, PruningStrategy};
@@ -40,7 +39,7 @@ use crate::selector::argmax;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsad_models::ModelId;
-use tsnn::layers::{Layer, Linear};
+use tsnn::layers::{Layer, Linear, Seq};
 use tsnn::optim::{clip_grad_norm, Adam, AdamState};
 use tsnn::serialize::{load_params, save_params, StateDict};
 use tsnn::{Param, Tensor};
@@ -54,7 +53,7 @@ use tsnn::{Param, Tensor};
 /// optimizer steps; data-parallel replicas are [`TrainerCore::replicate`]d
 /// clones that only ever compute gradients.
 pub(crate) struct TrainerCore {
-    pub(crate) encoder: Box<dyn Encoder>,
+    pub(crate) encoder: Seq,
     pub(crate) classifier: Linear,
     pub(crate) objective: Objective,
     window: usize,
@@ -79,9 +78,10 @@ impl TrainerCore {
     /// MKI projections from `seed ^ 0x17E` inside the objective).
     fn build(cfg: &TrainConfig, dataset: &SelectorDataset, window: usize) -> Self {
         let encoder = cfg.arch.build(window, cfg.width, cfg.seed);
+        let dim = cfg.arch.feature_dim(cfg.width);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xC1A5);
-        let classifier = Linear::new(encoder.feature_dim(), ModelId::ALL.len(), &mut rng);
-        let objective = Objective::from_config(cfg, dataset, encoder.feature_dim());
+        let classifier = Linear::new(dim, ModelId::ALL.len(), &mut rng);
+        let objective = Objective::from_config(cfg, dataset, dim);
         Self {
             encoder,
             classifier,
@@ -150,19 +150,17 @@ impl TrainerCore {
         }
     }
 
-    /// A data-parallel replica of this core: freshly built components with
-    /// the master's weights copied in, fresh caches and scratch.
-    pub(crate) fn replicate(&self, cfg: &TrainConfig) -> TrainerCore {
-        let mut replica = TrainerCore {
-            encoder: cfg.arch.build(self.window, cfg.width, cfg.seed),
+    /// A data-parallel replica of this core: a deep copy of the model and
+    /// objective terms with fresh scratch.
+    pub(crate) fn replicate(&self) -> TrainerCore {
+        TrainerCore {
+            encoder: self.encoder.clone(),
             classifier: self.classifier.clone(),
             objective: self.objective.for_replica(),
             window: self.window,
             x_buf: Vec::new(),
             targets: Vec::new(),
-        };
-        replica.sync_from(self);
-        replica
+        }
     }
 
     /// One forward/backward pass over a (micro-)batch: assembles the input

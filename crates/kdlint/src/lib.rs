@@ -30,9 +30,17 @@ pub use rules::{default_rules, lint_source, rule_by_name, Diagnostic, Rule};
 use std::path::{Path, PathBuf};
 
 /// Directories never linted: build output, VCS, the vendored dependency
-/// shims (stand-ins for third-party crates, not product code), and
-/// kdlint's own fixture corpus (which contains violations on purpose).
-const EXCLUDED_PREFIXES: [&str; 4] = ["target", ".git", "shims", "crates/kdlint/fixtures"];
+/// shims (stand-ins for third-party crates, not product code), kdlint's
+/// own fixture corpus (which contains violations on purpose), and the
+/// end-to-end benchmark — a separate cargo workspace whose files only a
+/// benchmark change may edit, and which reads the wall clock by design.
+const EXCLUDED_PREFIXES: [&str; 5] = [
+    "target",
+    ".git",
+    "shims",
+    "crates/kdlint/fixtures",
+    "e2ebench",
+];
 
 /// Collects every workspace `.rs` file under `root`, workspace-relative
 /// with `/` separators, sorted for deterministic reporting order.

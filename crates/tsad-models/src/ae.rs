@@ -5,7 +5,7 @@ use crate::{Detector, ModelId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tslinalg::stats;
-use tsnn::layers::{Layer, Linear, Relu};
+use tsnn::layers::{Layer, Seq};
 use tsnn::loss::mse;
 use tsnn::optim::Adam;
 use tsnn::Tensor;
@@ -27,40 +27,6 @@ impl AutoEncoder {
             epochs: 30,
             max_windows: 250,
         }
-    }
-}
-
-struct AeNet {
-    enc: Linear,
-    relu: Relu,
-    dec: Linear,
-}
-
-impl AeNet {
-    fn new(w: usize, h: usize, rng: &mut StdRng) -> Self {
-        Self {
-            enc: Linear::new(w, h, rng),
-            relu: Relu::new(),
-            dec: Linear::new(h, w, rng),
-        }
-    }
-
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let z = self.enc.forward(x, train);
-        let a = self.relu.forward(&z, train);
-        self.dec.forward(&a, train)
-    }
-
-    fn backward(&mut self, grad: &Tensor) {
-        let g = self.dec.backward(grad);
-        let g = self.relu.backward(&g);
-        let _ = self.enc.backward(&g);
-    }
-
-    fn params(&mut self) -> Vec<&mut tsnn::Param> {
-        let mut p = self.enc.params_mut();
-        p.extend(self.dec.params_mut());
-        p
     }
 }
 
@@ -93,7 +59,7 @@ impl Detector for AutoEncoder {
 
         let hidden = (w / 2).clamp(4, 16);
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut net = AeNet::new(w, hidden, &mut rng);
+        let mut net = Seq::mlp(w, hidden, w, &mut rng);
         let mut opt = Adam::new(0.01, 1e-5);
 
         let batch: Vec<Vec<f32>> = train_idx
@@ -104,11 +70,11 @@ impl Detector for AutoEncoder {
         for _ in 0..self.epochs {
             let y = net.forward(&x, true);
             let out = mse(&y, &x, None);
-            for p in net.params() {
+            for p in net.params_mut() {
                 p.zero_grad();
             }
-            net.backward(&out.grad);
-            opt.step(&mut net.params());
+            let _ = net.backward(&out.grad);
+            opt.step(&mut net.params_mut());
         }
 
         // Score every window.

@@ -5,7 +5,7 @@ use crate::{Detector, ModelId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tslinalg::stats;
-use tsnn::layers::{Conv1d, Layer, Linear, MaxPool1d, Relu};
+use tsnn::layers::{Conv1d, Layer, Linear, MaxPool1d, Relu, Reshape, Seq};
 use tsnn::loss::mse;
 use tsnn::optim::Adam;
 use tsnn::Tensor;
@@ -34,53 +34,6 @@ impl CnnForecaster {
     }
 }
 
-struct Net {
-    conv: Conv1d,
-    relu: Relu,
-    pool: MaxPool1d,
-    head: Linear,
-    flat_dim: usize,
-    pooled_shape: Vec<usize>,
-}
-
-impl Net {
-    fn new(history: usize, channels: usize, rng: &mut StdRng) -> Self {
-        let pooled = history / 2;
-        Self {
-            conv: Conv1d::new(1, channels, 5, rng),
-            relu: Relu::new(),
-            pool: MaxPool1d::new(2),
-            head: Linear::new(channels * pooled, 1, rng),
-            flat_dim: channels * pooled,
-            pooled_shape: vec![0, channels, pooled],
-        }
-    }
-
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let n = x.dim(0);
-        let c = self.conv.forward(x, train);
-        let a = self.relu.forward(&c, train);
-        let p = self.pool.forward(&a, train);
-        self.pooled_shape[0] = n;
-        let flat = p.reshape(&[n, self.flat_dim]);
-        self.head.forward(&flat, train)
-    }
-
-    fn backward(&mut self, grad: &Tensor) {
-        let g = self.head.backward(grad);
-        let g = g.reshape(&self.pooled_shape);
-        let g = self.pool.backward(&g);
-        let g = self.relu.backward(&g);
-        let _ = self.conv.backward(&g);
-    }
-
-    fn params(&mut self) -> Vec<&mut tsnn::Param> {
-        let mut p = self.conv.params_mut();
-        p.extend(self.head.params_mut());
-        p
-    }
-}
-
 impl Detector for CnnForecaster {
     fn id(&self) -> ModelId {
         ModelId::Cnn
@@ -101,7 +54,13 @@ impl Detector for CnnForecaster {
         let train_targets: Vec<usize> = all_targets.iter().copied().step_by(step).collect();
 
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut net = Net::new(p, self.channels, &mut rng);
+        let flat = self.channels * (p / 2);
+        let mut net = Seq::new()
+            .then(Conv1d::new(1, self.channels, 5, &mut rng))
+            .then(Relu::new())
+            .then(MaxPool1d::new(2))
+            .then(Reshape::new(&[flat]))
+            .then(Linear::new(flat, 1, &mut rng));
         let mut opt = Adam::new(0.01, 1e-5);
 
         let make_batch = |targets: &[usize]| -> (Tensor, Tensor) {
@@ -121,11 +80,11 @@ impl Detector for CnnForecaster {
         for _ in 0..self.epochs {
             let pred = net.forward(&x_train, true);
             let out = mse(&pred, &y_train, None);
-            for par in net.params() {
+            for par in net.params_mut() {
                 par.zero_grad();
             }
-            net.backward(&out.grad);
-            opt.step(&mut net.params());
+            let _ = net.backward(&out.grad);
+            opt.step(&mut net.params_mut());
         }
 
         let mut errors = vec![0.0f64; n];

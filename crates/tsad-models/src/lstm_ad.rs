@@ -5,7 +5,7 @@ use crate::{Detector, ModelId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tslinalg::stats;
-use tsnn::layers::{Layer, Linear, Lstm};
+use tsnn::layers::{Layer, Linear, Lstm, Seq};
 use tsnn::loss::mse;
 use tsnn::optim::Adam;
 use tsnn::Tensor;
@@ -34,29 +34,6 @@ impl LstmAd {
     }
 }
 
-struct Net {
-    lstm: Lstm,
-    head: Linear,
-}
-
-impl Net {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let h = self.lstm.forward(x, train);
-        self.head.forward(&h, train)
-    }
-
-    fn backward(&mut self, grad: &Tensor) {
-        let g = self.head.backward(grad);
-        let _ = self.lstm.backward(&g);
-    }
-
-    fn params(&mut self) -> Vec<&mut tsnn::Param> {
-        let mut p = self.lstm.params_mut();
-        p.extend(self.head.params_mut());
-        p
-    }
-}
-
 impl Detector for LstmAd {
     fn id(&self) -> ModelId {
         ModelId::LstmAd
@@ -79,10 +56,9 @@ impl Detector for LstmAd {
         let train_targets: Vec<usize> = all_targets.iter().copied().step_by(step).collect();
 
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut net = Net {
-            lstm: Lstm::new(1, self.hidden, &mut rng),
-            head: Linear::new(self.hidden, 1, &mut rng),
-        };
+        let mut net = Seq::new()
+            .then(Lstm::new(1, self.hidden, &mut rng))
+            .then(Linear::new(self.hidden, 1, &mut rng));
         let mut opt = Adam::new(0.01, 0.0);
 
         let make_batch = |targets: &[usize]| -> (Tensor, Tensor) {
@@ -102,11 +78,11 @@ impl Detector for LstmAd {
         for _ in 0..self.epochs {
             let pred = net.forward(&x_train, true);
             let out = mse(&pred, &y_train, None);
-            for par in net.params() {
+            for par in net.params_mut() {
                 par.zero_grad();
             }
-            net.backward(&out.grad);
-            opt.step(&mut net.params());
+            let _ = net.backward(&out.grad);
+            opt.step(&mut net.params_mut());
         }
 
         // Score every point; the first `p` points inherit the first score.

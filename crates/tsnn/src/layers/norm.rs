@@ -220,6 +220,14 @@ impl Layer for BatchNorm1d {
     fn params(&self) -> Vec<&Param> {
         vec![&self.gamma, &self.beta]
     }
+
+    fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
+        vec![&mut self.running_mean, &mut self.running_var]
+    }
+
+    fn buffers(&self) -> Vec<&Vec<f32>> {
+        vec![&self.running_mean, &self.running_var]
+    }
 }
 
 /// Layer norm over the last dimension of `(N, T, D)` or `(N, D)`.

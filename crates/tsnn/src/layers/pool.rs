@@ -184,10 +184,207 @@ impl Layer for GlobalAvgPool1d {
     }
 }
 
+/// Stride-1 max pooling with a centred odd window, `(N, C, L) → (N, C, L)`:
+/// output `t` is the maximum over `[t − k/2, t + k/2]` clipped to the
+/// sequence (the inception pool path).
+#[derive(Debug, Clone)]
+pub struct SameMaxPool1d {
+    kernel: usize,
+    argmax: Option<Vec<usize>>,
+    in_shape: Option<Vec<usize>>,
+}
+
+impl SameMaxPool1d {
+    /// New pool of odd width `kernel`.
+    ///
+    /// # Panics
+    /// Panics if `kernel` is even.
+    pub fn new(kernel: usize) -> Self {
+        assert!(kernel % 2 == 1, "same pooling needs an odd kernel");
+        Self {
+            kernel,
+            argmax: None,
+            in_shape: None,
+        }
+    }
+
+    /// Pools `x`, recording each output's source index when asked.
+    fn pool(&self, x: &Tensor, mut argmax: Option<&mut [usize]>) -> Tensor {
+        assert_eq!(x.shape().len(), 3, "SameMaxPool1d expects (N, C, L)");
+        let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
+        let half = self.kernel / 2;
+        let mut y = Tensor::zeros(&[n, c, l]);
+        for ni in 0..n {
+            let xb = x.batch(ni);
+            let yb = y.batch_mut(ni);
+            for ci in 0..c {
+                let row = &xb[ci * l..(ci + 1) * l];
+                for t in 0..l {
+                    let lo = t.saturating_sub(half);
+                    let hi = (t + half + 1).min(l);
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_i = lo;
+                    for (i, &v) in row[lo..hi].iter().enumerate() {
+                        if v > best {
+                            best = v;
+                            best_i = lo + i;
+                        }
+                    }
+                    yb[ci * l + t] = best;
+                    if let Some(a) = argmax.as_deref_mut() {
+                        a[(ni * c + ci) * l + t] = best_i;
+                    }
+                }
+            }
+        }
+        y
+    }
+}
+
+impl Layer for SameMaxPool1d {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        if !train {
+            return self.infer(x);
+        }
+        let mut argmax = vec![0usize; x.numel()];
+        let y = self.pool(x, Some(&mut argmax));
+        self.argmax = Some(argmax);
+        self.in_shape = Some(x.shape().to_vec());
+        y
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.pool(x, None)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let argmax = self.argmax.take().expect("backward without forward(train)");
+        let shape = self
+            .in_shape
+            .take()
+            .expect("backward without forward(train)");
+        let (n, c, l) = (shape[0], shape[1], shape[2]);
+        let mut gx = Tensor::zeros(&shape);
+        for ni in 0..n {
+            let gb = grad_out.batch(ni);
+            let ob = gx.batch_mut(ni);
+            for ci in 0..c {
+                for t in 0..l {
+                    ob[ci * l + argmax[(ni * c + ci) * l + t]] += gb[ci * l + t];
+                }
+            }
+        }
+        gx
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        Vec::new()
+    }
+
+    fn params(&self) -> Vec<&Param> {
+        Vec::new()
+    }
+}
+
+/// Mean over the token axis, `(N, T, D) → (N, D)`: each output accumulates
+/// `z[t] / T` in token order (the transformer's pooled readout).
+#[derive(Debug, Clone, Default)]
+pub struct TokenMeanPool {
+    in_shape: Option<Vec<usize>>,
+}
+
+impl TokenMeanPool {
+    /// New pool.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl Layer for TokenMeanPool {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        if train {
+            self.in_shape = Some(x.shape().to_vec());
+        }
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        assert_eq!(x.shape().len(), 3, "TokenMeanPool expects (N, T, D)");
+        let (n, t, d) = (x.dim(0), x.dim(1), x.dim(2));
+        let mut y = Tensor::zeros(&[n, d]);
+        for ni in 0..n {
+            let xb = x.batch(ni);
+            let y_row = y.row_mut(ni);
+            for ti in 0..t {
+                for di in 0..d {
+                    y_row[di] += xb[ti * d + di] / t as f32;
+                }
+            }
+        }
+        y
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let in_shape = self
+            .in_shape
+            .take()
+            .expect("backward without forward(train)");
+        let (n, t, d) = (in_shape[0], in_shape[1], in_shape[2]);
+        let mut gx = Tensor::zeros(&in_shape);
+        for ni in 0..n {
+            let g_row = grad_out.row(ni);
+            let ob = gx.batch_mut(ni);
+            for ti in 0..t {
+                for di in 0..d {
+                    ob[ti * d + di] = g_row[di] / t as f32;
+                }
+            }
+        }
+        gx
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        Vec::new()
+    }
+
+    fn params(&self) -> Vec<&Param> {
+        Vec::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+
+    #[test]
+    fn same_maxpool_keeps_length_and_clips_edges() {
+        let p = SameMaxPool1d::new(3);
+        let x = Tensor::from_vec(&[1, 1, 5], vec![1., 5., 2., 0., 3.]);
+        assert_eq!(p.infer(&x).data(), &[5., 5., 5., 3., 3.]);
+    }
+
+    #[test]
+    fn same_maxpool_gradients() {
+        let mut p = SameMaxPool1d::new(3);
+        // Distinct neighbours keep the argmax stable under ±eps.
+        let x = Tensor::from_vec(&[2, 2, 5], (0..20).map(|i| (i * 13 % 17) as f32).collect());
+        check_layer_gradients(&mut p, &x, 1e-3, 1e-2);
+    }
+
+    #[test]
+    fn token_mean_pool_averages_tokens() {
+        let p = TokenMeanPool::new();
+        let x = Tensor::from_vec(&[1, 2, 3], vec![1., 2., 3., 3., 4., 5.]);
+        assert_eq!(p.infer(&x).data(), &[2., 3., 4.]);
+    }
+
+    #[test]
+    fn token_mean_pool_gradients() {
+        let mut p = TokenMeanPool::new();
+        let x = Tensor::from_vec(&[2, 3, 4], (0..24).map(|i| i as f32 * 0.1).collect());
+        check_layer_gradients(&mut p, &x, 1e-2, 1e-2);
+    }
 
     #[test]
     fn maxpool_picks_maxima() {

@@ -5,9 +5,11 @@
 //!
 //! * [`Tensor`] — a dense row-major `f32` tensor (rank ≤ 3 in practice).
 //! * [`layers`] — conv1d, linear, batch/layer norm, pooling, dropout,
-//!   activations, multi-head self-attention and an LSTM cell, each with
+//!   activations, multi-head self-attention, an LSTM cell and shape-only
+//!   leaves (transpose, reshape, positional embedding), each with
 //!   hand-written backward passes that cache what they need from the forward
-//!   pass.
+//!   pass, plus the graph combinators `Seq`, `Residual` and `Concat` that
+//!   every network is declared with.
 //! * [`loss`] — hard cross-entropy, soft-label cross-entropy (PISL), InfoNCE
 //!   (MKI) and MSE, all accepting **per-sample weights** so that the
 //!   InfoBatch/PA gradient rescaling (`1/(1-r)`) is exact.
@@ -20,9 +22,9 @@
 //!   with a bitwise-identical scalar fallback (`KD_NO_SIMD=1`).
 //!
 //! Design notes: layers are stateful (`forward` caches, `backward` consumes)
-//! and models compose them explicitly — there is no autograd graph. That
-//! keeps the substrate small, fully deterministic, and easy to verify layer
-//! by layer.
+//! and models are static trees of combinators — there is no taped autograd.
+//! That keeps the substrate small, fully deterministic, and easy to verify
+//! layer by layer.
 
 pub mod gemm;
 pub mod gradcheck;

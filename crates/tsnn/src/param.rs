@@ -63,6 +63,18 @@ pub trait Layer {
     /// order (persistence snapshots a trained model without `&mut`).
     fn params(&self) -> Vec<&Param>;
 
+    /// Non-trainable state in a stable order — batch-norm running
+    /// statistics — which persistence saves alongside the parameters.
+    /// Empty for layers without such state.
+    fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
+        Vec::new()
+    }
+
+    /// Read-only view of the non-trainable state, `buffers_mut()` order.
+    fn buffers(&self) -> Vec<&Vec<f32>> {
+        Vec::new()
+    }
+
     /// Total number of scalar parameters.
     fn param_count(&self) -> usize {
         self.params().iter().map(|p| p.numel()).sum()

@@ -15,11 +15,11 @@
 //! alter numerics must re-pin these constants and say so.
 
 use kdselector::core::arch::Architecture;
-use kdselector::core::mlp::Mlp;
 use kdselector::detectors::ae::AutoEncoder;
 use kdselector::detectors::cnn::CnnForecaster;
 use kdselector::detectors::lstm_ad::LstmAd;
 use kdselector::detectors::Detector;
+use kdselector::nn::layers::{Layer, Seq};
 use kdselector::nn::serialize::save_params;
 use kdselector::nn::{Param, Tensor};
 use rand::rngs::StdRng;
@@ -230,7 +230,7 @@ fn nn_detectors_match_pinned_bits() {
 #[test]
 fn projection_mlp_matches_pinned_bits() {
     let mut rng = StdRng::seed_from_u64(0x17E);
-    let mut mlp = Mlp::new(6, 10, 4, &mut rng);
+    let mut mlp = Seq::mlp(6, 10, 4, &mut rng);
     let x = pattern(&[3, 6], 5, 17);
     let y = mlp.forward(&x, true);
     for p in mlp.params_mut() {
