@@ -5,7 +5,9 @@
 //! record (windows/sec through the data-parallel session stack at 1 and N
 //! worker threads, with the bitwise cross-thread-count guard asserted) and
 //! a streaming-loop record (windows/sec through incremental ingestion with
-//! cache publishing, plus the daemon's drift → retrain → deploy latency).
+//! cache publishing, plus the daemon's drift → retrain → deploy latency)
+//! and a `Conv1d` record (inference and backward cost at the served
+//! ResNet's conv shapes).
 //!
 //! Appends one compact JSON line per run to `BENCH_micro.json` (repo root,
 //! override with `KD_BENCH_OUT`) so the perf trajectory is tracked PR over
@@ -247,6 +249,96 @@ fn large_k_benchmark() -> serde_json::Value {
     serde_json::json!({
         "kc": KC,
         "geomean_speedup": geomean,
+        "cases": rows,
+    })
+}
+
+/// `Conv1d` cost at the served ResNet's eleven conv shapes — `(c_in,
+/// c_out, k)` of its three residual blocks (k = 7/5/3 stages plus the
+/// 1×1 projection shortcuts) at width 8 — on a 256-window batch of 64
+/// samples. `infer_ns` times `Layer::infer`; `backward_ns` times
+/// `Layer::backward` alone (its `forward(train)` runs untimed), which
+/// computes both the weight and the input gradient, so its FLOP count is
+/// twice the forward's.
+fn conv_benchmark(threads: usize) -> serde_json::Value {
+    use rand::SeedableRng;
+    use tsnn::layers::{Conv1d, Layer};
+
+    const BATCH: usize = 256;
+    const LEN: usize = 64;
+    const SHAPES: &[(usize, usize, usize)] = &[
+        (1, 8, 7),
+        (8, 8, 5),
+        (8, 8, 3),
+        (1, 8, 1),
+        (8, 16, 7),
+        (16, 16, 5),
+        (16, 16, 3),
+        (8, 16, 1),
+        (16, 16, 7),
+        (16, 16, 5),
+        (16, 16, 3),
+    ];
+    println!(
+        "\n{:<16} {:>12} {:>8} {:>12} {:>8}",
+        "conv case", "infer ns", "GFLOP/s", "backward ns", "GFLOP/s"
+    );
+    let mut rows = Vec::new();
+    let (mut infer_total, mut backward_total) = (0.0, 0.0);
+    for (i, &(c_in, c_out, k)) in SHAPES.iter().enumerate() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(i as u64);
+        let mut conv = Conv1d::new(c_in, c_out, k, &mut rng);
+        let x = filled(&[BATCH, c_in, LEN], 1);
+        let g = filled(&[BATCH, c_out, LEN], 2);
+        let infer_ns = time_ns(|| conv.infer(&x));
+        let mut samples = Vec::with_capacity(7);
+        for _ in 0..7 {
+            let mut spent = 0.0;
+            for _ in 0..4 {
+                conv.forward(&x, true);
+                let t = Instant::now();
+                std::hint::black_box(conv.backward(&g));
+                spent += t.elapsed().as_secs_f64();
+            }
+            samples.push(spent / 4.0);
+        }
+        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let backward_ns = samples[samples.len() / 2] * 1e9;
+        let flop = 2.0 * (BATCH * c_in * c_out * k * LEN) as f64;
+        let case = format!("c{c_in}x{c_out}_k{k}_{i}");
+        println!(
+            "{:<16} {:>12.0} {:>8.1} {:>12.0} {:>8.1}",
+            case,
+            infer_ns,
+            flop / infer_ns,
+            backward_ns,
+            2.0 * flop / backward_ns
+        );
+        infer_total += infer_ns;
+        backward_total += backward_ns;
+        rows.push(serde_json::json!({
+            "case": case,
+            "c_in": c_in,
+            "c_out": c_out,
+            "k": k,
+            "infer_ns": infer_ns,
+            "infer_gflop_per_sec": flop / infer_ns,
+            "backward_ns": backward_ns,
+            "backward_gflop_per_sec": 2.0 * flop / backward_ns,
+        }));
+    }
+    let infer_us_per_window = infer_total / 1e3 / BATCH as f64;
+    println!(
+        "conv: {infer_us_per_window:.1} us/window inference, {:.1} us/window backward \
+         (served ResNet w8, {threads} thread(s))",
+        backward_total / 1e3 / BATCH as f64
+    );
+    serde_json::json!({
+        "threads": threads,
+        "batch": BATCH,
+        "len": LEN,
+        "infer_per_window_ns": infer_us_per_window * 1e3,
+        "backward_per_window_ns": backward_total / BATCH as f64,
         "cases": rows,
     })
 }
@@ -1162,6 +1254,9 @@ fn main() {
     // --- k-blocked dual-panel kernel vs the unblocked sweep, large k. -----
     let gemm_large_k = large_k_benchmark();
 
+    // --- Conv1d at the served ResNet's shapes. -----------------------------
+    let conv = conv_benchmark(threads);
+
     // --- Serving throughput: direct batch vs the queued front-end, --------
     // --- sampled interleaved (see serving_benchmarks). --------------------
     println!();
@@ -1212,6 +1307,7 @@ fn main() {
         "cases": rows,
         "simd": simd,
         "gemm_large_k": gemm_large_k,
+        "conv": conv,
         "serve": serve_record,
         "serve_queue": serve_queue,
         "profile": profile,

@@ -2,15 +2,17 @@
 
 use crate::init::kaiming_uniform;
 use crate::param::{Layer, Param};
-use crate::simd;
+use crate::simd::{self, F32x16};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
+use std::cell::RefCell;
 
 /// 1-D convolution on `(N, C_in, L) → (N, C_out, L)` with stride 1 and
 /// zero "same" padding (`pad = k / 2`; odd kernel sizes keep the length).
 ///
-/// The inner loops run over the contiguous time axis so LLVM can vectorise
-/// them — this layer dominates the wall-clock of selector training.
+/// Forward and input-gradient passes run on one register-tiled kernel
+/// (see [`TapPlan`]) — this layer dominates encoder inference and
+/// selector training.
 #[derive(Debug, Clone)]
 pub struct Conv1d {
     /// Weights, shape `(C_out, C_in, K)`.
@@ -67,53 +69,15 @@ impl Layer for Conv1d {
         assert_eq!(x.shape().len(), 3, "Conv1d expects (N, C, L)");
         assert_eq!(x.dim(1), self.in_channels, "channel mismatch");
         let (n, l) = (x.dim(0), x.dim(2));
-        let pad = self.kernel / 2;
         let mut y = Tensor::zeros(&[n, self.out_channels, l]);
-        let w = self.weight.value.data();
-        let b = self.bias.value.data();
-        let (c_in, c_out, kernel) = (self.in_channels, self.out_channels, self.kernel);
-        // Batch elements are independent: one pool task per element, each
-        // writing its own (C_out · L) output slab. Small convolutions stay
-        // serial — the work gate keeps per-minibatch 1×1 convs off the pool.
-        let x_data = x.data();
-        let in_stride = c_in * l;
-        let work = n * c_out * c_in * kernel * l;
-        // Hoisted out of the tap loops: the old tap-major axpy formulation
-        // paid this (SeqCst) policy load, a length assert and a splat per
-        // (co, ci, k) tap — ~1.5k times per 64-sample window through the
-        // ConvNet encoder. The policy is stable within one infer call.
-        let use_lanes = simd::simd_enabled();
-        // Dense non-zero tap lists, one per output channel, shared by every
-        // batch element: the `w == 0.0` skip and the weight bounds checks
-        // move here, so the per-block accumulate loop in `conv_row` is
-        // branch-free straight-line code LLVM keeps in lane registers.
-        // Taps are pushed in ascending (ci, k) order — the canonical
-        // accumulation chain.
-        let taps: Vec<Vec<Tap>> = (0..c_out)
-            .map(|co| {
-                let mut v = Vec::with_capacity(c_in * kernel);
-                for ci in 0..c_in {
-                    for k in 0..kernel {
-                        let wv = w[(co * c_in + ci) * kernel + k];
-                        if wv != 0.0 {
-                            v.push(Tap {
-                                base: ci * l + k,
-                                k,
-                                wv,
-                            });
-                        }
-                    }
-                }
-                v
-            })
-            .collect();
-        tspar::par_chunks_mut_gated(y.data_mut(), c_out * l, work, |ni, yb| {
-            let xb = &x_data[ni * in_stride..(ni + 1) * in_stride];
-            for co in 0..c_out {
-                let y_row = &mut yb[co * l..(co + 1) * l];
-                conv_row(y_row, xb, &taps[co], b[co], pad, l, use_lanes);
-            }
-        });
+        let plan = TapPlan::forward(
+            self.weight.value.data(),
+            self.in_channels,
+            self.out_channels,
+            self.kernel,
+            l,
+        );
+        plan.run(x.data(), Some(self.bias.value.data()), y.data_mut());
         y
     }
 
@@ -125,8 +89,6 @@ impl Layer for Conv1d {
         let (n, l) = (x.dim(0), x.dim(2));
         assert_eq!(grad_out.shape(), &[n, self.out_channels, l]);
         let pad = self.kernel / 2;
-        let mut gx = Tensor::zeros(&[n, self.in_channels, l]);
-        let w = self.weight.value.data().to_vec();
         let gw = self.weight.grad.data_mut();
         for ni in 0..n {
             let xb = x.batch(ni);
@@ -151,35 +113,20 @@ impl Layer for Conv1d {
                 }
             }
         }
-        // dX: gx[ci][t+k-pad] += w[co][ci][k] * g[co][t]. Unlike the weight
-        // gradient above (accumulated serially across the batch to keep one
-        // fixed summation order), each input-gradient slab belongs to one
-        // batch element, so the batch loop parallelises cleanly.
-        let (c_in, c_out, kernel) = (self.in_channels, self.out_channels, self.kernel);
-        let g_data = grad_out.data();
-        let out_stride = c_out * l;
-        let work = n * c_out * c_in * kernel * l;
-        tspar::par_chunks_mut_gated(gx.data_mut(), c_in * l, work, |ni, gxb| {
-            let gb = &g_data[ni * out_stride..(ni + 1) * out_stride];
-            for co in 0..c_out {
-                let g_row = &gb[co * l..(co + 1) * l];
-                for ci in 0..c_in {
-                    let gx_row = &mut gxb[ci * l..(ci + 1) * l];
-                    let w_base = (co * c_in + ci) * kernel;
-                    for k in 0..kernel {
-                        let wv = w[w_base + k];
-                        if wv == 0.0 {
-                            continue;
-                        }
-                        let (t0, t1) = valid_range(l, k, pad);
-                        let off = k as isize - pad as isize;
-                        let gxs =
-                            &mut gx_row[(t0 as isize + off) as usize..(t1 as isize + off) as usize];
-                        simd::axpy(gxs, wv, &g_row[t0..t1]);
-                    }
-                }
-            }
-        });
+        // dX: gx[ci][t+k-pad] += w[co][ci][k] · g[co][t], a transposed
+        // convolution on the forward kernel. Unlike the weight gradient
+        // above (accumulated serially across the batch to keep one fixed
+        // summation order), each input-gradient slab belongs to one batch
+        // element, so the batch loop parallelises cleanly.
+        let mut gx = Tensor::zeros(&[n, self.in_channels, l]);
+        let plan = TapPlan::transposed(
+            self.weight.value.data(),
+            self.in_channels,
+            self.out_channels,
+            self.kernel,
+            l,
+        );
+        plan.run(grad_out.data(), None, gx.data_mut());
         gx
     }
 
@@ -192,94 +139,313 @@ impl Layer for Conv1d {
     }
 }
 
-/// One non-zero convolution tap: weight plus its flat input offset
-/// (`base = ci·l + k`, so a lane block at `tb` reads
-/// `xb[base + tb − pad ..]`).
-#[derive(Clone, Copy)]
-struct Tap {
-    base: usize,
-    k: usize,
-    wv: f32,
+/// Output rows computed together by one register tile.
+const TILE_ROWS: usize = 4;
+/// Time steps per register block.
+const LANES: usize = simd::F32_WIDE_LANES;
+
+thread_local! {
+    /// Per-thread staging rows (see [`TapPlan::run`]), reused across batch
+    /// elements and calls so steady-state convolution allocates nothing
+    /// per element.
+    static STAGE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One output row `y[t] = bias + Σ_{taps} w·x[t+k−pad]`, accumulated in
-/// registers: each lane block (or scalar element) folds **all** taps into
-/// one accumulator and stores once, instead of the old tap-major
-/// formulation that re-read and re-wrote the output row once per tap
-/// (`c_in · kernel` passes of y-row memory traffic plus per-tap axpy call
-/// overhead).
+/// One tap shared by a tile's rows: input row `row` read at kernel offset
+/// `k`, i.e. output time `t` reads input time `t + k − pad`.
+#[derive(Clone, Copy)]
+struct Tap {
+    /// `row · (l + 2·pad) + k`: the read at output time `t` is
+    /// `stage[off + t]` in the zero-padded staging rows.
+    off: usize,
+    k: usize,
+    /// One weight per tile row; rows past the tile's end hold 0.0.
+    w: [f32; TILE_ROWS],
+    /// Every row of the tile has a non-zero weight, so no row skips it.
+    dense: bool,
+}
+
+/// One register block of output time steps `[tb, tb + LANES)`. Edge
+/// blocks hold the index of their first lane mask: one per kernel offset,
+/// set on the lanes whose read `t + k − pad` lies inside the row.
+#[derive(Clone, Copy)]
+struct Block {
+    tb: usize,
+    masks: Option<usize>,
+}
+
+/// A same-padded convolution lowered to tap lists. Output row `r` at time
+/// `t` is its start value (bias, or +0.0 without one) followed by
+/// `acc = acc + w · x[row][t + k − pad]` over the row's taps in list
+/// order, skipping taps whose weight is zero or whose read falls outside
+/// `[0, l)`. The forward pass and the input gradient are both this
+/// shape, so both run on one kernel.
 ///
 /// # Determinism
 ///
-/// Per output element the arithmetic chain is *identical* to the old
-/// code: start from the bias, then add `w · x` for each `(ci, k)` tap in
-/// ascending `(ci, k)` order (the tap-list build order), skipping
-/// `w == 0.0` taps and out-of-range reads. Both paths use a plain
-/// (uncontracted) multiply-then-add per tap, so lane blocks, the
-/// overlapped final block (which *recomputes* its leading elements with
-/// the same chain — same bits), the scalar edges and the full scalar
-/// fallback all produce byte-identical rows. The `w == 0.0` skip (applied
-/// when the tap list is built) is load-bearing for that equivalence:
-/// folding a zero tap in would turn `-0.0` outputs into `+0.0` and could
-/// launder `inf`/`NaN` through `0.0 · x`.
-fn conv_row(
-    y_row: &mut [f32],
-    xb: &[f32],
-    taps: &[Tap],
-    bias: f32,
+/// Every output element replays exactly that chain on every path — lane
+/// tile, edge block, overlapped final block, scalar fallback — with mul
+/// and add rounded separately (no FMA). Edge lanes and zero-weight rows
+/// *keep* their accumulator (a mask select or a skipped add) instead of
+/// adding `w · 0`: adding a zero would turn a `-0.0` chain into `+0.0`,
+/// and an infinite weight would turn `inf · 0` into NaN. The chain is the
+/// one the pre-tile tap-major axpy loops computed, so the tile changes no
+/// bits (pinned against copies of those loops in the tests). The one
+/// exception is NaN payloads: when two different NaNs meet in an add,
+/// IEEE 754 leaves open which one propagates and LLVM may commute the
+/// operands, so only NaN-ness (not sign or payload) is fixed.
+struct TapPlan {
+    /// Taps of every tile, tile after tile, each tile in chain order.
+    taps: Vec<Tap>,
+    /// `taps[tiles[i]]` are the taps of tile `i` (rows
+    /// `TILE_ROWS·i ..`).
+    tiles: Vec<std::ops::Range<usize>>,
+    /// The lane blocks covering `[0, l)`; empty when `l < LANES`.
+    blocks: Vec<Block>,
+    masks: Vec<simd::Mask16>,
+    rows_in: usize,
+    rows_out: usize,
+    kernel: usize,
     pad: usize,
     l: usize,
-    use_lanes: bool,
-) {
-    // Every tap is in-range for t ∈ [pad, l − pad): the interior where
-    // lane blocks need no boundary checks.
-    let lo = pad.min(l);
-    let hi = l.saturating_sub(pad).max(lo);
-    const LANES: usize = simd::F32_LANES;
-    if use_lanes && hi - lo >= LANES {
-        let mut tb = lo;
-        loop {
-            // tb ≥ pad, so base + tb − pad ≥ 0; the block end stays within
-            // the tap's input row: in-row index tb + k − pad ≤
-            // (hi − LANES) + pad − pad + pad... bounded by l − LANES since
-            // tb ≤ l − pad − LANES and k − pad ≤ pad.
-            let shift = tb - pad;
-            let mut acc = simd::F32x8::splat(bias);
-            for tap in taps {
-                let x0 = tap.base + shift;
-                acc = acc + simd::F32x8::splat(tap.wv) * simd::F32x8::load(&xb[x0..x0 + LANES]);
+}
+
+impl TapPlan {
+    /// `y[co] = bias[co] + Σ_(ci, k) w[co][ci][k] · x[ci][t + k − pad]`,
+    /// taps in ascending `(ci, k)` order.
+    fn forward(w: &[f32], c_in: usize, c_out: usize, kernel: usize, l: usize) -> Self {
+        Self::build(c_out, c_in, kernel, l, |co, ci, k| {
+            (k, w[(co * c_in + ci) * kernel + k])
+        })
+    }
+
+    /// The input gradient `gx[ci][s] = Σ_(co, k) w[co][ci][k] ·
+    /// g[co][s − k + pad]`, taps in ascending `(co, k)` order. In forward
+    /// form tap `k` reads at offset `2·pad − k`.
+    fn transposed(w: &[f32], c_in: usize, c_out: usize, kernel: usize, l: usize) -> Self {
+        let last = kernel - 1;
+        Self::build(c_in, c_out, kernel, l, |ci, co, k| {
+            (last - k, w[(co * c_in + ci) * kernel + k])
+        })
+    }
+
+    /// `tap(r, row, j)` gives output row `r`'s `j`-th tap on input row
+    /// `row` as `(read offset k, weight)`; chain order is ascending
+    /// `(row, j)`.
+    fn build(
+        rows_out: usize,
+        rows_in: usize,
+        kernel: usize,
+        l: usize,
+        tap: impl Fn(usize, usize, usize) -> (usize, f32),
+    ) -> Self {
+        let pad = kernel / 2;
+        let lp = l + 2 * pad;
+        let mut taps = Vec::with_capacity(rows_out.div_ceil(TILE_ROWS) * rows_in * kernel);
+        let mut tiles = Vec::with_capacity(rows_out.div_ceil(TILE_ROWS));
+        for r0 in (0..rows_out).step_by(TILE_ROWS) {
+            let rows = TILE_ROWS.min(rows_out - r0);
+            let start = taps.len();
+            for row in 0..rows_in {
+                for j in 0..kernel {
+                    let mut w = [0.0; TILE_ROWS];
+                    let mut k = 0;
+                    for (r, wr) in w.iter_mut().enumerate().take(rows) {
+                        (k, *wr) = tap(r0 + r, row, j);
+                    }
+                    let live = w[..rows].iter().filter(|&&v| v != 0.0).count();
+                    if live > 0 {
+                        taps.push(Tap {
+                            off: row * lp + k,
+                            k,
+                            w,
+                            dense: live == rows,
+                        });
+                    }
+                }
             }
-            acc.store(&mut y_row[tb..tb + LANES]);
-            if tb + LANES >= hi {
-                break;
+            tiles.push(start..taps.len());
+        }
+        let mut blocks = Vec::new();
+        let mut masks = Vec::new();
+        if l >= LANES {
+            let mut tb = 0;
+            loop {
+                // Interior blocks read in range at every tap.
+                let edge = tb < pad || tb + LANES + pad > l;
+                let first = masks.len();
+                if edge {
+                    // Staged read index s = t + k is in range iff
+                    // pad ≤ s < pad + l.
+                    masks.extend((0..kernel).map(|k| {
+                        simd::Mask16::from_fn(|i| (pad..pad + l).contains(&(tb + i + k)))
+                    }));
+                }
+                blocks.push(Block {
+                    tb,
+                    masks: edge.then_some(first),
+                });
+                if tb + LANES >= l {
+                    break;
+                }
+                // Step a full block, or overlap the final block back to end
+                // exactly at `l`: overlapped elements recompute the same
+                // chain, so the double store is bitwise inert.
+                tb = (tb + LANES).min(l - LANES);
             }
-            // Step a full block, or overlap the final block back to end
-            // exactly at `hi` — overlapped elements recompute the same
-            // chain, so the double store is bitwise inert.
-            tb = (tb + LANES).min(hi - LANES);
         }
-        for t in (0..lo).chain(hi..l) {
-            y_row[t] = conv_elem(xb, taps, bias, pad, l, t);
+        Self {
+            taps,
+            tiles,
+            blocks,
+            masks,
+            rows_in,
+            rows_out,
+            kernel,
+            pad,
+            l,
         }
-    } else {
-        for (t, yv) in y_row.iter_mut().enumerate() {
-            *yv = conv_elem(xb, taps, bias, pad, l, t);
+    }
+
+    /// Runs the plan over a `(n, rows_in, l)` input into `(n, rows_out,
+    /// l)`. Each batch element is one pool task: it copies its rows once
+    /// into zero-padded staging rows (`rows_in × (l + 2·pad)`, so every
+    /// lane load is in bounds) and computes its whole output slab.
+    fn run(&self, x: &[f32], bias: Option<&[f32]>, y: &mut [f32]) {
+        let (l, pad) = (self.l, self.pad);
+        let lp = l + 2 * pad;
+        let in_stride = self.rows_in * l;
+        let work = y.len() * self.rows_in * self.kernel;
+        // Stable within one call; read once, not per tap.
+        let lanes = simd::simd_enabled() && !self.blocks.is_empty();
+        tspar::par_chunks_mut_gated(y, self.rows_out * l, work, |ni, yb| {
+            STAGE.with_borrow_mut(|stage| {
+                stage.clear();
+                stage.resize(self.rows_in * lp, 0.0);
+                let xb = &x[ni * in_stride..(ni + 1) * in_stride];
+                for (dst, src) in stage.chunks_exact_mut(lp).zip(xb.chunks_exact(l)) {
+                    dst[pad..pad + l].copy_from_slice(src);
+                }
+                for (i, range) in self.tiles.iter().enumerate() {
+                    let r0 = i * TILE_ROWS;
+                    let rows = TILE_ROWS.min(self.rows_out - r0);
+                    let mut start = [0.0; TILE_ROWS];
+                    if let Some(b) = bias {
+                        start[..rows].copy_from_slice(&b[r0..r0 + rows]);
+                    }
+                    let taps = &self.taps[range.clone()];
+                    let out = &mut yb[r0 * l..(r0 + rows) * l];
+                    if lanes {
+                        self.tile_lanes(stage, taps, start, out);
+                    } else {
+                        for (r, row) in out.chunks_exact_mut(l).enumerate() {
+                            for (t, v) in row.iter_mut().enumerate() {
+                                *v = conv_elem(stage, taps, r, start[r], pad, l, t);
+                            }
+                        }
+                    }
+                }
+            });
+        });
+    }
+
+    /// One tile's rows (`out`: up to [`TILE_ROWS`] rows of `l`), block by
+    /// block: every input load feeds all rows, and the rows' independent
+    /// add chains hide each other's latency.
+    fn tile_lanes(&self, stage: &[f32], taps: &[Tap], start: [f32; TILE_ROWS], out: &mut [f32]) {
+        let l = self.l;
+        for block in &self.blocks {
+            let acc = match block.masks {
+                None => tile_block(stage, taps, start, block.tb, |_, sum, _| sum),
+                Some(first) => {
+                    let masks = &self.masks[first..first + self.kernel];
+                    tile_block(stage, taps, start, block.tb, |k, sum, acc| {
+                        F32x16::select(&masks[k], sum, acc)
+                    })
+                }
+            };
+            for (row, a) in out.chunks_exact_mut(l).zip(acc) {
+                a.store(&mut row[block.tb..]);
+            }
         }
     }
 }
 
-/// One output element, replaying the canonical tap chain (see
-/// [`conv_row`]).
-#[inline]
-fn conv_elem(xb: &[f32], taps: &[Tap], bias: f32, pad: usize, l: usize, t: usize) -> f32 {
-    let mut acc = bias;
+/// One `TILE_ROWS × LANES` register block at `tb`. `keep(k, sum, acc)`
+/// picks, per lane, the accumulator after a tap at offset `k`: `sum` in
+/// range, `acc` otherwise (interior blocks always take `sum`). A
+/// remainder tile's missing rows compute on zero weights and are never
+/// stored.
+#[inline(always)]
+fn tile_block(
+    stage: &[f32],
+    taps: &[Tap],
+    start: [f32; TILE_ROWS],
+    tb: usize,
+    keep: impl Fn(usize, F32x16, F32x16) -> F32x16,
+) -> [F32x16; TILE_ROWS] {
+    // Named locals, not an array: keeps the tile in registers (see
+    // `F32x16`).
+    let mut a0 = F32x16::splat(start[0]);
+    let mut a1 = F32x16::splat(start[1]);
+    let mut a2 = F32x16::splat(start[2]);
+    let mut a3 = F32x16::splat(start[3]);
     for tap in taps {
-        let xi = t as isize + tap.k as isize - pad as isize;
-        if xi < 0 || xi >= l as isize {
+        let x = F32x16::load(&stage[tap.off + tb..]);
+        let k = tap.k;
+        if tap.dense {
+            a0 = keep(k, a0.mul_add_to(tap.w[0], x), a0);
+            a1 = keep(k, a1.mul_add_to(tap.w[1], x), a1);
+            a2 = keep(k, a2.mul_add_to(tap.w[2], x), a2);
+            a3 = keep(k, a3.mul_add_to(tap.w[3], x), a3);
+        } else {
+            [a0, a1, a2, a3] = sparse_step(tap, x, [a0, a1, a2, a3], &keep);
+        }
+    }
+    [a0, a1, a2, a3]
+}
+
+/// One tap of a tile where some rows have a zero weight: those rows skip
+/// it, as in the scalar chain. Kept out of line so the dense path's
+/// weights stay broadcast memory operands; trained weights are rarely
+/// exactly zero.
+#[cold]
+#[inline(never)]
+fn sparse_step(
+    tap: &Tap,
+    x: F32x16,
+    acc: [F32x16; TILE_ROWS],
+    keep: &impl Fn(usize, F32x16, F32x16) -> F32x16,
+) -> [F32x16; TILE_ROWS] {
+    let mut out = acc;
+    for (a, &wv) in out.iter_mut().zip(&tap.w) {
+        if wv != 0.0 {
+            *a = keep(tap.k, a.mul_add_to(wv, x), *a);
+        }
+    }
+    out
+}
+
+/// Tile row `r`'s output at time `t`, replaying the chain one scalar at a
+/// time (see [`TapPlan`]): the fallback for `KD_NO_SIMD=1` and rows
+/// shorter than one lane block.
+#[inline]
+fn conv_elem(
+    stage: &[f32],
+    taps: &[Tap],
+    r: usize,
+    start: f32,
+    pad: usize,
+    l: usize,
+    t: usize,
+) -> f32 {
+    let mut acc = start;
+    for tap in taps {
+        let wv = tap.w[r];
+        if wv == 0.0 || !(pad..pad + l).contains(&(t + tap.k)) {
             continue;
         }
-        // base − k + xi = ci·l + (t + k − pad): the tap's in-range read.
-        acc += tap.wv * xb[tap.base - tap.k + xi as usize];
+        acc += wv * stage[tap.off + t];
     }
     acc
 }
@@ -381,7 +547,7 @@ mod tests {
 
     /// The pre-register-blocking formulation: bias fill, then one axpy
     /// pass over the row per (ci, k) tap. Kept as the reference the
-    /// blocked kernel must reproduce bitwise.
+    /// tiled kernel must reproduce bitwise.
     fn infer_tap_major(c: &Conv1d, x: &Tensor) -> Tensor {
         let (n, l) = (x.dim(0), x.dim(2));
         let (c_in, c_out, kernel) = (c.in_channels, c.out_channels, c.kernel);
@@ -425,48 +591,158 @@ mod tests {
         y
     }
 
+    /// The pre-tile input gradient: `gx` starts at +0.0, then one axpy
+    /// pass per `(co, ci, k)` tap. Kept as the reference the tiled
+    /// transposed convolution must reproduce bitwise.
+    fn backward_tap_major(c: &Conv1d, g: &Tensor) -> Tensor {
+        let (n, l) = (g.dim(0), g.dim(2));
+        let (c_in, c_out, kernel) = (c.in_channels, c.out_channels, c.kernel);
+        let pad = kernel / 2;
+        let mut gx = Tensor::zeros(&[n, c_in, l]);
+        let w = c.weight.value.data().to_vec();
+        let gd = gx.data_mut();
+        for ni in 0..n {
+            let gb = g.batch(ni);
+            let gxb = &mut gd[ni * c_in * l..(ni + 1) * c_in * l];
+            for co in 0..c_out {
+                let g_row = &gb[co * l..(co + 1) * l];
+                for ci in 0..c_in {
+                    let gx_row = &mut gxb[ci * l..(ci + 1) * l];
+                    let w_base = (co * c_in + ci) * kernel;
+                    for k in 0..kernel {
+                        let wv = w[w_base + k];
+                        if wv == 0.0 {
+                            continue;
+                        }
+                        let (t0, t1) = valid_range(l, k, pad);
+                        if t0 >= t1 {
+                            continue;
+                        }
+                        let off = k as isize - pad as isize;
+                        let gxs =
+                            &mut gx_row[(t0 as isize + off) as usize..(t1 as isize + off) as usize];
+                        simd::axpy(gxs, wv, &g_row[t0..t1]);
+                    }
+                }
+            }
+        }
+        gx
+    }
+
+    /// Bitwise equality, except that any two NaNs match: which NaN an
+    /// add of two NaNs returns is outside the chain contract (see
+    /// [`TapPlan`]).
+    fn bitwise_eq(a: &Tensor, b: &Tensor) -> bool {
+        a.shape() == b.shape()
+            && a.data()
+                .iter()
+                .zip(b.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// A layer whose tiles mix every case the chain contract names:
+    /// `0.0`/`-0.0` weights inside a 4-row tile, `-0.0` biases, an
+    /// all-positive row on a `-0.0` bias (so a masked edge tap that added
+    /// `w · 0` would flip it to `+0.0`) and an infinite off-centre weight
+    /// (where an unmasked edge would produce `inf · 0 = NaN`).
+    fn special_conv(cin: usize, cout: usize, k: usize, rng: &mut StdRng) -> Conv1d {
+        let mut c = Conv1d::new(cin, cout, k, rng);
+        let per_row = cin * k;
+        for co in 0..cout {
+            let row = &mut c.weight.value.data_mut()[co * per_row..(co + 1) * per_row];
+            match co % 4 {
+                0 => row[0] = 0.0,
+                1 => row[per_row - 1] = -0.0,
+                2 => row.iter_mut().for_each(|v| *v = v.abs().max(1e-3)),
+                _ => row[0] = f32::INFINITY,
+            }
+            if co % 4 != 1 {
+                c.bias.value.data_mut()[co] = -0.0;
+            }
+        }
+        c
+    }
+
+    /// Batch of two: a ramp with NaN/±inf at both ends of its rows, and an
+    /// all-`-0.0` element.
+    fn special_input(cin: usize, l: usize) -> Tensor {
+        let mut v: Vec<f32> = (0..cin * l)
+            .map(|i| ((i * 13 % 31) as f32 - 15.0) * 0.11)
+            .collect();
+        v[0] = f32::NAN;
+        v[l - 1] = f32::INFINITY;
+        v[(cin - 1) * l] = f32::NEG_INFINITY;
+        v[cin * l - 1] = f32::NAN;
+        v.extend(std::iter::repeat_n(-0.0, cin * l));
+        Tensor::from_vec(&[2, cin, l], v)
+    }
+
     #[test]
     fn register_blocked_matches_tap_major_bitwise() {
         use crate::simd::{set_simd_policy, SimdPolicy};
         let mut rng = StdRng::seed_from_u64(11);
-        // Shapes spanning the ConvNet encoder stages (l = 64/32/16), a
-        // sub-lane row, a kernel-1 conv, and a row shorter than the pad.
-        let shapes: &[(usize, usize, usize, usize, usize)] = &[
-            (2, 1, 8, 7, 64),
-            (2, 8, 16, 5, 32),
-            (2, 16, 16, 3, 16),
-            (1, 2, 3, 3, 5),
-            (1, 4, 4, 1, 32),
-            (1, 2, 2, 7, 2),
-        ];
-        for &(n, cin, cout, k, l) in shapes {
-            let mut c = Conv1d::new(cin, cout, k, &mut rng);
-            // Exercise the w == 0.0 skip and non-finite propagation.
-            c.weight.value.data_mut()[0] = 0.0;
-            if cin * k > 2 {
-                c.weight.value.data_mut()[2] = -0.0;
+        // Lane-block edge cases (l = 16 is one block, 17/24/31 overlap
+        // the final block, 64 is the served window), remainder tiles
+        // (c_out mod 4 ≠ 0), and kernels up to InceptionTime's 21 (whose
+        // pad exceeds a 16-lane block).
+        let mut shapes = Vec::new();
+        for l in [16, 17, 24, 31, 64] {
+            for cout in [1, 3, 4, 5, 8, 16] {
+                for k in [1, 3, 5, 7, 21] {
+                    let cin = 1 + (l + cout + k) % 3;
+                    shapes.push((cin, cout, k, l));
+                }
             }
-            let mut xv: Vec<f32> = (0..n * cin * l)
-                .map(|i| ((i * 13 % 31) as f32 - 15.0) * 0.11)
-                .collect();
-            xv[0] = f32::NAN;
-            xv[n * cin * l - 1] = f32::INFINITY;
-            let x = Tensor::from_vec(&[n, cin, l], xv);
+        }
+        // Sub-lane rows (scalar fallback), rows shorter than the pad.
+        shapes.extend([(2, 3, 3, 5), (2, 2, 7, 2), (1, 5, 21, 9), (3, 4, 1, 1)]);
+        for (cin, cout, k, l) in shapes {
+            let c = special_conv(cin, cout, k, &mut rng);
+            let x = special_input(cin, l);
+            let g = Tensor::from_vec(
+                &[2, cout, l],
+                special_input(cout, l).data()[..2 * cout * l].to_vec(),
+            );
             for policy in [SimdPolicy::Lanes, SimdPolicy::Scalar] {
                 set_simd_policy(policy);
-                let got = c.infer(&x);
-                let want = infer_tap_major(&c, &x);
                 assert!(
-                    got.data()
-                        .iter()
-                        .zip(want.data())
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "blocked conv diverged from tap-major at \
-                     (n={n}, cin={cin}, cout={cout}, k={k}, l={l}, {policy:?})"
+                    bitwise_eq(&c.infer(&x), &infer_tap_major(&c, &x)),
+                    "tiled conv diverged from tap-major at \
+                     (cin={cin}, cout={cout}, k={k}, l={l}, {policy:?})"
+                );
+                let mut trained = c.clone();
+                trained.forward(&x, true);
+                assert!(
+                    bitwise_eq(&trained.backward(&g), &backward_tap_major(&c, &g)),
+                    "tiled dX diverged from tap-major at \
+                     (cin={cin}, cout={cout}, k={k}, l={l}, {policy:?})"
                 );
             }
             set_simd_policy(SimdPolicy::Auto);
         }
+    }
+
+    #[test]
+    fn rows_shorter_than_the_pad_run_forward_and_backward() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut c = Conv1d::new(1, 1, 7, &mut rng);
+        let x = Tensor::from_vec(&[1, 1, 2], vec![0.3, -0.7]);
+        let y = c.forward(&x, true);
+        assert_eq!(y.shape(), &[1, 1, 2]);
+        let gx = c.backward(&Tensor::from_vec(&[1, 1, 2], vec![1.0, 1.0]));
+        assert_eq!(gx.shape(), &[1, 1, 2]);
+        assert!(gx.data().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn gradients_match_finite_differences_below_the_pad() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut c = Conv1d::new(2, 3, 7, &mut rng);
+        let x = Tensor::from_vec(
+            &[2, 2, 3],
+            (0..12).map(|i| (i as f32 - 5.5) * 0.1).collect(),
+        );
+        check_layer_gradients(&mut c, &x, 1e-2, 2e-2);
     }
 
     #[test]

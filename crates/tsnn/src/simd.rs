@@ -167,16 +167,36 @@ impl F32x16 {
         Self(*arr)
     }
 
+    /// Stores all lanes into the first [`F32_WIDE_LANES`] elements of `d`.
+    ///
+    /// # Panics
+    /// Panics if `d` is shorter than [`F32_WIDE_LANES`].
+    #[inline(always)]
+    pub(crate) fn store(self, d: &mut [f32]) {
+        d[..F32_WIDE_LANES].copy_from_slice(&self.0);
+    }
+
     /// The lanes as an array.
     #[inline(always)]
     pub fn to_array(self) -> [f32; F32_WIDE_LANES] {
         self.0
     }
 
-    /// `self + splat(a) * x`, the broadcast multiply-accumulate of the
-    /// GEMM micro-kernel. Mul and add round separately (no FMA
-    /// contraction), so the result is bitwise the scalar
-    /// `acc + a * x[lane]` per lane.
+    /// Per-lane bit blend: lane `i` is `a[i]` where `mask` is set and
+    /// `b[i]` elsewhere. No arithmetic touches either operand, so signed
+    /// zeros and NaN payloads pass through unchanged.
+    #[inline(always)]
+    pub(crate) fn select(mask: &Mask16, a: Self, b: Self) -> Self {
+        let mut out = b.0;
+        for ((o, &av), &m) in out.iter_mut().zip(&a.0).zip(&mask.0) {
+            *o = f32::from_bits((av.to_bits() & m) | (o.to_bits() & !m));
+        }
+        Self(out)
+    }
+
+    /// `self + splat(a) * x`, the broadcast multiply-accumulate of
+    /// Conv1d's tile. Mul and add round separately (no FMA contraction),
+    /// so the result is bitwise the scalar `acc + a * x[lane]` per lane.
     #[inline(always)]
     pub fn mul_add_to(self, a: f32, x: Self) -> Self {
         self + Self::splat(a) * x
@@ -209,6 +229,20 @@ impl F32x16 {
             *o = av.mul_add(xv, *o);
         }
         Self(out)
+    }
+}
+
+/// A lane mask for [`F32x16::select`]: all-ones bits in a set lane, zero
+/// in a clear one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(transparent)]
+pub(crate) struct Mask16([u32; F32_WIDE_LANES]);
+
+impl Mask16 {
+    /// Lane `i` is set iff `f(i)`.
+    #[inline]
+    pub(crate) fn from_fn(f: impl Fn(usize) -> bool) -> Self {
+        Self(std::array::from_fn(|i| if f(i) { u32::MAX } else { 0 }))
     }
 }
 
@@ -296,7 +330,8 @@ pub fn simd_enabled() -> bool {
 // Elementwise helpers (identical per-element op on both paths).
 // ---------------------------------------------------------------------------
 
-/// `dst[i] += a * xs[i]` — the axpy at the heart of tap-major convolution.
+/// `dst[i] += a * xs[i]` — one tap of a tap-major convolution (Conv1d's
+/// test references replay its pre-tile loops with it).
 /// Lane and scalar paths perform the same single mul-then-add per element,
 /// so they are bitwise identical trivially.
 ///
@@ -533,6 +568,18 @@ mod tests {
             assert_eq!(lane.to_bits(), (1.0f32 + 0.5 * x).to_bits());
         }
         assert_eq!(F32x16::zero().to_array(), [0.0; 16]);
+        // select is a bit blend: -0.0 and NaN payloads pass untouched.
+        let odd = Mask16::from_fn(|i| i % 2 == 1);
+        let nan = f32::from_bits(0x7fc0_1234);
+        let picked = F32x16::select(&odd, F32x16::splat(nan), F32x16::splat(-0.0));
+        for (i, lane) in picked.to_array().iter().enumerate() {
+            let want = if i % 2 == 1 { nan } else { -0.0 };
+            assert_eq!(lane.to_bits(), want.to_bits());
+        }
+        let mut out = [1.0; 17];
+        v.store(&mut out);
+        assert_eq!(&out[..16], &ramp[..]);
+        assert_eq!(out[16], 1.0);
     }
 
     #[test]
