@@ -190,10 +190,11 @@ struct Block {
 /// adding `w · 0`: adding a zero would turn a `-0.0` chain into `+0.0`,
 /// and an infinite weight would turn `inf · 0` into NaN. The chain is the
 /// one the pre-tile tap-major axpy loops computed, so the tile changes no
-/// bits (pinned against copies of those loops in the tests). The one
-/// exception is NaN payloads: when two different NaNs meet in an add,
-/// IEEE 754 leaves open which one propagates and LLVM may commute the
-/// operands, so only NaN-ness (not sign or payload) is fixed.
+/// bits, NaN sign and payload included (pinned against copies of those
+/// loops in the tests, with NaN and ±inf inputs). One case lies outside
+/// any float chain's contract, the old loops' too: when two *different*
+/// NaNs meet in one add, which of them propagates depends on the operand
+/// order the compiler picks.
 struct TapPlan {
     /// Taps of every tile, tile after tile, each tile in chain order.
     taps: Vec<Tap>,
@@ -545,45 +546,37 @@ mod tests {
         assert!(lanes == scalar, "Conv1d lane and scalar paths diverge");
     }
 
-    /// The pre-register-blocking formulation: bias fill, then one axpy
-    /// pass over the row per (ci, k) tap. Kept as the reference the
-    /// tiled kernel must reproduce bitwise.
+    /// The pre-register-blocking formulation: bias fill, then one
+    /// `y += w · x` pass over the row per `(ci, k)` tap. Kept as the
+    /// reference the tiled kernel must reproduce bitwise.
     fn infer_tap_major(c: &Conv1d, x: &Tensor) -> Tensor {
         let (n, l) = (x.dim(0), x.dim(2));
         let (c_in, c_out, kernel) = (c.in_channels, c.out_channels, c.kernel);
         let pad = kernel / 2;
         let mut y = Tensor::zeros(&[n, c_out, l]);
-        let w = c.weight.value.data().to_vec();
-        let b = c.bias.value.data().to_vec();
-        let x_data = x.data().to_vec();
-        let in_stride = c_in * l;
+        let w = c.weight.value.data();
+        let b = c.bias.value.data();
         let yd = y.data_mut();
         for ni in 0..n {
-            let xb = &x_data[ni * in_stride..(ni + 1) * in_stride];
+            let xb = x.batch(ni);
             let yb = &mut yd[ni * c_out * l..(ni + 1) * c_out * l];
             for co in 0..c_out {
                 let y_row = &mut yb[co * l..(co + 1) * l];
-                for v in y_row.iter_mut() {
-                    *v = b[co];
-                }
+                y_row.fill(b[co]);
                 for ci in 0..c_in {
                     let x_row = &xb[ci * l..(ci + 1) * l];
                     let w_base = (co * c_in + ci) * kernel;
                     for k in 0..kernel {
                         let wv = w[w_base + k];
-                        if wv == 0.0 {
-                            continue;
-                        }
                         let (t0, t1) = valid_range(l, k, pad);
-                        if t0 >= t1 {
-                            // Rows shorter than the pad: the original code
-                            // paths never saw these (encoder rows are ≥ 16);
-                            // the guard mirrors `backward`'s.
+                        if wv == 0.0 || t0 >= t1 {
                             continue;
                         }
                         let off = k as isize - pad as isize;
                         let xs = &x_row[(t0 as isize + off) as usize..(t1 as isize + off) as usize];
-                        simd::axpy(&mut y_row[t0..t1], wv, xs);
+                        for (yv, &xv) in y_row[t0..t1].iter_mut().zip(xs) {
+                            *yv += wv * xv;
+                        }
                     }
                 }
             }
@@ -591,15 +584,15 @@ mod tests {
         y
     }
 
-    /// The pre-tile input gradient: `gx` starts at +0.0, then one axpy
-    /// pass per `(co, ci, k)` tap. Kept as the reference the tiled
-    /// transposed convolution must reproduce bitwise.
+    /// The pre-tile input gradient: `gx` starts at +0.0, then one
+    /// `gx += w · g` pass per `(co, ci, k)` tap. Kept as the reference the
+    /// tiled transposed convolution must reproduce bitwise.
     fn backward_tap_major(c: &Conv1d, g: &Tensor) -> Tensor {
         let (n, l) = (g.dim(0), g.dim(2));
         let (c_in, c_out, kernel) = (c.in_channels, c.out_channels, c.kernel);
         let pad = kernel / 2;
         let mut gx = Tensor::zeros(&[n, c_in, l]);
-        let w = c.weight.value.data().to_vec();
+        let w = c.weight.value.data();
         let gd = gx.data_mut();
         for ni in 0..n {
             let gb = g.batch(ni);
@@ -611,17 +604,16 @@ mod tests {
                     let w_base = (co * c_in + ci) * kernel;
                     for k in 0..kernel {
                         let wv = w[w_base + k];
-                        if wv == 0.0 {
-                            continue;
-                        }
                         let (t0, t1) = valid_range(l, k, pad);
-                        if t0 >= t1 {
+                        if wv == 0.0 || t0 >= t1 {
                             continue;
                         }
                         let off = k as isize - pad as isize;
                         let gxs =
                             &mut gx_row[(t0 as isize + off) as usize..(t1 as isize + off) as usize];
-                        simd::axpy(gxs, wv, &g_row[t0..t1]);
+                        for (gv, &g_in) in gxs.iter_mut().zip(&g_row[t0..t1]) {
+                            *gv += wv * g_in;
+                        }
                     }
                 }
             }
@@ -629,23 +621,28 @@ mod tests {
         gx
     }
 
-    /// Bitwise equality, except that any two NaNs match: which NaN an
-    /// add of two NaNs returns is outside the chain contract (see
-    /// [`TapPlan`]).
-    fn bitwise_eq(a: &Tensor, b: &Tensor) -> bool {
-        a.shape() == b.shape()
-            && a.data()
-                .iter()
-                .zip(b.data())
-                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    /// Asserts `got` and `want` agree bit for bit, NaN sign and payload
+    /// included.
+    fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i} ({a} vs {b})");
+        }
     }
 
     /// A layer whose tiles mix every case the chain contract names:
     /// `0.0`/`-0.0` weights inside a 4-row tile, `-0.0` biases, an
     /// all-positive row on a `-0.0` bias (so a masked edge tap that added
-    /// `w · 0` would flip it to `+0.0`) and an infinite off-centre weight
-    /// (where an unmasked edge would produce `inf · 0 = NaN`).
-    fn special_conv(cin: usize, cout: usize, k: usize, rng: &mut StdRng) -> Conv1d {
+    /// `w · 0` would flip it to `+0.0`) and, with `inf_weight`, an
+    /// infinite off-centre weight (where an unmasked edge would produce
+    /// `inf · 0 = NaN`).
+    fn special_conv(
+        cin: usize,
+        cout: usize,
+        k: usize,
+        inf_weight: bool,
+        rng: &mut StdRng,
+    ) -> Conv1d {
         let mut c = Conv1d::new(cin, cout, k, rng);
         let per_row = cin * k;
         for co in 0..cout {
@@ -654,7 +651,8 @@ mod tests {
                 0 => row[0] = 0.0,
                 1 => row[per_row - 1] = -0.0,
                 2 => row.iter_mut().for_each(|v| *v = v.abs().max(1e-3)),
-                _ => row[0] = f32::INFINITY,
+                _ if inf_weight => row[0] = f32::INFINITY,
+                _ => {}
             }
             if co % 4 != 1 {
                 c.bias.value.data_mut()[co] = -0.0;
@@ -663,17 +661,40 @@ mod tests {
         c
     }
 
+    /// The NaN this machine's float unit produces for an invalid
+    /// operation. `inf · 0` and `inf − inf` inside a conv chain yield this
+    /// same pattern, so an input NaN made this way leaves every chain with
+    /// one NaN pattern, and which operand an add propagates cannot show
+    /// in the bits.
+    fn machine_nan() -> f32 {
+        std::hint::black_box(f32::INFINITY) - std::hint::black_box(f32::INFINITY)
+    }
+
     /// Batch of two: a ramp with NaN/±inf at both ends of its rows, and an
-    /// all-`-0.0` element.
+    /// all-`-0.0` element. Paired with an infinite weight, chains here
+    /// create NaNs of their own, so the input NaN is [`machine_nan`].
     fn special_input(cin: usize, l: usize) -> Tensor {
         let mut v: Vec<f32> = (0..cin * l)
             .map(|i| ((i * 13 % 31) as f32 - 15.0) * 0.11)
             .collect();
-        v[0] = f32::NAN;
+        v[0] = machine_nan();
         v[l - 1] = f32::INFINITY;
         v[(cin - 1) * l] = f32::NEG_INFINITY;
-        v[cin * l - 1] = f32::NAN;
+        v[cin * l - 1] = machine_nan();
         v.extend(std::iter::repeat_n(-0.0, cin * l));
+        Tensor::from_vec(&[2, cin, l], v)
+    }
+
+    /// Batch of two ramps: `f32::NAN` opens the first, `+inf` closes the
+    /// second. Under finite weights every chain sees at most one
+    /// non-finite input and no chain makes a NaN of its own, so the
+    /// literal NaN must come through with its exact bits.
+    fn ramp_input(cin: usize, l: usize) -> Tensor {
+        let mut v: Vec<f32> = (0..2 * cin * l)
+            .map(|i| ((i * 13 % 31) as f32 - 15.0) * 0.11)
+            .collect();
+        v[0] = f32::NAN;
+        v[2 * cin * l - 1] = f32::INFINITY;
         Tensor::from_vec(&[2, cin, l], v)
     }
 
@@ -683,40 +704,69 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         // Lane-block edge cases (l = 16 is one block, 17/24/31 overlap
         // the final block, 64 is the served window), remainder tiles
-        // (c_out mod 4 ≠ 0), and kernels up to InceptionTime's 21 (whose
-        // pad exceeds a 16-lane block).
+        // (c_out mod 4 ≠ 0), kernels up to InceptionTime's 21 (whose
+        // pad exceeds a 16-lane block), and input widths up to the
+        // served ResNet's 16 (tiles of up to 336 taps).
         let mut shapes = Vec::new();
         for l in [16, 17, 24, 31, 64] {
             for cout in [1, 3, 4, 5, 8, 16] {
                 for k in [1, 3, 5, 7, 21] {
-                    let cin = 1 + (l + cout + k) % 3;
+                    let cin = [1, 2, 3, 8, 16][(l + cout + k) % 5];
                     shapes.push((cin, cout, k, l));
                 }
             }
         }
-        // Sub-lane rows (scalar fallback), rows shorter than the pad.
-        shapes.extend([(2, 3, 3, 5), (2, 2, 7, 2), (1, 5, 21, 9), (3, 4, 1, 1)]);
+        // The served ResNet's eleven conv shapes (width 8, 64 samples).
+        for (cin, cout, k) in [
+            (1, 8, 7),
+            (8, 8, 5),
+            (8, 8, 3),
+            (1, 8, 1),
+            (8, 16, 7),
+            (16, 16, 5),
+            (16, 16, 3),
+            (8, 16, 1),
+            (16, 16, 7),
+        ] {
+            shapes.push((cin, cout, k, 64));
+        }
+        // ConvNet encoder stages, sub-lane rows (scalar fallback) and
+        // rows shorter than the pad.
+        shapes.extend([
+            (8, 16, 5, 32),
+            (16, 16, 3, 16),
+            (4, 4, 1, 32),
+            (2, 3, 3, 5),
+            (2, 2, 7, 2),
+            (1, 5, 21, 9),
+            (3, 4, 1, 1),
+        ]);
         for (cin, cout, k, l) in shapes {
-            let c = special_conv(cin, cout, k, &mut rng);
-            let x = special_input(cin, l);
-            let g = Tensor::from_vec(
-                &[2, cout, l],
-                special_input(cout, l).data()[..2 * cout * l].to_vec(),
-            );
+            let cases = [
+                (
+                    special_conv(cin, cout, k, true, &mut rng),
+                    special_input(cin, l),
+                    special_input(cout, l),
+                ),
+                (
+                    special_conv(cin, cout, k, false, &mut rng),
+                    ramp_input(cin, l),
+                    ramp_input(cout, l),
+                ),
+            ];
             for policy in [SimdPolicy::Lanes, SimdPolicy::Scalar] {
                 set_simd_policy(policy);
-                assert!(
-                    bitwise_eq(&c.infer(&x), &infer_tap_major(&c, &x)),
-                    "tiled conv diverged from tap-major at \
-                     (cin={cin}, cout={cout}, k={k}, l={l}, {policy:?})"
-                );
-                let mut trained = c.clone();
-                trained.forward(&x, true);
-                assert!(
-                    bitwise_eq(&trained.backward(&g), &backward_tap_major(&c, &g)),
-                    "tiled dX diverged from tap-major at \
-                     (cin={cin}, cout={cout}, k={k}, l={l}, {policy:?})"
-                );
+                for (c, x, g) in &cases {
+                    let at = format!("(cin={cin}, cout={cout}, k={k}, l={l}, {policy:?})");
+                    assert_same_bits(&c.infer(x), &infer_tap_major(c, x), &format!("y {at}"));
+                    let mut trained = c.clone();
+                    trained.forward(x, true);
+                    assert_same_bits(
+                        &trained.backward(g),
+                        &backward_tap_major(c, g),
+                        &format!("dX {at}"),
+                    );
+                }
             }
             set_simd_policy(SimdPolicy::Auto);
         }

@@ -14,8 +14,8 @@
 //! Lane ops are ordinary IEEE-754 scalar arithmetic applied lane-wise —
 //! no FMA contraction, no fast-math reassociation — so every helper here
 //! has a **bitwise-identical scalar fallback** compiled into the binary.
-//! Elementwise helpers ([`axpy`], [`axpy_f64`]) touch each element with
-//! the same single operation on both paths. Reduction helpers ([`sum`],
+//! The elementwise helper [`axpy_f64`] touches each element with the
+//! same single operation on both paths. Reduction helpers ([`sum`],
 //! [`sum_sq_diff`], [`dot`]) fix one canonical order — [`F32_LANES`]
 //! striped partial sums folded by pairwise halving — and the scalar
 //! fallback replays exactly that order, so switching paths can never
@@ -330,33 +330,6 @@ pub fn simd_enabled() -> bool {
 // Elementwise helpers (identical per-element op on both paths).
 // ---------------------------------------------------------------------------
 
-/// `dst[i] += a * xs[i]` — one tap of a tap-major convolution (Conv1d's
-/// test references replay its pre-tile loops with it).
-/// Lane and scalar paths perform the same single mul-then-add per element,
-/// so they are bitwise identical trivially.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn axpy(dst: &mut [f32], a: f32, xs: &[f32]) {
-    assert_eq!(dst.len(), xs.len(), "axpy length mismatch");
-    if simd_enabled() {
-        let av = F32x8::splat(a);
-        let mut d = dst.chunks_exact_mut(F32_LANES);
-        let mut x = xs.chunks_exact(F32_LANES);
-        for (dc, xc) in (&mut d).zip(&mut x) {
-            (F32x8::load(dc) + av * F32x8::load(xc)).store(dc);
-        }
-        for (dv, &xv) in d.into_remainder().iter_mut().zip(x.remainder()) {
-            *dv += a * xv;
-        }
-    } else {
-        for (dv, &xv) in dst.iter_mut().zip(xs) {
-            *dv += a * xv;
-        }
-    }
-}
-
 /// `dst[i] += a * xs[i]` over `f64` (MiniRocket's conv accumulation).
 ///
 /// # Panics
@@ -630,12 +603,6 @@ mod tests {
         for n in [0usize, 1, 5, 8, 13, 64, 257] {
             let xs = ramp(n, 1.1);
             let base = ramp(n, 2.2);
-            let (l, s) = both_paths(|| {
-                let mut d = base.clone();
-                axpy(&mut d, -0.37, &xs);
-                d
-            });
-            assert_eq!(l, s, "axpy n={n}");
             let xs64: Vec<f64> = xs.iter().map(|&v| v as f64).collect();
             let base64: Vec<f64> = base.iter().map(|&v| v as f64).collect();
             let (l, s) = both_paths(|| {
