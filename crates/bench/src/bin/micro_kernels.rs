@@ -7,7 +7,9 @@
 //! a streaming-loop record (windows/sec through incremental ingestion with
 //! cache publishing, plus the daemon's drift → retrain → deploy latency)
 //! and a `Conv1d` record (inference and backward cost at the served
-//! ResNet's conv shapes).
+//! ResNet's conv shapes) and a `detectors` record (label cost: ms per
+//! series of each of the 12 detectors at three series lengths, single
+//! threaded, plus the LSTM gate math's ns per element against libm).
 //!
 //! Appends one compact JSON line per run to `BENCH_micro.json` (repo root,
 //! override with `KD_BENCH_OUT`) so the perf trajectory is tracked PR over
@@ -1183,6 +1185,127 @@ fn max_abs_diff(a: &Tensor, b: &Tensor) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// Label cost: ms per series of each of the 12 detectors at series
+/// lengths 512/1024/1536 on one thread (median of three passes over
+/// three benchmark families per length), and the owned gate math of
+/// `tsnn::simd` (`exp`/`sigmoid`/`tanh` over a 4096-element slice) in ns
+/// per element against the host libm.
+fn detectors_benchmark() -> serde_json::Value {
+    use tsad_models::default_model_set;
+    use tsdata::benchmark::generate_series;
+
+    const LENGTHS: &[usize] = &[512, 1024, 1536];
+    const FAMILIES: usize = 3;
+    const PASSES: usize = 3;
+    tspar::set_parallelism(tspar::Parallelism::Fixed(1));
+    let families = tsdata::all_families();
+    let mut rows = Vec::new();
+    println!("\n{:<10} {:>6} {:>14}", "detector", "len", "ms/series");
+    for &len in LENGTHS {
+        let series: Vec<TimeSeries> = families[..FAMILIES]
+            .iter()
+            .enumerate()
+            .map(|(i, f)| generate_series(f, len, 0xDE7 + i as u64, &format!("{}-{len}", f.name)))
+            .collect();
+        let mut per_model: Vec<Vec<f64>> = vec![Vec::new(); 12];
+        for _ in 0..PASSES {
+            let mut spent = [0.0f64; 12];
+            for ts in &series {
+                for det in default_model_set(11) {
+                    let t = Instant::now();
+                    std::hint::black_box(det.score(&ts.values));
+                    spent[det.id().index()] += t.elapsed().as_secs_f64();
+                }
+            }
+            for (samples, s) in per_model.iter_mut().zip(spent) {
+                samples.push(s * 1e3 / FAMILIES as f64);
+            }
+        }
+        for (model, mut samples) in tsad_models::ModelId::ALL.iter().zip(per_model) {
+            samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let ms = samples[samples.len() / 2];
+            println!("{:<10} {:>6} {:>14.3}", model.name(), len, ms);
+            rows.push(serde_json::json!({
+                "case": format!("{}@{len}", model.name()),
+                "len": len,
+                "ms_per_series": ms,
+            }));
+        }
+    }
+    tspar::set_parallelism(tspar::Parallelism::Auto);
+
+    const ELEMS: usize = 4096;
+    let xs: Vec<f32> = (0..ELEMS)
+        .map(|i| -10.0 + 20.0 * i as f32 / ELEMS as f32)
+        .collect();
+    let mut out = vec![0.0f32; ELEMS];
+    let mut per_elem = |f: &dyn Fn(&[f32], &mut [f32])| {
+        time_ns(|| {
+            f(&xs, &mut out);
+            out[ELEMS / 2]
+        }) / ELEMS as f64
+    };
+    type SliceFn = fn(&[f32], &mut [f32]);
+    let gates: [(&str, SliceFn, SliceFn); 3] = [
+        (
+            "exp",
+            |x, o| {
+                o.iter_mut()
+                    .zip(x)
+                    .for_each(|(o, &x)| *o = tsnn::simd::exp(x))
+            },
+            |x, o| o.iter_mut().zip(x).for_each(|(o, &x)| *o = x.exp()),
+        ),
+        (
+            "sigmoid",
+            |x, o| {
+                o.iter_mut()
+                    .zip(x)
+                    .for_each(|(o, &x)| *o = tsnn::simd::sigmoid(x))
+            },
+            |x, o| {
+                o.iter_mut()
+                    .zip(x)
+                    .for_each(|(o, &x)| *o = 1.0 / (1.0 + (-x).exp()))
+            },
+        ),
+        (
+            "tanh",
+            |x, o| {
+                o.iter_mut()
+                    .zip(x)
+                    .for_each(|(o, &x)| *o = tsnn::simd::tanh(x))
+            },
+            |x, o| o.iter_mut().zip(x).for_each(|(o, &x)| *o = x.tanh()),
+        ),
+    ];
+    println!(
+        "\n{:<10} {:>12} {:>12} {:>8}",
+        "gate", "owned ns/el", "libm ns/el", "speedup"
+    );
+    let mut gate_rows = Vec::new();
+    for (name, owned, libm) in gates {
+        let owned_ns = per_elem(&owned);
+        let libm_ns = per_elem(&libm);
+        println!(
+            "{name:<10} {owned_ns:>12.3} {libm_ns:>12.3} {:>7.1}x",
+            libm_ns / owned_ns
+        );
+        gate_rows.push(serde_json::json!({
+            "case": name,
+            "owned_ns_per_elem": owned_ns,
+            "libm_ns_per_elem": libm_ns,
+            "speedup": libm_ns / owned_ns,
+        }));
+    }
+    serde_json::json!({
+        "threads": 1,
+        "families": FAMILIES,
+        "series": rows,
+        "gates": gate_rows,
+    })
+}
+
 fn main() {
     let threads = tspar::threads();
     println!("kernel micro-bench: {threads} thread(s) (KD_THREADS to override)\n");
@@ -1257,6 +1380,9 @@ fn main() {
     // --- Conv1d at the served ResNet's shapes. -----------------------------
     let conv = conv_benchmark(threads);
 
+    // --- Label cost: every detector, one thread; gate math vs libm. -------
+    let detectors = detectors_benchmark();
+
     // --- Serving throughput: direct batch vs the queued front-end, --------
     // --- sampled interleaved (see serving_benchmarks). --------------------
     println!();
@@ -1308,6 +1434,7 @@ fn main() {
         "simd": simd,
         "gemm_large_k": gemm_large_k,
         "conv": conv,
+        "detectors": detectors,
         "serve": serve_record,
         "serve_queue": serve_queue,
         "profile": profile,

@@ -8,13 +8,22 @@
 //!
 //! Running 12 detectors over hundreds of series is the most expensive step
 //! of every experiment, so the resulting [`PerfMatrix`] is cached on disk
-//! (JSON, keyed by the benchmark fingerprint) and shared by all tables.
+//! (JSON, keyed by the benchmark fingerprint) and shared by all tables. The
+//! file also records the detector seed and [`LABELS_VERSION`], and a file
+//! that disagrees with either is recomputed rather than served.
 
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use tsad_models::{default_model_set, ModelId};
 use tsdata::TimeSeries;
 use tsmetrics::auc_pr;
+
+/// Version of the detectors' arithmetic behind a cached matrix. Bump it
+/// whenever a change moves any detector's scores, so label files computed
+/// by older code are recomputed instead of served.
+///
+/// 2: LSTM-AD gates on `tsnn::simd`'s owned `exp`/`sigmoid`/`tanh`.
+pub const LABELS_VERSION: u32 = 2;
 
 /// AUC-PR of every model on every series.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -98,10 +107,23 @@ pub fn score_series(ts: &TimeSeries, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// A cached matrix with what produced it.
+#[derive(Debug, Serialize, Deserialize)]
+struct CachedLabels {
+    /// [`LABELS_VERSION`] of the code that computed `matrix`.
+    version: u32,
+    /// Seed the detectors ran with.
+    detector_seed: u64,
+    matrix: PerfMatrix,
+}
+
 /// Loads a cached matrix or computes and stores it.
 ///
 /// The cache key combines the benchmark fingerprint with the split name, so
-/// train/test matrices of the same benchmark do not collide.
+/// train/test matrices of the same benchmark do not collide. A cached file
+/// is served only when its series ids, detector seed and
+/// [`LABELS_VERSION`] all match; any other file, including one written
+/// before the seed and version were stored, is recomputed and replaced.
 pub fn cached_perf_matrix(
     cache_dir: &Path,
     key: &str,
@@ -110,8 +132,11 @@ pub fn cached_perf_matrix(
 ) -> std::io::Result<PerfMatrix> {
     let path = cache_path(cache_dir, key);
     if let Ok(bytes) = std::fs::read(&path) {
-        if let Ok(matrix) = serde_json::from_slice::<PerfMatrix>(&bytes) {
-            if matrix.len() == series.len()
+        if let Ok(cached) = serde_json::from_slice::<CachedLabels>(&bytes) {
+            let matrix = cached.matrix;
+            if cached.version == LABELS_VERSION
+                && cached.detector_seed == seed
+                && matrix.len() == series.len()
                 && matrix
                     .series_ids
                     .iter()
@@ -122,10 +147,14 @@ pub fn cached_perf_matrix(
             }
         }
     }
-    let matrix = compute_perf_matrix(series, seed);
+    let cached = CachedLabels {
+        version: LABELS_VERSION,
+        detector_seed: seed,
+        matrix: compute_perf_matrix(series, seed),
+    };
     std::fs::create_dir_all(cache_dir)?;
-    std::fs::write(&path, serde_json::to_vec(&matrix)?)?;
-    Ok(matrix)
+    std::fs::write(&path, serde_json::to_vec(&cached)?)?;
+    Ok(cached.matrix)
 }
 
 fn cache_path(cache_dir: &Path, key: &str) -> PathBuf {
@@ -190,6 +219,45 @@ mod tests {
         let other = vec![series[0].clone()];
         let c = cached_perf_matrix(&dir, "t1", &other, 1).unwrap();
         assert_eq!(c.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stale file under the right key — other detector seed, older
+    /// labels version, or the bare matrix older code wrote — is recomputed,
+    /// not served.
+    #[test]
+    fn cache_recomputes_on_seed_or_version_mismatch() {
+        let series = tiny_series();
+        let dir = std::env::temp_dir().join(format!("kdsel-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fresh = |seed| compute_perf_matrix(&series, seed);
+        // A planted file whose rows say "stale": served only by a bug.
+        let plant = |version: u32, seed: u64| {
+            let mut matrix = fresh(seed);
+            for row in &mut matrix.rows {
+                row.fill(-1.0);
+            }
+            let cached = CachedLabels {
+                version,
+                detector_seed: seed,
+                matrix,
+            };
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(cache_path(&dir, "k"), serde_json::to_vec(&cached).unwrap()).unwrap();
+        };
+
+        plant(LABELS_VERSION, 1);
+        assert_eq!(cached_perf_matrix(&dir, "k", &series, 2).unwrap(), fresh(2));
+        plant(LABELS_VERSION - 1, 1);
+        assert_eq!(cached_perf_matrix(&dir, "k", &series, 1).unwrap(), fresh(1));
+        let mut bare = fresh(1);
+        bare.rows[0][0] = -1.0;
+        std::fs::write(cache_path(&dir, "k"), serde_json::to_vec(&bare).unwrap()).unwrap();
+        assert_eq!(cached_perf_matrix(&dir, "k", &series, 1).unwrap(), fresh(1));
+        // A matching file is served as stored.
+        plant(LABELS_VERSION, 1);
+        let served = cached_perf_matrix(&dir, "k", &series, 1).unwrap();
+        assert!(served.rows.iter().flatten().all(|&v| v == -1.0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

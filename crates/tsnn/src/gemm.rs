@@ -131,6 +131,10 @@ pub fn gemm(
         gemm_naive(n, m, k, a, a_layout, b, b_layout, c);
         return;
     }
+    if m == 1 || k == 1 {
+        gemm_thin(n, m, k, a, a_layout, b, c);
+        return;
+    }
     gemm_blocked(
         n,
         m,
@@ -172,6 +176,64 @@ pub fn gemm_with_kc(
         kc,
         c,
     );
+}
+
+/// Products with `k == 1` or a single output column (`m == 1`) — the
+/// LSTM's input projection and input gradient at input width 1, width-1
+/// output layers — would fill one step or one column of every register
+/// tile and still pay full packing. They run here instead, every output
+/// element on its canonical chain (start at +0.0, then `fma(A'[i][p],
+/// B'[p][j], sum)` for ascending `p`, operands in that order), so the
+/// result is bitwise [`gemm_naive`]'s: `k == 1` is one fma per element; a
+/// single column runs 16 rows per [`F32x16`] when `A` is contiguous across
+/// rows (unless the scalar fallback is forced), else eight interleaved
+/// register chains, one per row.
+fn gemm_thin(n: usize, m: usize, k: usize, a: &[f32], a_layout: Layout, b: &[f32], c: &mut [f32]) {
+    if k == 1 {
+        // Outer product: one fma onto +0.0 per element.
+        for (row, &ai) in c.chunks_exact_mut(m).zip(a) {
+            for (o, &bj) in row.iter_mut().zip(b) {
+                *o = ai.mul_add(bj, 0.0);
+            }
+        }
+        return;
+    }
+    // A single output column: `b` is one contiguous vector in either layout.
+    let b = &b[..k];
+    if a_layout == Layout::Transposed {
+        const W: usize = simd::F32_WIDE_LANES;
+        let lanes = if simd::simd_enabled() { n - n % W } else { 0 };
+        for i0 in (0..lanes).step_by(W) {
+            let mut acc = F32x16::zero();
+            for (p, &bp) in b.iter().enumerate() {
+                acc = acc.fma_vv(F32x16::load(&a[p * n + i0..]), F32x16::splat(bp));
+            }
+            acc.store(&mut c[i0..]);
+        }
+        for (i, o) in c.iter_mut().enumerate().skip(lanes) {
+            *o = (0..k).fold(0.0, |s, p| a[p * n + i].mul_add(b[p], s));
+        }
+        return;
+    }
+    const CHAINS: usize = 8;
+    let mut outs = c.chunks_exact_mut(CHAINS);
+    let mut rows = a.chunks_exact(CHAINS * k);
+    for (o, block) in (&mut outs).zip(&mut rows) {
+        let mut acc = [0.0f32; CHAINS];
+        for (p, &bp) in b.iter().enumerate() {
+            for (l, s) in acc.iter_mut().enumerate() {
+                *s = block[l * k + p].mul_add(bp, *s);
+            }
+        }
+        o.copy_from_slice(&acc);
+    }
+    let rest = rows.remainder().chunks_exact(k);
+    for (o, row) in outs.into_remainder().iter_mut().zip(rest) {
+        *o = row
+            .iter()
+            .zip(b)
+            .fold(0.0, |s, (&ap, &bp)| ap.mul_add(bp, s));
+    }
 }
 
 /// The blocked compute shared by [`gemm`] and [`gemm_prepacked`]: row-tile
@@ -848,6 +910,50 @@ mod tests {
         check_all_layouts(1, 8, 1, 1);
         check_all_layouts(2, 3, 1, 2);
         check_all_layouts(4, 1, 128, 3);
+    }
+
+    /// Thin shapes above the naive shortcut ≡ naive, bitwise, under both
+    /// dispatch policies: `k == 1` and a single output column
+    /// (`gemm_thin`) and a single output row (the blocked kernel), each
+    /// with lane remainders, over every layout pair, with ±0.0, ±inf and
+    /// NaN mixed into finite operands.
+    #[test]
+    fn thin_shapes_bitwise_equal_naive() {
+        let specials = [0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let shapes = [
+            (300, 48, 1),
+            (97, 45, 1),
+            (1, 48, 3432),
+            (1, 45, 200),
+            (3432, 1, 48),
+            (37, 1, 200),
+            (1, 1, 5000),
+        ];
+        let layouts = [Layout::Normal, Layout::Transposed];
+        for &policy in &[SimdPolicy::Lanes, SimdPolicy::Scalar] {
+            set_simd_policy(policy);
+            for (s, &(n, m, k)) in shapes.iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(s as u64);
+                for la in layouts {
+                    for lb in layouts {
+                        let mut a = random_matrix(&mut rng, n * k);
+                        let mut b = random_matrix(&mut rng, k * m);
+                        let (a_len, b_len) = (a.len(), b.len());
+                        for (i, &v) in specials.iter().enumerate() {
+                            a[(i * 7919) % a_len] = v;
+                            b[(i * 104_729 + 3) % b_len] = v;
+                        }
+                        let mut naive = vec![0.0f32; n * m];
+                        gemm_naive(n, m, k, &a, la, &b, lb, &mut naive);
+                        let mut thin = vec![1.0f32; n * m];
+                        gemm(n, m, k, &a, la, &b, lb, &mut thin);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&thin), bits(&naive), "({n},{m},{k}) {la:?}/{lb:?}");
+                    }
+                }
+            }
+        }
+        set_simd_policy(SimdPolicy::Auto);
     }
 
     /// simd ≡ blocked-reference ≡ naive, bitwise, at the ragged shapes the

@@ -5,6 +5,7 @@
 
 use crate::init::xavier_uniform;
 use crate::param::{Layer, Param};
+use crate::simd;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -27,12 +28,13 @@ pub struct Lstm {
 #[derive(Debug, Clone)]
 struct LstmCache {
     x: Tensor,
-    /// Per timestep: gates after nonlinearity `(N, 4H)`, cell `(N, H)`,
-    /// hidden `(N, H)`, and tanh(c) `(N, H)`.
-    gates: Vec<Vec<f32>>,
-    cells: Vec<Vec<f32>>,
-    hiddens: Vec<Vec<f32>>,
-    tanh_c: Vec<Vec<f32>>,
+    /// Gates after their nonlinearity, step `ti` at `ti·4NH`, gate-major
+    /// within a step: `[i | f | g | o]`, each an `(N, H)` block.
+    gates: Vec<f32>,
+    /// Cell, hidden and tanh(cell) `(N, H)` blocks, step `ti` at `ti·NH`.
+    cells: Vec<f32>,
+    hiddens: Vec<f32>,
+    tanh_c: Vec<f32>,
 }
 
 impl Lstm {
@@ -73,8 +75,8 @@ impl Lstm {
         let b = self.bias.value.data();
 
         // The input projection of *every* timestep is one (N·T, I) × (I, 4H)
-        // product — hoist it onto the blocked GEMM path instead of
-        // recomputing scalar dot products per step. Computed straight from
+        // product — hoist it onto one GEMM instead of recomputing scalar
+        // dot products per step. Computed straight from
         // the borrowed input buffer; no reshape copy of `x`.
         let mut x_proj = Tensor::zeros(&[n * t, h4]);
         crate::gemm::gemm(
@@ -88,84 +90,97 @@ impl Lstm {
             x_proj.data_mut(),
         );
 
+        // Every step's pre-activation is `(xp + b) + rec`: the bias joins
+        // the input projection first, so fold it in once for all steps.
+        for row in x_proj.data_mut().chunks_exact_mut(h4) {
+            for (v, &bv) in row.iter_mut().zip(b) {
+                *v += bv;
+            }
+        }
+
         // W_h is constant across the sequence: pack its panels once and run
         // every per-timestep recurrent product through the prepacked kernel
         // instead of re-packing inside each gemm call.
         let wh_packed =
             crate::gemm::PackedB::pack(h4, h, self.w_h.value.data(), crate::gemm::Layout::Normal);
 
-        let mut h_prev = vec![0.0f32; n * h];
-        let mut c_prev = vec![0.0f32; n * h];
+        // Gates live gate-major per step (`[i | f | g | o]`, each (N, H)),
+        // so the nonlinearities and the cell update run as flat loops over
+        // N·H elements that vectorise. Training keeps every step in flat
+        // buffers sized once here; inference reuses a single step slot.
+        let nh = n * h;
+        let slots = if keep { t } else { 1 };
+        let mut gates = vec![0.0f32; slots * 4 * nh];
+        let mut tanh_c = vec![0.0f32; slots * nh];
+        let mut cells = vec![0.0f32; if keep { t * nh } else { 0 }];
+        let mut hiddens = vec![0.0f32; if keep { t * nh } else { 0 }];
+        // The running state, updated in place step by step.
+        let mut hidden = vec![0.0f32; nh];
+        let mut cell = vec![0.0f32; nh];
         let mut rec = vec![0.0f32; n * h4];
-        let mut gates_t = Vec::with_capacity(t);
-        let mut cells_t = Vec::with_capacity(t);
-        let mut hidden_t = Vec::with_capacity(t);
-        let mut tanh_c_t = Vec::with_capacity(t);
 
         for ti in 0..t {
             // Recurrent contribution (N,H)·(H,4H) against the packed panels.
             crate::gemm::gemm_prepacked(
                 n,
-                &h_prev,
+                &hidden,
                 crate::gemm::Layout::Normal,
                 &wh_packed,
                 &mut rec,
             );
-            let mut pre = vec![0.0f32; n * h4];
+            let slot = if keep { ti } else { 0 };
+            let g = &mut gates[slot * 4 * nh..(slot + 1) * 4 * nh];
             for ni in 0..n {
-                let pre_row = &mut pre[ni * h4..(ni + 1) * h4];
                 let xp_row = x_proj.row(ni * t + ti);
                 let rec_row = &rec[ni * h4..(ni + 1) * h4];
-                for (((p, &bv), &xp), &rv) in pre_row.iter_mut().zip(b).zip(xp_row).zip(rec_row) {
-                    *p = bv + xp + rv;
+                for gate in 0..4 {
+                    let cols = gate * h..(gate + 1) * h;
+                    let dst = &mut g[gate * nh + ni * h..][..h];
+                    for ((p, &xp), &rv) in dst
+                        .iter_mut()
+                        .zip(&xp_row[cols.clone()])
+                        .zip(&rec_row[cols])
+                    {
+                        *p = xp + rv;
+                    }
                 }
             }
-            // Nonlinearities and state update.
-            let mut gates = vec![0.0f32; n * 4 * h];
-            let mut c_new = vec![0.0f32; n * h];
-            let mut h_new = vec![0.0f32; n * h];
-            let mut tc = vec![0.0f32; n * h];
-            for ni in 0..n {
-                for k in 0..h {
-                    let base = ni * 4 * h;
-                    let ig = sigmoid(pre[base + k]);
-                    let fg = sigmoid(pre[base + h + k]);
-                    let gg = pre[base + 2 * h + k].tanh();
-                    let og = sigmoid(pre[base + 3 * h + k]);
-                    gates[base + k] = ig;
-                    gates[base + h + k] = fg;
-                    gates[base + 2 * h + k] = gg;
-                    gates[base + 3 * h + k] = og;
-                    let c = fg * c_prev[ni * h + k] + ig * gg;
-                    let tch = c.tanh();
-                    c_new[ni * h + k] = c;
-                    tc[ni * h + k] = tch;
-                    h_new[ni * h + k] = og * tch;
-                }
+            let (ifg, go) = g.split_at_mut(2 * nh);
+            let (gg, og) = go.split_at_mut(nh);
+            for v in ifg.iter_mut() {
+                *v = simd::sigmoid(*v);
             }
-            h_prev.copy_from_slice(&h_new);
-            c_prev.copy_from_slice(&c_new);
-            gates_t.push(gates);
-            cells_t.push(c_new);
-            hidden_t.push(h_new);
-            tanh_c_t.push(tc);
+            for v in gg.iter_mut() {
+                *v = simd::tanh(*v);
+            }
+            for v in og.iter_mut() {
+                *v = simd::sigmoid(*v);
+            }
+            let (ig, fg) = ifg.split_at(nh);
+            for (((c, &f), &i), &gv) in cell.iter_mut().zip(fg).zip(ig).zip(&*gg) {
+                *c = f * *c + i * gv;
+            }
+            let tc = &mut tanh_c[slot * nh..(slot + 1) * nh];
+            for (((hv, tv), &c), &o) in hidden.iter_mut().zip(tc).zip(&cell).zip(&*og) {
+                *tv = simd::tanh(c);
+                *hv = o * *tv;
+            }
+            if keep {
+                cells[ti * nh..(ti + 1) * nh].copy_from_slice(&cell);
+                hiddens[ti * nh..(ti + 1) * nh].copy_from_slice(&hidden);
+            }
         }
 
-        let out = Tensor::from_vec(&[n, h], h_prev);
+        let out = Tensor::from_vec(&[n, h], hidden);
         let cache = keep.then(|| LstmCache {
             x: x.clone(),
-            gates: gates_t,
-            cells: cells_t,
-            hiddens: hidden_t,
-            tanh_c: tanh_c_t,
+            gates,
+            cells,
+            hiddens,
+            tanh_c,
         });
         (out, cache)
     }
-}
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 impl Layer for Lstm {
@@ -200,36 +215,52 @@ impl Layer for Lstm {
         );
         // All timesteps' gate pre-activation gradients, laid out like the
         // forward's x-projection (row ni*T + ti), so the x-side gradients
-        // collapse into two blocked GEMMs after the time loop.
+        // collapse into two GEMMs after the time loop.
         let mut dpre_all = vec![0.0f32; n * t * h4];
         // Per-step scratch, reused across the whole reverse loop.
         let mut dpre = vec![0.0f32; n * h4];
         let mut dwh_step = vec![0.0f32; h * h4];
+        let nh = n * h;
+        let mut dgate = vec![0.0f32; 4 * nh];
+        let zeros = vec![0.0f32; nh];
 
         for ti in (0..t).rev() {
-            let gates = &cache.gates[ti];
-            let tanh_c = &cache.tanh_c[ti];
-            let c_prev: &[f32] = if ti == 0 { &[] } else { &cache.cells[ti - 1] };
-            let h_prev: &[f32] = if ti == 0 { &[] } else { &cache.hiddens[ti - 1] };
-            // Gate pre-activation gradients for this step.
+            let gates = &cache.gates[ti * 4 * nh..(ti + 1) * 4 * nh];
+            let (gi, rest) = gates.split_at(nh);
+            let (gf, rest) = rest.split_at(nh);
+            let (gg, go) = rest.split_at(nh);
+            let tanh_c = &cache.tanh_c[ti * nh..(ti + 1) * nh];
+            let (c_prev, h_prev): (&[f32], &[f32]) = if ti == 0 {
+                (&zeros, &[])
+            } else {
+                let prev = (ti - 1) * nh..ti * nh;
+                (&cache.cells[prev.clone()], &cache.hiddens[prev])
+            };
+            // Gate pre-activation gradients for this step, as one flat
+            // loop over N·H into gate-major blocks like the cached gates.
+            let (di, rest) = dgate.split_at_mut(nh);
+            let (df, rest) = rest.split_at_mut(nh);
+            let (dg, d_o) = rest.split_at_mut(nh);
+            for idx in 0..nh {
+                let ig = gi[idx];
+                let fg = gf[idx];
+                let gv = gg[idx];
+                let og = go[idx];
+                let tch = tanh_c[idx];
+                let dh_k = dh[idx];
+                // dc accumulates from h (through tanh) and carry-in.
+                let dc_k = dc[idx] + dh_k * og * (1.0 - tch * tch);
+                di[idx] = dc_k * gv * ig * (1.0 - ig); // input gate
+                df[idx] = dc_k * c_prev[idx] * fg * (1.0 - fg); // forget
+                dg[idx] = dc_k * ig * (1.0 - gv * gv); // cell cand
+                d_o[idx] = dh_k * tch * og * (1.0 - og); // output
+                dc[idx] = dc_k * fg; // carry to t-1
+            }
+            // Back to the (N, 4H) rows the products below read.
             for ni in 0..n {
-                for k in 0..h {
-                    let base = ni * h4;
-                    let idx = ni * h + k;
-                    let ig = gates[base + k];
-                    let fg = gates[base + h + k];
-                    let gg = gates[base + 2 * h + k];
-                    let og = gates[base + 3 * h + k];
-                    let tch = tanh_c[idx];
-                    let dh_k = dh[idx];
-                    // dc accumulates from h (through tanh) and carry-in.
-                    let dc_k = dc[idx] + dh_k * og * (1.0 - tch * tch);
-                    let cp = if ti == 0 { 0.0 } else { c_prev[idx] };
-                    dpre[base + k] = dc_k * gg * ig * (1.0 - ig); // input gate
-                    dpre[base + h + k] = dc_k * cp * fg * (1.0 - fg); // forget
-                    dpre[base + 2 * h + k] = dc_k * ig * (1.0 - gg * gg); // cell cand
-                    dpre[base + 3 * h + k] = dh_k * tch * og * (1.0 - og); // output
-                    dc[idx] = dc_k * fg; // carry to t-1
+                for gate in 0..4 {
+                    dpre[ni * h4 + gate * h..][..h]
+                        .copy_from_slice(&dgate[gate * nh + ni * h..][..h]);
                 }
             }
             for ni in 0..n {
@@ -271,7 +302,7 @@ impl Layer for Lstm {
             }
         }
 
-        // x-side gradients in two blocked GEMMs over every timestep at once:
+        // x-side gradients in two GEMMs over every timestep at once:
         // dWx += x^T . dpre_all (read transposed straight from the cached
         // input; no reshape copy), dx = dpre_all . Wx^T.
         let mut dwx = Tensor::zeros(&[i_dim, h4]);

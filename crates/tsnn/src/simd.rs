@@ -20,7 +20,9 @@
 //! striped partial sums folded by pairwise halving — and the scalar
 //! fallback replays exactly that order, so switching paths can never
 //! change a bit. `tests` in this module and the consumer crates pin the
-//! equality.
+//! equality. The gate math ([`exp`], [`sigmoid`], [`tanh`]) needs no
+//! fallback: each is one branch-free chain of per-element IEEE ops, so a
+//! vectorised slice loop and a scalar call agree bitwise on any host.
 //!
 //! # Dispatch
 //!
@@ -355,6 +357,110 @@ pub fn axpy_f64(dst: &mut [f64], a: f64, xs: &[f64]) {
 }
 
 // ---------------------------------------------------------------------------
+// Gate math: owned, branch-free f32 transcendentals.
+// ---------------------------------------------------------------------------
+
+/// `exp` input clamp: `k = round(x·log2 e)` stays in `[-150, 128]`, so the
+/// two-step scale in [`exp`] covers every subnormal result and overflows
+/// to `+inf` past `ln(f32::MAX)`.
+const EXP_LO: f32 = -104.0;
+const EXP_HI: f32 = 89.0;
+/// `1.5·2²³`: adding it rounds to an integer and parks that integer in the
+/// low mantissa bits (`|k| < 2²²`).
+const ROUND_SHIFT: f32 = 12_582_912.0;
+/// `ln 2` split for the reduction: `LN2_HI` is `ln 2` rounded to `f32`,
+/// `LN2_LO` the remainder.
+const LN2_HI: f32 = std::f32::consts::LN_2;
+const LN2_LO: f32 = -1.904_654_2e-9;
+/// `e^r ≈ 1 + r + r²·Q(r)` on `|r| ≤ ln2/2`, `Q` a degree-4 Chebyshev fit
+/// (highest power first); relative error of the exact polynomial ≈ 0.07 ULP.
+const EXP_Q: [f32; 5] = [
+    1.392_692_7e-3,
+    8.363_774e-3,
+    4.166_655e-2,
+    1.666_657_3e-1,
+    0.5,
+];
+/// `tanh` switches from its odd polynomial to the `exp` form at `|x| = 0.625`.
+const TANH_SMALL: f32 = 0.625;
+/// `tanh a ≈ a + a³·P(a²)` on `a < 0.625`, `P` a degree-4 Chebyshev fit
+/// (highest power first); relative error of the exact polynomial ≈ 0.14 ULP.
+const TANH_P: [f32; 5] = [
+    -6.096_714e-3,
+    2.099_718e-2,
+    -5.385_090_8e-2,
+    1.333_277e-1,
+    -3.333_332_8e-1,
+];
+
+/// `2^k` for `k ∈ [-126, 127]`, built straight from exponent bits.
+#[inline(always)]
+fn pow2i(k: i32) -> f32 {
+    f32::from_bits((k.wrapping_add(127) << 23) as u32)
+}
+
+/// `e^x` in `f32`, owned rather than taken from the host libm.
+///
+/// Branch-free IEEE arithmetic only: clamp by select, round `k =
+/// x·log2 e` with the `1.5·2²³` shift trick, reduce `r = x − k·ln 2`
+/// through the hi/lo split with `mul_add`, evaluate a degree-6
+/// polynomial by `mul_add` Horner steps, and scale by `2^k` as two exact
+/// powers of two (one rounding, correct for subnormal results). No `as
+/// i32` float conversion and no `clamp`, so a slice loop over it
+/// vectorises, and every lane computes exactly what a scalar call does:
+/// the bits depend on neither the host, its libm nor the vector width.
+///
+/// Contract: NaN in gives NaN out; `exp(+inf) = +inf`, `exp(-inf) = 0`;
+/// within 2 ULP of a correctly rounded `e^x` on `[-87, 88]` (the tests
+/// sweep it against libm).
+#[inline(always)]
+pub fn exp(x: f32) -> f32 {
+    // Compare-and-select, not `max`/`min`: a NaN fails both tests and
+    // flows through the arithmetic below.
+    let x = if x < EXP_LO { EXP_LO } else { x };
+    let x = if x > EXP_HI { EXP_HI } else { x };
+    let shifted = x.mul_add(std::f32::consts::LOG2_E, ROUND_SHIFT);
+    let kf = shifted - ROUND_SHIFT;
+    let k = shifted.to_bits().wrapping_sub(ROUND_SHIFT.to_bits()) as i32;
+    let r = kf.mul_add(-LN2_HI, x);
+    let r = kf.mul_add(-LN2_LO, r);
+    let mut q = EXP_Q[0];
+    for &c in &EXP_Q[1..] {
+        q = q.mul_add(r, c);
+    }
+    let p = q.mul_add(r, 1.0).mul_add(r, 1.0);
+    // 2^k = 2^k1 · 2^k2 with both halves normal; `p·2^k1` is exact, so
+    // the second product is the only rounding.
+    let k1 = k >> 1;
+    p * pow2i(k1) * pow2i(k - k1)
+}
+
+/// The logistic `1 / (1 + e^-x)` on [`exp`]: in `[0, 1]` for every
+/// non-NaN input, NaN for NaN.
+#[inline(always)]
+pub fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + exp(-x))
+}
+
+/// `tanh x` in `f32`, branch-free like [`exp`]: an odd polynomial below
+/// `|x| = 0.625`, else `1 − 2/(e^{2|x|} + 1)`, with the sign of `x` copied
+/// on last — so `tanh(-x)` is `-tanh(x)` bitwise (NaN and `±0` included)
+/// and the result stays in `[-1, 1]`.
+#[inline(always)]
+pub fn tanh(x: f32) -> f32 {
+    let a = x.abs();
+    let z = a * a;
+    let mut p = TANH_P[0];
+    for &c in &TANH_P[1..] {
+        p = p.mul_add(z, c);
+    }
+    let small = (p * z).mul_add(a, a);
+    let large = 1.0 - 2.0 / (exp(a + a) + 1.0);
+    let t = if a < TANH_SMALL { small } else { large };
+    t.copysign(x)
+}
+
+// ---------------------------------------------------------------------------
 // Reductions (one canonical striped order, replayed exactly by the scalar
 // fallback).
 // ---------------------------------------------------------------------------
@@ -627,6 +733,112 @@ mod tests {
         let ys = ramp(1000, 3.3);
         let seq_dot: f64 = xs.iter().zip(&ys).map(|(&a, &b)| (a * b) as f64).sum();
         assert!((dot(&xs, &ys) as f64 - seq_dot).abs() < 1e-2);
+    }
+
+    /// Distance in representable `f32`s between two finite values.
+    fn ulps(a: f32, b: f32) -> u64 {
+        let key = |v: f32| {
+            let b = v.to_bits() as i64;
+            if b < 0x8000_0000 {
+                b
+            } else {
+                0x8000_0000 - b
+            }
+        };
+        (key(a) - key(b)).unsigned_abs()
+    }
+
+    /// `n` evenly spaced points over `[lo, hi]`.
+    fn sweep(lo: f32, hi: f32, n: usize) -> impl Iterator<Item = f32> {
+        (0..n).map(move |i| lo + (hi - lo) * (i as f32 / (n - 1) as f32))
+    }
+
+    #[test]
+    fn gate_math_tracks_libm() {
+        let mut worst = 0;
+        for x in sweep(-87.0, 88.0, 1 << 20) {
+            let want = (x as f64).exp() as f32;
+            worst = worst.max(ulps(exp(x), want));
+        }
+        assert!(worst <= 2, "exp off by {worst} ulp");
+        for x in sweep(-20.0, 20.0, 1 << 18) {
+            let s = (1.0 / (1.0 + (-(x as f64)).exp())) as f32;
+            assert!((sigmoid(x) - s).abs() <= 2e-7, "sigmoid({x})");
+            let t = (x as f64).tanh() as f32;
+            assert!((tanh(x) - t).abs() <= 2e-7, "tanh({x})");
+        }
+    }
+
+    #[test]
+    fn gate_math_special_values() {
+        let tiny = f32::from_bits(1);
+        for f in [exp, sigmoid, tanh] {
+            assert!(f(f32::NAN).is_nan());
+            assert!(f(-f32::NAN).is_nan());
+        }
+        assert_eq!(exp(f32::INFINITY), f32::INFINITY);
+        assert_eq!(exp(f32::NEG_INFINITY).to_bits(), 0);
+        assert_eq!(exp(89.0), f32::INFINITY);
+        assert_eq!(exp(-104.0), 0.0);
+        assert_eq!(exp(0.0), 1.0);
+        assert_eq!(exp(-0.0), 1.0);
+        assert_eq!(exp(tiny), 1.0);
+        assert_eq!(exp(f32::MIN_POSITIVE), 1.0);
+        // Subnormal results round once, like libm.
+        for x in [-88.0f32, -95.5, -100.0, -103.0] {
+            let want = (x as f64).exp() as f32;
+            assert!(ulps(exp(x), want) <= 1, "exp({x})");
+        }
+        assert_eq!(sigmoid(f32::INFINITY), 1.0);
+        assert_eq!(sigmoid(f32::NEG_INFINITY), 0.0);
+        assert_eq!(sigmoid(0.0), 0.5);
+        assert_eq!(sigmoid(-0.0), 0.5);
+        assert_eq!(tanh(f32::INFINITY), 1.0);
+        assert_eq!(tanh(f32::NEG_INFINITY), -1.0);
+        assert_eq!(tanh(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(tanh(tiny).to_bits(), tiny.to_bits());
+        assert_eq!(tanh(-tiny).to_bits(), (-tiny).to_bits());
+        assert_eq!(tanh(f32::MIN_POSITIVE), f32::MIN_POSITIVE);
+        // Ranges hold over the whole finite line.
+        for x in sweep(-1e4, 1e4, 1 << 16).chain([f32::MAX, f32::MIN]) {
+            assert!((0.0..=1.0).contains(&sigmoid(x)), "sigmoid({x})");
+            assert!((-1.0..=1.0).contains(&tanh(x)), "tanh({x})");
+        }
+    }
+
+    /// Every 4096th bit pattern: all exponents, both signs, NaNs,
+    /// infinities, zeros and subnormals — 2²⁰ points.
+    fn all_patterns() -> Vec<f32> {
+        (0..1u32 << 20)
+            .map(|i| f32::from_bits(i.wrapping_mul(4096) ^ (i >> 8)))
+            .collect()
+    }
+
+    #[test]
+    fn tanh_is_odd_bitwise() {
+        for x in all_patterns() {
+            assert_eq!(tanh(-x).to_bits(), (-tanh(x)).to_bits(), "tanh({x:e})");
+        }
+    }
+
+    /// Runs `f` as a slice loop (inlined, so it vectorises) and as
+    /// `scalar`, an opaque function pointer called once per element.
+    fn slice_loop_vs_calls(f: impl Fn(f32) -> f32, scalar: fn(f32) -> f32, xs: &[f32]) {
+        let lanes: Vec<f32> = xs.iter().map(|&x| f(x)).collect();
+        for (&got, &x) in lanes.iter().zip(xs) {
+            let want = scalar(std::hint::black_box(x));
+            assert_eq!(got.to_bits(), want.to_bits(), "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn gate_math_slice_loop_matches_scalar_calls() {
+        use std::hint::black_box;
+        let xs = all_patterns();
+        slice_loop_vs_calls(exp, black_box(exp as fn(f32) -> f32), &xs);
+        slice_loop_vs_calls(sigmoid, black_box(sigmoid as fn(f32) -> f32), &xs);
+        slice_loop_vs_calls(tanh, black_box(tanh as fn(f32) -> f32), &xs);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 #
 # Direction is inferred from the metric name: throughputs and speedups
 # (`*_per_sec`, `*speedup*`, `relative_throughput`) are better-higher;
-# timings (`*_ns`, `*_seconds`, `overhead_ns`) are better-lower. Config
+# timings (`*_ns`, `*_seconds`, `overhead_ns`, and unit rates such as the
+# detectors record's `ms_per_series` and `*_ns_per_elem`) are
+# better-lower. Config
 # fields (shapes, thread counts, request counts) are compared only to
 # warn when the two runs measured different workloads.
 #
@@ -47,6 +49,8 @@ def direction(key):
         return "higher"
     leaf = key.rsplit(".", 1)[-1]
     if leaf.endswith("_ns") or "seconds" in leaf:
+        return "lower"
+    if leaf.startswith("ms_per_") or leaf.endswith("_ns_per_elem"):
         return "lower"
     return None
 
