@@ -7,9 +7,11 @@
 //! a streaming-loop record (windows/sec through incremental ingestion with
 //! cache publishing, plus the daemon's drift → retrain → deploy latency)
 //! and a `Conv1d` record (inference and backward cost at the served
-//! ResNet's conv shapes) and a `detectors` record (label cost: ms per
-//! series of each of the 12 detectors at three series lengths, single
-//! threaded, plus the LSTM gate math's ns per element against libm).
+//! ResNet's conv shapes, backward also at the training batch, with a
+//! bitwise 1-vs-N-thread weight-gradient guard) and a `detectors` record
+//! (label cost: ms per series of each of the 12 detectors at three series
+//! lengths, single threaded, plus the LSTM gate math's ns per element
+//! against libm).
 //!
 //! Appends one compact JSON line per run to `BENCH_micro.json` (repo root,
 //! override with `KD_BENCH_OUT`) so the perf trajectory is tracked PR over
@@ -261,13 +263,21 @@ fn large_k_benchmark() -> serde_json::Value {
 /// samples. `infer_ns` times `Layer::infer`; `backward_ns` times
 /// `Layer::backward` alone (its `forward(train)` runs untimed), which
 /// computes both the weight and the input gradient, so its FLOP count is
-/// twice the forward's.
+/// twice the forward's. `backward_train_ns` times the same call at the
+/// training batch (64 windows).
+///
+/// Each case also asserts that the weight and bias gradients of one
+/// training batch are bitwise equal at 1 and at 4 threads: the weight
+/// gradient runs its channel tiles as pool tasks, and the split must not
+/// move a bit.
 fn conv_benchmark(threads: usize) -> serde_json::Value {
     use rand::SeedableRng;
     use tsnn::layers::{Conv1d, Layer};
 
     const BATCH: usize = 256;
+    const TRAIN_BATCH: usize = 64;
     const LEN: usize = 64;
+    const THREADS_HI: usize = 4;
     const SHAPES: &[(usize, usize, usize)] = &[
         (1, 8, 7),
         (8, 8, 5),
@@ -281,9 +291,37 @@ fn conv_benchmark(threads: usize) -> serde_json::Value {
         (16, 16, 5),
         (16, 16, 3),
     ];
+    // Median seconds of one `backward` call, each after an untimed
+    // `forward(train)`.
+    let backward_secs = |conv: &mut Conv1d, x: &Tensor, g: &Tensor| {
+        let mut samples = Vec::with_capacity(7);
+        for _ in 0..7 {
+            let mut spent = 0.0;
+            for _ in 0..4 {
+                conv.forward(x, true);
+                let t = Instant::now();
+                std::hint::black_box(conv.backward(g));
+                spent += t.elapsed().as_secs_f64();
+            }
+            samples.push(spent / 4.0);
+        }
+        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        samples[samples.len() / 2]
+    };
+    // The weight and bias gradient bits of one fresh backward pass.
+    let grad_bits = |conv: &Conv1d, x: &Tensor, g: &Tensor, threads: usize| {
+        tspar::set_parallelism(tspar::Parallelism::Fixed(threads));
+        let mut conv = conv.clone();
+        conv.weight.zero_grad();
+        conv.bias.zero_grad();
+        conv.forward(x, true);
+        conv.backward(g);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        (bits(&conv.weight.grad), bits(&conv.bias.grad))
+    };
     println!(
-        "\n{:<16} {:>12} {:>8} {:>12} {:>8}",
-        "conv case", "infer ns", "GFLOP/s", "backward ns", "GFLOP/s"
+        "\n{:<16} {:>12} {:>8} {:>12} {:>8} {:>12} {:>8}",
+        "conv case", "infer ns", "GFLOP/s", "backward ns", "GFLOP/s", "bwd@64 ns", "GFLOP/s"
     );
     let mut rows = Vec::new();
     let (mut infer_total, mut backward_total) = (0.0, 0.0);
@@ -292,29 +330,29 @@ fn conv_benchmark(threads: usize) -> serde_json::Value {
         let mut conv = Conv1d::new(c_in, c_out, k, &mut rng);
         let x = filled(&[BATCH, c_in, LEN], 1);
         let g = filled(&[BATCH, c_out, LEN], 2);
-        let infer_ns = time_ns(|| conv.infer(&x));
-        let mut samples = Vec::with_capacity(7);
-        for _ in 0..7 {
-            let mut spent = 0.0;
-            for _ in 0..4 {
-                conv.forward(&x, true);
-                let t = Instant::now();
-                std::hint::black_box(conv.backward(&g));
-                spent += t.elapsed().as_secs_f64();
-            }
-            samples.push(spent / 4.0);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let backward_ns = samples[samples.len() / 2] * 1e9;
-        let flop = 2.0 * (BATCH * c_in * c_out * k * LEN) as f64;
+        let x_train = filled(&[TRAIN_BATCH, c_in, LEN], 1);
+        let g_train = filled(&[TRAIN_BATCH, c_out, LEN], 2);
         let case = format!("c{c_in}x{c_out}_k{k}_{i}");
+        assert!(
+            grad_bits(&conv, &x_train, &g_train, 1)
+                == grad_bits(&conv, &x_train, &g_train, THREADS_HI),
+            "{case}: conv weight gradient diverged across thread counts"
+        );
+        tspar::set_parallelism(tspar::Parallelism::Auto);
+        let infer_ns = time_ns(|| conv.infer(&x));
+        let backward_ns = backward_secs(&mut conv, &x, &g) * 1e9;
+        let backward_train_ns = backward_secs(&mut conv, &x_train, &g_train) * 1e9;
+        let flop = 2.0 * (BATCH * c_in * c_out * k * LEN) as f64;
+        let train_flop = flop * (TRAIN_BATCH as f64 / BATCH as f64);
         println!(
-            "{:<16} {:>12.0} {:>8.1} {:>12.0} {:>8.1}",
+            "{:<16} {:>12.0} {:>8.1} {:>12.0} {:>8.1} {:>12.0} {:>8.1}",
             case,
             infer_ns,
             flop / infer_ns,
             backward_ns,
-            2.0 * flop / backward_ns
+            2.0 * flop / backward_ns,
+            backward_train_ns,
+            2.0 * train_flop / backward_train_ns
         );
         infer_total += infer_ns;
         backward_total += backward_ns;
@@ -327,18 +365,23 @@ fn conv_benchmark(threads: usize) -> serde_json::Value {
             "infer_gflop_per_sec": flop / infer_ns,
             "backward_ns": backward_ns,
             "backward_gflop_per_sec": 2.0 * flop / backward_ns,
+            "backward_train_ns": backward_train_ns,
+            "backward_train_gflop_per_sec": 2.0 * train_flop / backward_train_ns,
         }));
     }
     let infer_us_per_window = infer_total / 1e3 / BATCH as f64;
     println!(
         "conv: {infer_us_per_window:.1} us/window inference, {:.1} us/window backward \
-         (served ResNet w8, {threads} thread(s))",
+         (served ResNet w8, {threads} thread(s)); weight gradients bitwise-equal at 1 and \
+         {THREADS_HI} threads",
         backward_total / 1e3 / BATCH as f64
     );
     serde_json::json!({
         "threads": threads,
         "batch": BATCH,
+        "train_batch": TRAIN_BATCH,
         "len": LEN,
+        "threads_hi": THREADS_HI,
         "infer_per_window_ns": infer_us_per_window * 1e3,
         "backward_per_window_ns": backward_total / BATCH as f64,
         "cases": rows,

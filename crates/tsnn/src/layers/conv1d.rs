@@ -2,7 +2,7 @@
 
 use crate::init::kaiming_uniform;
 use crate::param::{Layer, Param};
-use crate::simd::{self, F32x16};
+use crate::simd::{self, F32x16, F32x8, F32_LANES};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use std::cell::RefCell;
@@ -11,7 +11,8 @@ use std::cell::RefCell;
 /// zero "same" padding (`pad = k / 2`; odd kernel sizes keep the length).
 ///
 /// Forward and input-gradient passes run on one register-tiled kernel
-/// (see [`TapPlan`]) — this layer dominates encoder inference and
+/// (see [`TapPlan`]), the weight gradient on another (see
+/// `weight_grad`) — this layer dominates encoder inference and
 /// selector training.
 #[derive(Debug, Clone)]
 pub struct Conv1d {
@@ -51,7 +52,6 @@ impl Conv1d {
     }
 
     /// Output channel count.
-    #[allow(dead_code)]
     pub fn out_channels(&self) -> usize {
         self.out_channels
     }
@@ -88,36 +88,21 @@ impl Layer for Conv1d {
             .expect("backward without forward(train)");
         let (n, l) = (x.dim(0), x.dim(2));
         assert_eq!(grad_out.shape(), &[n, self.out_channels, l]);
-        let pad = self.kernel / 2;
-        let gw = self.weight.grad.data_mut();
+        // Bias gradient: sum over time (striped canonical order), added in
+        // batch order.
+        let gb = self.bias.grad.data_mut();
         for ni in 0..n {
-            let xb = x.batch(ni);
-            let gb = grad_out.batch(ni);
-            for co in 0..self.out_channels {
-                let g_row = &gb[co * l..(co + 1) * l];
-                // Bias gradient: sum over time (striped canonical order).
-                self.bias.grad.data_mut()[co] += simd::sum(g_row);
-                for ci in 0..self.in_channels {
-                    let x_row = &xb[ci * l..(ci + 1) * l];
-                    let w_base = (co * self.in_channels + ci) * self.kernel;
-                    for k in 0..self.kernel {
-                        let (t0, t1) = valid_range(l, k, pad);
-                        if t0 >= t1 {
-                            continue;
-                        }
-                        let off = k as isize - pad as isize;
-                        let xs = &x_row[(t0 as isize + off) as usize..(t1 as isize + off) as usize];
-                        // dW[k] += Σ_t g[t] · x[t+k-pad]
-                        gw[w_base + k] += simd::dot(&g_row[t0..t1], xs);
-                    }
-                }
+            let g = grad_out.batch(ni);
+            for (co, acc) in gb.iter_mut().enumerate() {
+                *acc += simd::sum(&g[co * l..(co + 1) * l]);
             }
         }
+        weight_grad(&x, grad_out, self.kernel, self.weight.grad.data_mut());
         // dX: gx[ci][t+k-pad] += w[co][ci][k] · g[co][t], a transposed
-        // convolution on the forward kernel. Unlike the weight gradient
-        // above (accumulated serially across the batch to keep one fixed
-        // summation order), each input-gradient slab belongs to one batch
-        // element, so the batch loop parallelises cleanly.
+        // convolution on the forward kernel. Each input-gradient slab
+        // belongs to one batch element, so the batch loop is the task
+        // split here; the weight gradient above splits over output
+        // channels instead, because each of its elements sums the batch.
         let mut gx = Tensor::zeros(&[n, self.in_channels, l]);
         let plan = TapPlan::transposed(
             self.weight.value.data(),
@@ -451,6 +436,144 @@ fn conv_elem(
     acc
 }
 
+/// Output channels per weight-gradient register tile.
+const GRAD_ROWS: usize = 8;
+
+/// The weight gradient `gw[co][ci][k] += Σ_t g[co][t] · x[ci][t + k − pad]`
+/// over a batch of `(n, c_in, l)` inputs `x` and `(n, c_out, l)` output
+/// gradients `g`, with `gw` of shape `(c_out, c_in, kernel)`.
+///
+/// # Determinism
+///
+/// Every element adds one [`simd::dot`]`(g_row[t0..t1], xs)` per batch
+/// element in ascending `n`, over the valid range `[t0, t1)` of its tap,
+/// and replays that dot's chain exactly: eight striped lanes from `t0`,
+/// `acc = acc + g · x` per chunk (mul and add rounded separately, `g`
+/// first), one add of a tail vector holding `g · x` on the remainder
+/// lanes and `+0.0` on the rest, then [`F32x8::reduce_sum`]. The lane
+/// types are plain per-lane arrays, so this one path gives the same bits
+/// under either [`simd::SimdPolicy`].
+///
+/// # Parallelism
+///
+/// `gw` splits into tiles of output channels, one pool task each, so a
+/// task owns its rows and the split never moves a bit. Within a task one
+/// load of an input chunk feeds one accumulator per tile row, whose
+/// independent chains hide each other's add latency. Layers with at most
+/// [`GRAD_ROWS`] output channels take half-height tiles, so the
+/// ResNet's 8-channel layers still split into two tasks.
+fn weight_grad(x: &Tensor, g: &Tensor, kernel: usize, gw: &mut [f32]) {
+    let (n, c_in, c_out, l) = (x.dim(0), x.dim(1), g.dim(1), x.dim(2));
+    let (x, g) = (x.data(), g.data());
+    let per_row = c_in * kernel;
+    let tile = if c_out <= GRAD_ROWS {
+        GRAD_ROWS / 2
+    } else {
+        GRAD_ROWS
+    };
+    // Staged rows: the row, then one zeroed lane block, so a dot's tail
+    // chunk loads in bounds.
+    let lp = l + F32_LANES;
+    let work = n * c_out * per_row * l;
+    tspar::par_chunks_mut_gated(gw, tile * per_row, work, |ti, gw| {
+        let rows = gw.len() / per_row;
+        STAGE.with_borrow_mut(|stage| {
+            stage.clear();
+            stage.resize((c_in + rows) * lp, 0.0);
+            for ni in 0..n {
+                let xb = &x[ni * c_in * l..(ni + 1) * c_in * l];
+                let g0 = ni * c_out + ti * tile;
+                let gb = &g[g0 * l..(g0 + rows) * l];
+                for (dst, src) in stage
+                    .chunks_exact_mut(lp)
+                    .zip(xb.chunks_exact(l).chain(gb.chunks_exact(l)))
+                {
+                    dst[..l].copy_from_slice(src);
+                }
+                let (xs, gs) = stage.split_at(c_in * lp);
+                let mut r = 0;
+                while r < rows {
+                    let (gr, gwr) = (&gs[r * lp..], &mut gw[r * per_row..]);
+                    r += match rows - r {
+                        8.. => grad_tile::<8>(xs, gr, gwr, kernel, l),
+                        4.. => grad_tile::<4>(xs, gr, gwr, kernel, l),
+                        _ => grad_tile::<1>(xs, gr, gwr, kernel, l),
+                    };
+                }
+            }
+        });
+    });
+}
+
+/// `TAIL_MASKS[rem]` keeps a dot's first `rem` tail lanes. [`grad_tile`]
+/// reads it through `black_box`: a mask the compiler can see through
+/// (a comparison, or this table's always-clear top lane) makes it split
+/// the tail product into scalar and half-width pieces.
+static TAIL_MASKS: [[u32; F32_LANES]; F32_LANES] = {
+    let mut masks = [[0; F32_LANES]; F32_LANES];
+    let mut rem = 0;
+    while rem < F32_LANES {
+        let mut i = 0;
+        while i < rem {
+            masks[rem][i] = !0;
+            i += 1;
+        }
+        rem += 1;
+    }
+    masks
+};
+
+/// One batch element's contribution to `R` consecutive output channels.
+/// `xs` holds the element's staged input rows and `g` starts at the
+/// first of the channels' staged gradient rows (rows of `l` plus a zeroed
+/// lane block); `gw` starts at their first weight row. Returns `R`.
+#[inline(always)]
+fn grad_tile<const R: usize>(
+    xs: &[f32],
+    g: &[f32],
+    gw: &mut [f32],
+    kernel: usize,
+    l: usize,
+) -> usize {
+    let (pad, lp) = (kernel / 2, l + F32_LANES);
+    let per_row = xs.len() / lp * kernel;
+    for (ci, x_row) in xs.chunks_exact(lp).enumerate() {
+        for k in 0..kernel {
+            let (t0, t1) = valid_range(l, k, pad);
+            if t0 >= t1 {
+                continue;
+            }
+            // Full chunks, then the tail chunk; its lanes past the
+            // remainder read beyond `t1` (the next staged values or the
+            // zeroed block) and are masked to +0.0.
+            let (full, rem) = ((t1 - t0) / F32_LANES, (t1 - t0) % F32_LANES);
+            let span = (full + 1) * F32_LANES;
+            let xc = x_row[t0 + k - pad..][..span].as_chunks::<F32_LANES>().0;
+            let gc: [&[[f32; F32_LANES]]; R] =
+                std::array::from_fn(|r| g[r * lp + t0..][..span].as_chunks::<F32_LANES>().0);
+            let mut acc = [F32x8::zero(); R];
+            for (j, &xv) in xc[..full].iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(&gc) {
+                    *a = *a + F32x8(row[j]) * F32x8(xv);
+                }
+            }
+            let xv = F32x8(xc[full]);
+            let keep = std::hint::black_box(&TAIL_MASKS[rem]);
+            for (a, row) in acc.iter_mut().zip(&gc) {
+                let p = F32x8(row[full]) * xv;
+                *a = *a
+                    + F32x8(std::array::from_fn(|i| {
+                        f32::from_bits(p.0[i].to_bits() & keep[i])
+                    }));
+            }
+            for (r, a) in acc.into_iter().enumerate() {
+                gw[r * per_row + ci * kernel + k] += a.reduce_sum();
+            }
+        }
+    }
+    R
+}
+
 /// Valid output range `[t0, t1)` such that `t + k - pad ∈ [0, l)`.
 #[inline]
 fn valid_range(l: usize, k: usize, pad: usize) -> (usize, usize) {
@@ -769,6 +892,125 @@ mod tests {
                 }
             }
             set_simd_policy(SimdPolicy::Auto);
+        }
+    }
+
+    /// The pre-tile weight and bias gradients: per batch element and
+    /// output channel, `gb += simd::sum(g_row)` and one `simd::dot` per
+    /// `(c_in, k)` tap added into `gw`, both starting from the layer's
+    /// current gradients. Kept as the reference the tiled, channel-parallel
+    /// kernel must reproduce bitwise.
+    fn weight_grad_dot_major(c: &Conv1d, x: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
+        let (n, l) = (x.dim(0), x.dim(2));
+        let (c_in, c_out, kernel) = (c.in_channels, c.out_channels, c.kernel);
+        let pad = kernel / 2;
+        let mut gw = c.weight.grad.clone();
+        let mut gb = c.bias.grad.clone();
+        for ni in 0..n {
+            let (xb, gbatch) = (x.batch(ni), g.batch(ni));
+            for co in 0..c_out {
+                let g_row = &gbatch[co * l..(co + 1) * l];
+                gb.data_mut()[co] += simd::sum(g_row);
+                for ci in 0..c_in {
+                    let x_row = &xb[ci * l..(ci + 1) * l];
+                    for k in 0..kernel {
+                        let (t0, t1) = valid_range(l, k, pad);
+                        if t0 >= t1 {
+                            continue;
+                        }
+                        let xs = &x_row[t0 + k - pad..t1 + k - pad];
+                        gw.data_mut()[(co * c_in + ci) * kernel + k] +=
+                            simd::dot(&g_row[t0..t1], xs);
+                    }
+                }
+            }
+        }
+        (gw, gb)
+    }
+
+    /// Runs `backward(g)` after `forward(x)` on a copy of `c` and asserts
+    /// its weight and bias gradients equal [`weight_grad_dot_major`]'s bit
+    /// for bit.
+    fn assert_weight_grad_matches(c: &Conv1d, x: &Tensor, g: &Tensor, at: &str) {
+        let (gw, gb) = weight_grad_dot_major(c, x, g);
+        let mut trained = c.clone();
+        trained.forward(x, true);
+        trained.backward(g);
+        assert_same_bits(&trained.weight.grad, &gw, &format!("dW {at}"));
+        assert_same_bits(&trained.bias.grad, &gb, &format!("db {at}"));
+    }
+
+    /// A layer whose gradients start at `-0.0`, so taps that never fit in
+    /// a short row must leave them untouched.
+    fn signed_zero_grads(cin: usize, cout: usize, k: usize, rng: &mut StdRng) -> Conv1d {
+        let mut c = Conv1d::new(cin, cout, k, rng);
+        c.weight.grad.data_mut().fill(-0.0);
+        c.bias.grad.data_mut().fill(-0.0);
+        c
+    }
+
+    #[test]
+    fn weight_gradient_matches_dot_major_bitwise() {
+        use crate::simd::{set_simd_policy, SimdPolicy};
+        let mut rng = StdRng::seed_from_u64(14);
+        // Remainder tiles (c_out = 1, 3, 5, 9), half-height tiles
+        // (c_out ≤ 8), tail-only dots (l < 8), rows shorter than the pad
+        // (k = 21 on l ≤ 9) and the served window (l = 64).
+        let mut shapes = Vec::new();
+        for l in [1, 2, 5, 7, 8, 9, 16, 17, 63, 64] {
+            for cout in [1, 3, 4, 5, 8, 9, 16] {
+                for (i, k) in [1, 3, 5, 7, 21].into_iter().enumerate() {
+                    let cin = [1, 2, 8, 16][(l + cout + i) % 4];
+                    shapes.push((cin, cout, k, l));
+                }
+            }
+        }
+        for (cin, cout, k, l) in shapes {
+            let c = signed_zero_grads(cin, cout, k, &mut rng);
+            // Machine NaNs, ±inf at the row ends and an all-`-0.0` batch
+            // element on both sides; then a literal NaN and a lone +inf
+            // against a finite, zero-free gradient, so the NaN must come
+            // through with its exact bits.
+            let finite = Tensor::from_vec(
+                &[2, cout, l],
+                (0..2 * cout * l)
+                    .map(|i| ((i * 7 % 29) as f32 - 14.5) * 0.13)
+                    .collect(),
+            );
+            let cases = [
+                (special_input(cin, l), special_input(cout, l)),
+                (ramp_input(cin, l), finite),
+            ];
+            for policy in [SimdPolicy::Lanes, SimdPolicy::Scalar] {
+                set_simd_policy(policy);
+                for (x, g) in &cases {
+                    let at = format!("(cin={cin}, cout={cout}, k={k}, l={l}, {policy:?})");
+                    assert_weight_grad_matches(&c, x, g, &at);
+                }
+            }
+            set_simd_policy(SimdPolicy::Auto);
+        }
+        // Above the pool's work gate, so the tiles run as parallel tasks:
+        // full 8-row tiles, 4-row tiles and an 8 + 1 split.
+        for (n, cin, cout, k) in [(8, 16, 16, 7), (16, 8, 8, 5), (8, 8, 9, 7)] {
+            let l = 64;
+            assert!(n * cout * cin * k * l >= tspar::MIN_PAR_WORK);
+            let c = signed_zero_grads(cin, cout, k, &mut rng);
+            let ramp = |rows: usize, salt: usize| {
+                Tensor::from_vec(
+                    &[n, rows, l],
+                    (0..n * rows * l)
+                        .map(|i| (((i + salt) * 13 % 31) as f32 - 15.5) * 0.11)
+                        .collect(),
+                )
+            };
+            let (x, g) = (ramp(cin, 0), ramp(cout, 5));
+            for threads in [1, 2, 4] {
+                tspar::set_parallelism(tspar::Parallelism::Fixed(threads));
+                let at = format!("(n={n}, cin={cin}, cout={cout}, k={k}, {threads} threads)");
+                assert_weight_grad_matches(&c, &x, &g, &at);
+            }
+            tspar::set_parallelism(tspar::Parallelism::Auto);
         }
     }
 

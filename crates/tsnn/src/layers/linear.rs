@@ -72,14 +72,12 @@ impl Layer for Linear {
         let dw = x.t_matmul(grad_out);
         self.weight.grad.add_assign(&dw);
         // db += column sums of g
-        let out = self.out_features();
         for i in 0..grad_out.dim(0) {
             let row = grad_out.row(i);
             for (b, &g) in self.bias.grad.data_mut().iter_mut().zip(row) {
                 *b += g;
             }
         }
-        let _ = out;
         // dx = g · Wᵀ
         grad_out.matmul_t(&self.weight.value)
     }

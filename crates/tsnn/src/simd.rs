@@ -556,8 +556,9 @@ pub fn sum_sq_diff_scalar(xs: &[f32], mean: f32) -> f32 {
     F32x8(acc).reduce_sum()
 }
 
-/// Striped dot product `Σ a[i]·b[i]` in [`sum`]'s canonical order
-/// (Conv1d's weight-gradient accumulation).
+/// Striped dot product `Σ a[i]·b[i]` in [`sum`]'s canonical order: the
+/// chain each tap of Conv1d's weight gradient replays, many rows at a
+/// time.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.

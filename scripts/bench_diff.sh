@@ -8,9 +8,14 @@
 # (`*_per_sec`, `*speedup*`, `relative_throughput`) are better-higher;
 # timings (`*_ns`, `*_seconds`, `overhead_ns`, and unit rates such as the
 # detectors record's `ms_per_series` and `*_ns_per_elem`) are
-# better-lower. Config
-# fields (shapes, thread counts, request counts) are compared only to
-# warn when the two runs measured different workloads.
+# better-lower. The conv record's per-case fields go by the same
+# suffixes: `infer_ns`, `backward_ns` and `backward_train_ns` (backward
+# at the 64-window training batch) are better-lower, and their
+# `infer_gflop_per_sec`, `backward_gflop_per_sec` and
+# `backward_train_gflop_per_sec` rates better-higher. A metric missing
+# from the older record is skipped. Config fields (shapes, thread
+# counts, request counts) are compared only to warn when the two runs
+# measured different workloads.
 #
 # A >10% move in the worse direction is a RED FLAG and the script exits
 # nonzero — wire it as a non-fatal (continue-on-error) CI step: bench
