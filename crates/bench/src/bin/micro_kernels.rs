@@ -84,82 +84,6 @@ fn time_ns<R>(mut f: impl FnMut() -> R) -> f64 {
     samples[samples.len() / 2] * 1e9
 }
 
-/// Lane-kernel speedup over the previous-generation blocked kernel
-/// (`gemm_blocked_ref`, the 4-row compiler-vectorised tile this PR
-/// replaced), at the same shapes as the naive comparison. The two kernels
-/// must agree **bitwise** (`max_abs_diff == 0.0` asserted, not just
-/// printed): per output element both run the identical ascending-`p`
-/// scalar sum, so any nonzero diff is a determinism-contract break, not
-/// rounding.
-fn simd_benchmark(threads: usize) -> serde_json::Value {
-    use tsnn::gemm::{self, Layout};
-
-    println!(
-        "\n{:<16} {:>10} {:>5}x{:<4}x{:<4} {:>12} {:>12} {:>8} {:>8}",
-        "case", "op", "n", "m", "k", "ref ns", "lane ns", "speedup", "max|Δ|"
-    );
-    let mut rows = Vec::new();
-    let mut log_speedup_sum = 0.0f64;
-    for &(label, op, n, m, k) in CASES {
-        // Same operand layouts the Tensor entry points use for each op.
-        let (a_shape, b_shape, la, lb) = match op {
-            "matmul" => ([n, k], [k, m], Layout::Normal, Layout::Normal),
-            "t_matmul" => ([k, n], [k, m], Layout::Transposed, Layout::Normal),
-            "matmul_t" => ([n, k], [m, k], Layout::Normal, Layout::Transposed),
-            _ => unreachable!(),
-        };
-        let a = filled(&a_shape, 1).data().to_vec();
-        let b = filled(&b_shape, 2).data().to_vec();
-
-        let mut lane = vec![0.0f32; n * m];
-        gemm::gemm(n, m, k, &a, la, &b, lb, &mut lane);
-        let mut reference = vec![0.0f32; n * m];
-        gemm::gemm_blocked_ref(n, m, k, &a, la, &b, lb, &mut reference);
-        let diff = lane
-            .iter()
-            .zip(&reference)
-            .map(|(&x, &y)| (x - y).abs() as f64)
-            .fold(0.0, f64::max);
-        assert!(
-            diff == 0.0,
-            "{label}: lane kernel must be bitwise identical to the blocked reference ({diff})"
-        );
-
-        let ref_ns = time_ns(|| {
-            gemm::gemm_blocked_ref(n, m, k, &a, la, &b, lb, &mut reference);
-            reference[0]
-        });
-        let lane_ns = time_ns(|| {
-            gemm::gemm(n, m, k, &a, la, &b, lb, &mut lane);
-            lane[0]
-        });
-        let speedup = ref_ns / lane_ns;
-        log_speedup_sum += speedup.ln();
-        println!(
-            "{:<16} {:>10} {:>5}x{:<4}x{:<4} {:>12.0} {:>12.0} {:>7.2}x {:>8.1}",
-            label, op, n, m, k, ref_ns, lane_ns, speedup, diff
-        );
-        rows.push(serde_json::json!({
-            "case": label,
-            "op": op,
-            "n": n,
-            "m": m,
-            "k": k,
-            "ref_ns": ref_ns,
-            "lane_ns": lane_ns,
-            "speedup": speedup,
-            "max_abs_diff": diff,
-        }));
-    }
-    let geomean = (log_speedup_sum / CASES.len() as f64).exp();
-    println!("\nsimd geomean speedup over blocked reference: {geomean:.2}x at {threads} thread(s)");
-    serde_json::json!({
-        "threads": threads,
-        "geomean_speedup": geomean,
-        "cases": rows,
-    })
-}
-
 /// Large-inner-dimension cases for the k-blocked, dual-panel GEMM path.
 ///
 /// Both sides run through [`tsnn::gemm::gemm_prepacked_with_kc`] on the
@@ -1350,6 +1274,8 @@ fn detectors_benchmark() -> serde_json::Value {
 }
 
 fn main() {
+    use tsnn::gemm::{self, Layout};
+
     let threads = tspar::threads();
     println!("kernel micro-bench: {threads} thread(s) (KD_THREADS to override)\n");
     println!(
@@ -1360,12 +1286,28 @@ fn main() {
     let mut rows = Vec::new();
     let mut log_speedup_sum = 0.0f64;
     for &(label, op, n, m, k) in CASES {
-        let (a, b) = match op {
-            "matmul" => (filled(&[n, k], 1), filled(&[k, m], 2)),
+        // Operands plus the layouts `gemm_naive` reads them through.
+        let (a, b, la, lb) = match op {
+            "matmul" => (
+                filled(&[n, k], 1),
+                filled(&[k, m], 2),
+                Layout::Normal,
+                Layout::Normal,
+            ),
             // t_matmul: self is (inner, rows_out) = (k, n) in tensor terms.
-            "t_matmul" => (filled(&[k, n], 1), filled(&[k, m], 2)),
+            "t_matmul" => (
+                filled(&[k, n], 1),
+                filled(&[k, m], 2),
+                Layout::Transposed,
+                Layout::Normal,
+            ),
             // matmul_t: other is (m, k).
-            "matmul_t" => (filled(&[n, k], 1), filled(&[m, k], 2)),
+            "matmul_t" => (
+                filled(&[n, k], 1),
+                filled(&[m, k], 2),
+                Layout::Normal,
+                Layout::Transposed,
+            ),
             _ => unreachable!(),
         };
         let (fast, slow): (Tensor, Tensor) = match op {
@@ -1374,10 +1316,22 @@ fn main() {
             "matmul_t" => (a.matmul_t(&b), a.matmul_t_naive(&b)),
             _ => unreachable!(),
         };
+        // The seed kernels round mul and add separately, so they are an
+        // accuracy reference; `gemm_naive` runs the blocked kernel's own
+        // ascending-`p` fma chain per element, so it must match bitwise.
         let diff = max_abs_diff(&fast, &slow);
         assert!(
             diff <= 1e-5,
             "{label}: blocked kernel diverged from naive ({diff})"
+        );
+        let mut fused = vec![0.0f32; n * m];
+        gemm::gemm_naive(n, m, k, a.data(), la, b.data(), lb, &mut fused);
+        assert!(
+            fast.data()
+                .iter()
+                .zip(&fused)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{label}: blocked kernel is not bitwise gemm_naive"
         );
 
         let naive_ns = match op {
@@ -1413,9 +1367,6 @@ fn main() {
 
     let geomean = (log_speedup_sum / CASES.len() as f64).exp();
     println!("\ngeomean speedup: {geomean:.2}x at {threads} thread(s)");
-
-    // --- Lane kernel vs the previous blocked kernel, bitwise-guarded. -----
-    let simd = simd_benchmark(threads);
 
     // --- k-blocked dual-panel kernel vs the unblocked sweep, large k. -----
     let gemm_large_k = large_k_benchmark();
@@ -1474,7 +1425,6 @@ fn main() {
         "threads": threads,
         "geomean_speedup": geomean,
         "cases": rows,
-        "simd": simd,
         "gemm_large_k": gemm_large_k,
         "conv": conv,
         "detectors": detectors,

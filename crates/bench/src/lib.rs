@@ -7,7 +7,7 @@
 //!   sizes the synthetic benchmark and the training budget,
 //! * one disk-cached label matrix per scale (the 12 detectors run once), and
 //! * table-printing and result-recording helpers (results land in
-//!   `target/kdsel-results/*.json` for EXPERIMENTS.md).
+//!   `target/kdsel-results/*.json`, one file per table or figure).
 
 use kdselector_core::eval::EvalReport;
 use kdselector_core::pipeline::{Pipeline, PipelineConfig};
@@ -21,7 +21,8 @@ use tsdata::{BenchmarkConfig, WindowConfig};
 pub enum Scale {
     /// Seconds-scale smoke run.
     Quick,
-    /// Minutes-scale default (used for the committed EXPERIMENTS.md).
+    /// Minutes-scale default, the scale the paper-table reproductions are
+    /// meant to be read at.
     Default,
     /// Larger run closer to the paper's data volume.
     Paper,
@@ -147,7 +148,7 @@ pub fn print_table(
     }
 }
 
-/// Where bench results are recorded for EXPERIMENTS.md.
+/// Where bench results are recorded (`target/kdsel-results`).
 pub fn results_dir() -> PathBuf {
     let dir = PathBuf::from("target/kdsel-results");
     let _ = std::fs::create_dir_all(&dir);

@@ -127,9 +127,10 @@ impl Default for MkiConfig {
     fn default() -> Self {
         // λ = 1.0 is the paper's selected value (it picks λ ∈ {0.78, 1.0}).
         // On this reproduction's deliberately small encoders MKI is
-        // neutral-to-negative at any λ we tried (1.0 and 0.3 are both
-        // benchmarked; see EXPERIMENTS.md, "Notes on fidelity") — the
-        // default stays paper-faithful rather than tuned to our substrate.
+        // neutral-to-negative at any λ we tried (1.0 and 0.3 were both
+        // run through the Table 1 bench; no quality record is committed
+        // yet) — the default stays paper-faithful rather than tuned to our
+        // substrate.
         Self {
             lambda: 1.0,
             proj_dim: 64,

@@ -17,7 +17,7 @@
 //! | LSTM-AD | LSTM next-point forecasting error |
 //! | POLY | polynomial extrapolation error |
 //! | CNN | convolutional next-point forecasting error |
-//! | OCSVM | one-class SVM boundary distance (RFF + linear, see DESIGN.md) |
+//! | OCSVM | one-class SVM boundary distance (RFF + linear, see README "Substitutions") |
 //!
 //! All detectors are deterministic given their seed.
 

@@ -4,7 +4,7 @@
 //! kernel. Kernel SMO is out of scope for this reproduction; random Fourier
 //! features approximate the RBF feature map, after which the one-class
 //! objective `½‖w‖² + (1/νm) Σ max(0, ρ − w·φ(x)) − ρ` is solved by SGD.
-//! Documented as a substitution in DESIGN.md.
+//! Documented in the README's "Substitutions" section.
 
 use crate::common::{auto_window, normalize_scores, sliding_windows, window_scores_to_points};
 use crate::{Detector, ModelId};

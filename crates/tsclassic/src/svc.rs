@@ -3,7 +3,7 @@
 //! The benchmark's SVC baseline uses a kernel SVM; this reproduction trains a
 //! multi-class *linear* SVM with L2 regularisation by averaged SGD (a
 //! Pegasos-style solver) on standardised features — same model family, CPU
-//! budget friendly. Documented as a substitution in DESIGN.md.
+//! budget friendly. Documented in the README's "Substitutions" section.
 
 use crate::Classifier;
 use rand::rngs::StdRng;

@@ -13,8 +13,8 @@
 //! detectors win on different data* — is preserved by construction: point
 //! anomalies in noisy KPIs favour density/histogram detectors, subsequence
 //! anomalies in periodic signals favour discord/pattern detectors, trend
-//! breaks favour forecasting detectors, and so on. See DESIGN.md for the
-//! substitution rationale.
+//! breaks favour forecasting detectors, and so on. See the README's
+//! "Substitutions" section for the rationale.
 //!
 //! Everything is deterministic given a seed.
 

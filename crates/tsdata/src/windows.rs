@@ -167,7 +167,7 @@ pub(crate) fn znorm(values: &mut [f32]) {
     let n = values.len() as f32;
     // Lane-striped reductions from the compute core; the mean/variance
     // summation order is canonical (see `tsnn::simd`), so results do not
-    // depend on whether the lane path or its scalar fallback runs.
+    // depend on the ISA the crate is compiled for.
     let mean = tsnn::simd::sum(values) / n;
     let var = tsnn::simd::sum_sq_diff(values, mean) / n;
     let std = var.sqrt();
@@ -180,9 +180,8 @@ pub(crate) fn znorm(values: &mut [f32]) {
     // zeros the constant-window contract promises. Relative variation
     // below 1e-6 (≈ 8 f32 ulps) is indistinguishable from that rounding
     // noise, so it is flattened to zeros deterministically. The threshold
-    // is a pure function of `mean`/`std`, which the lane and scalar
-    // reduction paths compute bitwise-identically, so the branch taken
-    // never depends on the SIMD policy.
+    // is a pure function of `mean`/`std`, whose bits are fixed by the
+    // canonical reduction order, so the branch taken is too.
     if std < 1e-6 * mean.abs().max(1.0) {
         for v in values.iter_mut() {
             *v = 0.0;
@@ -277,26 +276,20 @@ mod tests {
     }
 
     #[test]
-    fn constant_window_at_large_offset_znorms_to_zero_on_both_simd_paths() {
-        use tsnn::simd::{set_simd_policy, SimdPolicy};
+    fn constant_window_at_large_offset_znorms_to_zero() {
         // Regression: these baselines are not exactly representable as f32
         // multiples, so the striped f32 mean picks up rounding noise and
         // the old absolute `std < 1e-6` guard let a *constant* window emit
         // a constant garbage z-score (−1 at 1e6 + 0.3) instead of zeros.
         for base in [1e6 + 0.3, 12345.678, 2.5e6 + 0.7, -1e6 - 0.3] {
-            for policy in [SimdPolicy::Lanes, SimdPolicy::Scalar] {
-                set_simd_policy(policy);
-                let ts = TimeSeries::new("t", "D", vec![base; 64], vec![]);
-                let ws = extract_windows(&ts, 0, &WindowConfig::default());
-                assert!(
-                    ws[0].values.iter().all(|&v| v == 0.0),
-                    "constant window at offset {base} must z-norm to zeros \
-                     ({policy:?} path), got {:?}",
-                    &ws[0].values[..4]
-                );
-            }
+            let ts = TimeSeries::new("t", "D", vec![base; 64], vec![]);
+            let ws = extract_windows(&ts, 0, &WindowConfig::default());
+            assert!(
+                ws[0].values.iter().all(|&v| v == 0.0),
+                "constant window at offset {base} must z-norm to zeros, got {:?}",
+                &ws[0].values[..4]
+            );
         }
-        set_simd_policy(SimdPolicy::Auto);
     }
 
     #[test]
@@ -325,29 +318,6 @@ mod tests {
         // f32 input quantisation at 1e6 (ulp 0.0625) leaves a few-permille
         // residual in the z-score mean — centred up to that noise floor.
         assert!(mean.abs() < 1e-2, "z-scores centred, mean {mean}");
-    }
-
-    #[test]
-    fn znorm_bitwise_equal_across_simd_paths() {
-        use tsnn::simd::{set_simd_policy, SimdPolicy};
-        // 67 is not a lane multiple, so the striped tail handling runs.
-        let base: Vec<f32> = (0..67)
-            .map(|i| (i as f32 * 0.31).sin() * 3.0 + 0.2)
-            .collect();
-        set_simd_policy(SimdPolicy::Lanes);
-        let mut lanes = base.clone();
-        znorm(&mut lanes);
-        set_simd_policy(SimdPolicy::Scalar);
-        let mut scalar = base;
-        znorm(&mut scalar);
-        set_simd_policy(SimdPolicy::Auto);
-        assert!(
-            lanes
-                .iter()
-                .zip(&scalar)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "znorm lane and scalar paths diverge"
-        );
     }
 
     #[test]

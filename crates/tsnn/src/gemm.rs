@@ -21,9 +21,10 @@
 //!   rows both compile to shuffle-heavy spills instead), the `NR` output
 //!   columns are the vector lanes, and each `k` step broadcasts one packed
 //!   `A` value against one packed `B` row. Eight rows give eight
-//!   independent add chains, enough to hide vector-add latency. A scalar
-//!   fallback with identical semantics stays compiled (`KD_NO_SIMD=1` or
-//!   [`crate::simd::set_simd_policy`]) — see the determinism note below.
+//!   independent add chains, enough to hide vector-add latency. It is the
+//!   only tile kernel; the lane types are plain per-lane arrays, so its
+//!   bits do not depend on the ISA it is compiled for (determinism note
+//!   below).
 //!
 //! * For large `k` the inner dimension is **cache-blocked** in steps of
 //!   [`KC`]: the packed `A` tile slice for one `k` block ([`KC`]·[`MR`]
@@ -46,9 +47,8 @@
 //! which is what lets the dual-panel blocked kernel below actually run
 //! faster instead of hitting the same port wall.) Vectorisation runs
 //! *across* the `NR` output columns (each lane is one output element's
-//! chain), never across `k` — so the lane kernel, the scalar fallback,
-//! the previous 4-row blocked kernel ([`gemm_blocked_ref`]) and the naive
-//! seed kernel ([`gemm_naive`]) all agree **bitwise**. `k` blocking does not perturb
+//! chain), never across `k` — so the lane kernel and the naive seed
+//! kernel ([`gemm_naive`]) agree **bitwise**. `k` blocking does not perturb
 //! the chains either: the micro-kernel seeds its accumulators from the
 //! partial sums stored in `C` by the previous block, and an `f32`
 //! register → memory → register round trip is bit-preserving (including
@@ -68,18 +68,11 @@ use crate::simd::{self, F32x16};
 /// Micro-kernel tile height (rows of `A` per register block). Eight rows —
 /// one lane accumulator each — give eight independent add chains per `k`
 /// step, enough to hide vector-add latency on any recent x86/ARM core
-/// (the previous 4-row kernel, kept as [`gemm_blocked_ref`], was
-/// latency-bound at half the chains).
+/// (a 4-row tile was latency-bound at half the chains).
 pub const MR: usize = 8;
 /// Micro-kernel tile width (columns of `B` per register block) — the lane
 /// count of [`F32x16`], so one accumulator row is exactly one vector.
 pub const NR: usize = 16;
-
-/// Row-tile height of the previous-generation reference kernel
-/// ([`gemm_blocked_ref`]).
-pub const REF_MR: usize = 4;
-/// Panel width of the previous-generation reference kernel.
-pub const REF_NR: usize = 8;
 
 /// Work below this many fused multiply-adds is not worth packing.
 const PACK_FLOP_THRESHOLD: usize = 4096;
@@ -135,16 +128,7 @@ pub fn gemm(
         gemm_thin(n, m, k, a, a_layout, b, c);
         return;
     }
-    gemm_blocked(
-        n,
-        m,
-        k,
-        a,
-        a_layout,
-        &pack_b::<NR>(m, k, b, b_layout),
-        KC,
-        c,
-    );
+    gemm_blocked(n, m, k, a, a_layout, &pack_b(m, k, b, b_layout), KC, c);
 }
 
 /// [`gemm`] with an explicit inner-dimension block size `kc` instead of
@@ -166,16 +150,7 @@ pub fn gemm_with_kc(
     c: &mut [f32],
 ) {
     debug_assert_eq!(c.len(), n * m);
-    gemm_blocked(
-        n,
-        m,
-        k,
-        a,
-        a_layout,
-        &pack_b::<NR>(m, k, b, b_layout),
-        kc,
-        c,
-    );
+    gemm_blocked(n, m, k, a, a_layout, &pack_b(m, k, b, b_layout), kc, c);
 }
 
 /// Products with `k == 1` or a single output column (`m == 1`) — the
@@ -186,8 +161,7 @@ pub fn gemm_with_kc(
 /// B'[p][j], sum)` for ascending `p`, operands in that order), so the
 /// result is bitwise [`gemm_naive`]'s: `k == 1` is one fma per element; a
 /// single column runs 16 rows per [`F32x16`] when `A` is contiguous across
-/// rows (unless the scalar fallback is forced), else eight interleaved
-/// register chains, one per row.
+/// rows, else eight interleaved register chains, one per row.
 fn gemm_thin(n: usize, m: usize, k: usize, a: &[f32], a_layout: Layout, b: &[f32], c: &mut [f32]) {
     if k == 1 {
         // Outer product: one fma onto +0.0 per element.
@@ -202,7 +176,7 @@ fn gemm_thin(n: usize, m: usize, k: usize, a: &[f32], a_layout: Layout, b: &[f32
     let b = &b[..k];
     if a_layout == Layout::Transposed {
         const W: usize = simd::F32_WIDE_LANES;
-        let lanes = if simd::simd_enabled() { n - n % W } else { 0 };
+        let lanes = n - n % W;
         for i0 in (0..lanes).step_by(W) {
             let mut acc = F32x16::zero();
             for (p, &bp) in b.iter().enumerate() {
@@ -320,7 +294,7 @@ impl PackedB {
         Self {
             m,
             k,
-            panels: pack_b::<NR>(m, k, b, layout),
+            panels: pack_b(m, k, b, layout),
         }
     }
 
@@ -370,33 +344,32 @@ fn block_rows() -> usize {
     })
 }
 
-/// Packs `B'` (`k×m` after layout) into `W`-wide column panels,
-/// zero-padded. `W` is [`NR`] for the lane kernel, [`REF_NR`] for the
-/// reference kernel.
-fn pack_b<const W: usize>(m: usize, k: usize, b: &[f32], layout: Layout) -> Vec<f32> {
-    let m_pad = m.div_ceil(W) * W;
+/// Packs `B'` (`k×m` after layout) into [`NR`]-wide column panels,
+/// zero-padded.
+fn pack_b(m: usize, k: usize, b: &[f32], layout: Layout) -> Vec<f32> {
+    let m_pad = m.div_ceil(NR) * NR;
     let mut out = vec![0.0f32; k * m_pad];
     match layout {
         Layout::Normal => {
             // B'[p][j] = b[p * m + j]; copy row slices panel by panel.
-            for (panel, j0) in (0..m).step_by(W).enumerate() {
-                let width = W.min(m - j0);
-                let dst_base = panel * (k * W);
+            for (panel, j0) in (0..m).step_by(NR).enumerate() {
+                let width = NR.min(m - j0);
+                let dst_base = panel * (k * NR);
                 for p in 0..k {
                     let src = &b[p * m + j0..p * m + j0 + width];
-                    out[dst_base + p * W..dst_base + p * W + width].copy_from_slice(src);
+                    out[dst_base + p * NR..dst_base + p * NR + width].copy_from_slice(src);
                 }
             }
         }
         Layout::Transposed => {
             // B'[p][j] = b[j * k + p]; source columns are contiguous rows.
-            for (panel, j0) in (0..m).step_by(W).enumerate() {
-                let width = W.min(m - j0);
-                let dst_base = panel * (k * W);
+            for (panel, j0) in (0..m).step_by(NR).enumerate() {
+                let width = NR.min(m - j0);
+                let dst_base = panel * (k * NR);
                 for jj in 0..width {
                     let src = &b[(j0 + jj) * k..(j0 + jj) * k + k];
                     for (p, &v) in src.iter().enumerate() {
-                        out[dst_base + p * W + jj] = v;
+                        out[dst_base + p * NR + jj] = v;
                     }
                 }
             }
@@ -405,25 +378,12 @@ fn pack_b<const W: usize>(m: usize, k: usize, b: &[f32], layout: Layout) -> Vec<
     out
 }
 
-/// Packs row tile `tile` (height `TH`) of `A'` (`n×k` after layout):
-/// `packed[p*TH + ii] = A'[tile*TH + ii][p]`, zero-padded below row `n`.
-fn pack_a_tile<const TH: usize>(
-    tile: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    layout: Layout,
-    packed: &mut [f32],
-) {
-    pack_a_tile_range::<TH>(tile, n, k, 0, k, a, layout, packed);
-}
-
-/// Packs the `p ∈ [p0, p0 + pc)` slice of row tile `tile` (height `TH`)
-/// of `A'` (`n×k` after layout): `packed[p*TH + ii] = A'[tile*TH + ii]
+/// Packs the `p ∈ [p0, p0 + pc)` slice of row tile `tile` (height [`MR`])
+/// of `A'` (`n×k` after layout): `packed[p*MR + ii] = A'[tile*MR + ii]
 /// [p0 + p]`, zero-padded below row `n`. The k-blocked tile loop packs
 /// one [`KC`]-step block at a time so the scratch stays L1-sized.
 #[allow(clippy::too_many_arguments)]
-fn pack_a_tile_range<const TH: usize>(
+fn pack_a_tile_range(
     tile: usize,
     n: usize,
     k: usize,
@@ -433,14 +393,14 @@ fn pack_a_tile_range<const TH: usize>(
     layout: Layout,
     packed: &mut [f32],
 ) {
-    let i0 = tile * TH;
-    let rows = TH.min(n - i0);
+    let i0 = tile * MR;
+    let rows = MR.min(n - i0);
     match layout {
         Layout::Normal => {
             // A'[i][p] = a[i * k + p].
             for p in 0..pc {
-                for ii in 0..TH {
-                    packed[p * TH + ii] = if ii < rows {
+                for ii in 0..MR {
+                    packed[p * MR + ii] = if ii < rows {
                         a[(i0 + ii) * k + p0 + p]
                     } else {
                         0.0
@@ -452,7 +412,7 @@ fn pack_a_tile_range<const TH: usize>(
             // A'[i][p] = a[p * n + i]; each p is a contiguous source row.
             for p in 0..pc {
                 let src = &a[(p0 + p) * n + i0..(p0 + p) * n + i0 + rows];
-                let dst = &mut packed[p * TH..p * TH + TH];
+                let dst = &mut packed[p * MR..p * MR + MR];
                 dst[..rows].copy_from_slice(src);
                 for v in &mut dst[rows..] {
                     *v = 0.0;
@@ -490,19 +450,16 @@ fn gemm_row_tile_into(
     }
     let rows = MR.min(n - i0);
     let row0 = i0 - row_base;
-    // One dispatch decision per row tile; the micro-kernels themselves
-    // never consult the flag inside the k loop.
-    let lanes = simd::simd_enabled();
     // Panel fusion rides with k blocking: both target the same
     // large-inner-dimension regime, and keeping `kc ≥ k` (the "unblocked"
     // setting) on the exact single-panel code path gives benchmarks a
     // faithful pre-blocking baseline.
-    let pair = PAIR_PANELS && lanes && k > kc;
+    let pair = PAIR_PANELS && k > kc;
     let n_panels = m.div_ceil(NR);
     let mut p0 = 0;
     loop {
         let pc = kc.min(k - p0);
-        pack_a_tile_range::<MR>(tile, n, k, p0, pc, a, a_layout, packed_a);
+        pack_a_tile_range(tile, n, k, p0, pc, a, a_layout, packed_a);
         let ap = &packed_a[..pc * MR];
         let first = p0 == 0;
         let mut panel = 0;
@@ -526,11 +483,7 @@ fn gemm_row_tile_into(
             let width = NR.min(m - j0);
             let bp = &packed_b[base + p0 * NR..base + (p0 + pc) * NR];
             let init = load_tile(c_chunk, row0, m, j0, width, rows, first);
-            let acc = if lanes {
-                micro_kernel_lanes(pc, ap, bp, &init)
-            } else {
-                micro_kernel_scalar(pc, ap, bp, &init)
-            };
+            let acc = micro_kernel_lanes(pc, ap, bp, &init);
             store_tile(&acc, c_chunk, row0, m, j0, width, rows);
             panel += 1;
         }
@@ -583,11 +536,11 @@ fn store_tile(
 /// whose lanes are the `NR` output columns, held in registers for the
 /// whole `kc` loop. Each step broadcasts one packed-`A` value against the
 /// packed-`B` row — per output element the sum runs in ascending-`p`
-/// order, identical to the naive reference, so lane, scalar, reference
-/// and naive kernels agree to the last bit. The accumulators are seeded
-/// from `init` (all zeros for the first — or only — `k` block; the
-/// previous block's partial sums otherwise); loading zeros is bitwise
-/// [`F32x16::zero`], so the unblocked case is unchanged.
+/// order, identical to the naive reference, so the two agree to the last
+/// bit. The accumulators are seeded from `init` (all zeros for the first —
+/// or only — `k` block; the previous block's partial sums otherwise);
+/// loading zeros is bitwise [`F32x16::zero`], so the unblocked case is
+/// unchanged.
 ///
 /// The eight rows are individually named locals on purpose: an
 /// accumulator *array* this size defeats LLVM's scalar replacement and
@@ -746,84 +699,6 @@ fn micro_kernel_lanes_x2(
     )
 }
 
-/// The scalar fallback of [`micro_kernel_lanes`]: the same MR×NR
-/// accumulator walked with plain scalar loops in the same order — bitwise
-/// identical by construction, kept compiled and exercised by the
-/// `KD_NO_SIMD=1` CI leg.
-// kdprof: hot
-#[inline(always)]
-fn micro_kernel_scalar(
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    init: &[[f32; NR]; MR],
-) -> [[f32; NR]; MR] {
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    let mut acc = *init;
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
-        let a: &[f32; MR] = a.try_into().unwrap();
-        let b: &[f32; NR] = b.try_into().unwrap();
-        for (row, &av) in acc.iter_mut().zip(a) {
-            for (acc_v, &bv) in row.iter_mut().zip(b) {
-                *acc_v = av.mul_add(bv, *acc_v);
-            }
-        }
-    }
-    acc
-}
-
-/// The previous-generation blocked kernel: [`REF_MR`]-row tiles with the
-/// compiler-vectorised scalar micro-kernel, serial. Kept as the timing and
-/// equality reference for the lane kernel (as [`gemm_naive`] is the seed
-/// reference) — `BENCH_micro.json`'s `simd` entry records the lane
-/// kernel's speedup over this, with a `max_abs_diff = 0` guard.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_blocked_ref(
-    n: usize,
-    m: usize,
-    k: usize,
-    a: &[f32],
-    a_layout: Layout,
-    b: &[f32],
-    b_layout: Layout,
-    c: &mut [f32],
-) {
-    debug_assert_eq!(c.len(), n * m);
-    let panels = pack_b::<REF_NR>(m, k, b, b_layout);
-    let mut packed_a = vec![0.0f32; k * REF_MR];
-    for tile in 0..n.div_ceil(REF_MR) {
-        let i0 = tile * REF_MR;
-        let rows = REF_MR.min(n - i0);
-        pack_a_tile::<REF_MR>(tile, n, k, a, a_layout, &mut packed_a);
-        for (panel, j0) in (0..m).step_by(REF_NR).enumerate() {
-            let width = REF_NR.min(m - j0);
-            let bp = &panels[panel * (k * REF_NR)..(panel + 1) * (k * REF_NR)];
-            let acc = micro_kernel_ref(k, &packed_a, bp);
-            for (ii, acc_row) in acc.iter().enumerate().take(rows) {
-                let dst = &mut c[(i0 + ii) * m + j0..(i0 + ii) * m + j0 + width];
-                dst.copy_from_slice(&acc_row[..width]);
-            }
-        }
-    }
-}
-
-/// The previous 4×8 register-tile kernel, verbatim.
-#[inline(always)]
-fn micro_kernel_ref(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; REF_NR]; REF_MR] {
-    let mut acc = [[0.0f32; REF_NR]; REF_MR];
-    debug_assert!(ap.len() >= k * REF_MR && bp.len() >= k * REF_NR);
-    for (a, b) in ap.chunks_exact(REF_MR).zip(bp.chunks_exact(REF_NR)).take(k) {
-        let a: &[f32; REF_MR] = a.try_into().unwrap();
-        let b: &[f32; REF_NR] = b.try_into().unwrap();
-        for (row, &av) in acc.iter_mut().zip(a) {
-            for (acc_v, &bv) in row.iter_mut().zip(b) {
-                *acc_v = av.mul_add(bv, *acc_v);
-            }
-        }
-    }
-    acc
-}
-
 /// Reference implementation: straightforward loops, ascending-`p` sums.
 /// Public so tests and benchmarks can compare against the blocked path.
 #[allow(clippy::too_many_arguments)]
@@ -861,12 +736,38 @@ pub fn gemm_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::{set_simd_policy, SimdPolicy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn random_matrix(rng: &mut StdRng, len: usize) -> Vec<f32> {
         (0..len).map(|_| rng.random_range(-1.0f32..1.0)).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Scalar replay of [`micro_kernel_lanes`]: the same MR×NR accumulator
+    /// walked with plain scalar loops in the same order — the oracle the
+    /// lane tile is pinned against.
+    fn micro_kernel_scalar(
+        kc: usize,
+        ap: &[f32],
+        bp: &[f32],
+        init: &[[f32; NR]; MR],
+    ) -> [[f32; NR]; MR] {
+        debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+        let mut acc = *init;
+        for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
+            let a: &[f32; MR] = a.try_into().unwrap();
+            let b: &[f32; NR] = b.try_into().unwrap();
+            for (row, &av) in acc.iter_mut().zip(a) {
+                for (acc_v, &bv) in row.iter_mut().zip(b) {
+                    *acc_v = av.mul_add(bv, *acc_v);
+                }
+            }
+        }
+        acc
     }
 
     fn check_all_layouts(n: usize, m: usize, k: usize, seed: u64) {
@@ -912,8 +813,8 @@ mod tests {
         check_all_layouts(4, 1, 128, 3);
     }
 
-    /// Thin shapes above the naive shortcut ≡ naive, bitwise, under both
-    /// dispatch policies: `k == 1` and a single output column
+    /// Thin shapes above the naive shortcut ≡ naive, bitwise: `k == 1`
+    /// and a single output column
     /// (`gemm_thin`) and a single output row (the blocked kernel), each
     /// with lane remainders, over every layout pair, with ±0.0, ±inf and
     /// NaN mixed into finite operands.
@@ -930,45 +831,34 @@ mod tests {
             (1, 1, 5000),
         ];
         let layouts = [Layout::Normal, Layout::Transposed];
-        for &policy in &[SimdPolicy::Lanes, SimdPolicy::Scalar] {
-            set_simd_policy(policy);
-            for (s, &(n, m, k)) in shapes.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(s as u64);
-                for la in layouts {
-                    for lb in layouts {
-                        let mut a = random_matrix(&mut rng, n * k);
-                        let mut b = random_matrix(&mut rng, k * m);
-                        let (a_len, b_len) = (a.len(), b.len());
-                        for (i, &v) in specials.iter().enumerate() {
-                            a[(i * 7919) % a_len] = v;
-                            b[(i * 104_729 + 3) % b_len] = v;
-                        }
-                        let mut naive = vec![0.0f32; n * m];
-                        gemm_naive(n, m, k, &a, la, &b, lb, &mut naive);
-                        let mut thin = vec![1.0f32; n * m];
-                        gemm(n, m, k, &a, la, &b, lb, &mut thin);
-                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(&thin), bits(&naive), "({n},{m},{k}) {la:?}/{lb:?}");
+        for (s, &(n, m, k)) in shapes.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(s as u64);
+            for la in layouts {
+                for lb in layouts {
+                    let mut a = random_matrix(&mut rng, n * k);
+                    let mut b = random_matrix(&mut rng, k * m);
+                    let (a_len, b_len) = (a.len(), b.len());
+                    for (i, &v) in specials.iter().enumerate() {
+                        a[(i * 7919) % a_len] = v;
+                        b[(i * 104_729 + 3) % b_len] = v;
                     }
+                    let mut naive = vec![0.0f32; n * m];
+                    gemm_naive(n, m, k, &a, la, &b, lb, &mut naive);
+                    let mut thin = vec![1.0f32; n * m];
+                    gemm(n, m, k, &a, la, &b, lb, &mut thin);
+                    assert_eq!(bits(&thin), bits(&naive), "({n},{m},{k}) {la:?}/{lb:?}");
                 }
             }
         }
-        set_simd_policy(SimdPolicy::Auto);
     }
 
-    /// simd ≡ blocked-reference ≡ naive, bitwise, at the ragged shapes the
-    /// tiling has to pad — `n % MR != 0`, `m % NR != 0`, `m < NR`,
-    /// `n < MR`, `k == 0` — across both dispatch paths and
-    /// `KD_THREADS ∈ {1, 4}`. The blocked path is driven directly (not
+    /// Lane kernel ≡ naive, bitwise, at the ragged shapes the tiling has
+    /// to pad — `n % MR != 0`, `m % NR != 0`, `m < NR`, `n < MR`, `k == 0`
+    /// — at `KD_THREADS ∈ {1, 4}`. The blocked path is driven directly (not
     /// through `gemm`'s naive small-shape shortcut) so the tile padding is
     /// really exercised at the tiny shapes.
-    ///
-    /// Flipping the global simd policy mid-suite is safe for concurrently
-    /// running tests: both paths are bitwise identical, so any dispatch a
-    /// neighbour happens to observe produces the same results — the same
-    /// argument `tspar`'s pool property tests rely on.
     #[test]
-    fn ragged_shapes_bitwise_equal_across_kernels_paths_and_threads() {
+    fn ragged_shapes_bitwise_equal_across_kernels_and_threads() {
         // (n, m, k): n ragged vs MR=8, m ragged vs NR=16 (above and below
         // one panel), m < NR, n < MR, both ragged, k = 0, and one aligned
         // control.
@@ -976,7 +866,7 @@ mod tests {
             (13, 16, 24), // n % MR != 0
             (16, 21, 24), // m % NR != 0, m > NR
             (16, 13, 24), // m % NR != 0, m < NR
-            (16, 5, 24),  // m < NR, below the ref panel width too
+            (16, 5, 24),  // m well below NR
             (5, 16, 24),  // n < MR
             (11, 7, 33),  // both ragged, odd k
             (9, 9, 0),    // k == 0 → all-zero C
@@ -984,48 +874,41 @@ mod tests {
         ];
         for &threads in &[1usize, 4] {
             tspar::set_parallelism(tspar::Parallelism::Fixed(threads));
-            for &policy in &[SimdPolicy::Lanes, SimdPolicy::Scalar] {
-                set_simd_policy(policy);
-                for &(n, m, k) in &shapes {
-                    let mut rng = StdRng::seed_from_u64((n * 971 + m * 31 + k) as u64);
-                    for (la, lb) in [
-                        (Layout::Normal, Layout::Normal),
-                        (Layout::Transposed, Layout::Normal),
-                        (Layout::Normal, Layout::Transposed),
-                    ] {
-                        let a = random_matrix(&mut rng, n * k);
-                        let b = random_matrix(&mut rng, k * m);
-                        let mut naive = vec![f32::NAN; n * m];
-                        gemm_naive(n, m, k, &a, la, &b, lb, &mut naive);
-                        let mut blocked_ref = vec![f32::NAN; n * m];
-                        gemm_blocked_ref(n, m, k, &a, la, &b, lb, &mut blocked_ref);
-                        let mut lane = vec![f32::NAN; n * m];
-                        gemm_blocked(n, m, k, &a, la, &pack_b::<NR>(m, k, &b, lb), KC, &mut lane);
-                        let ctx =
-                            format!("({n},{m},{k}) {la:?}/{lb:?} threads={threads} {policy:?}");
-                        assert_eq!(naive, blocked_ref, "naive vs ref {ctx}");
-                        assert_eq!(naive, lane, "naive vs lane {ctx}");
-                        if k == 0 {
-                            assert!(lane.iter().all(|&v| v == 0.0), "k=0 zeroes C {ctx}");
-                        }
+            for &(n, m, k) in &shapes {
+                let mut rng = StdRng::seed_from_u64((n * 971 + m * 31 + k) as u64);
+                for (la, lb) in [
+                    (Layout::Normal, Layout::Normal),
+                    (Layout::Transposed, Layout::Normal),
+                    (Layout::Normal, Layout::Transposed),
+                ] {
+                    let a = random_matrix(&mut rng, n * k);
+                    let b = random_matrix(&mut rng, k * m);
+                    let mut naive = vec![f32::NAN; n * m];
+                    gemm_naive(n, m, k, &a, la, &b, lb, &mut naive);
+                    let mut lane = vec![f32::NAN; n * m];
+                    gemm_blocked(n, m, k, &a, la, &pack_b(m, k, &b, lb), KC, &mut lane);
+                    let ctx = format!("({n},{m},{k}) {la:?}/{lb:?} threads={threads}");
+                    assert_eq!(bits(&naive), bits(&lane), "naive vs lane {ctx}");
+                    if k == 0 {
+                        assert!(lane.iter().all(|&v| v == 0.0), "k=0 zeroes C {ctx}");
                     }
                 }
             }
-            set_simd_policy(SimdPolicy::Auto);
         }
         tspar::set_parallelism(tspar::Parallelism::Auto);
     }
 
     #[test]
     fn lane_and_scalar_micro_kernels_bitwise_equal() {
+        let tile_bits = |t: [[f32; NR]; MR]| t.map(|row| row.map(f32::to_bits));
         let mut rng = StdRng::seed_from_u64(77);
         let zero = [[0.0f32; NR]; MR];
         for &k in &[0usize, 1, 7, 32, 129] {
             let ap = random_matrix(&mut rng, k * MR);
             let bp = random_matrix(&mut rng, k * NR);
             assert_eq!(
-                micro_kernel_lanes(k, &ap, &bp, &zero),
-                micro_kernel_scalar(k, &ap, &bp, &zero),
+                tile_bits(micro_kernel_lanes(k, &ap, &bp, &zero)),
+                tile_bits(micro_kernel_scalar(k, &ap, &bp, &zero)),
                 "k={k} zero seed"
             );
             // Non-trivial accumulator seeds (the k-blocked continuation
@@ -1037,8 +920,8 @@ mod tests {
                 }
             }
             assert_eq!(
-                micro_kernel_lanes(k, &ap, &bp, &init),
-                micro_kernel_scalar(k, &ap, &bp, &init),
+                tile_bits(micro_kernel_lanes(k, &ap, &bp, &init)),
+                tile_bits(micro_kernel_scalar(k, &ap, &bp, &init)),
                 "k={k} seeded"
             );
         }
@@ -1047,8 +930,8 @@ mod tests {
     /// k-blocked ≡ unblocked, bitwise, at every block size — including
     /// `kc = 1` (one store/reload round trip per `p` step, the worst
     /// case for the "memory round trips are exact" argument), ragged
-    /// shapes, every layout pair, and both simd policies. This is the
-    /// pin the module-level determinism note points at.
+    /// shapes and every layout pair. This is the pin the module-level
+    /// determinism note points at.
     #[test]
     fn k_blocked_matches_unblocked_bitwise() {
         let shapes = [
@@ -1057,34 +940,35 @@ mod tests {
             (16, 16, 300), // aligned, k > KC at kc = 256
             (8, 16, 513),  // one step past a kc = 256 boundary
         ];
-        for &policy in &[SimdPolicy::Lanes, SimdPolicy::Scalar] {
-            set_simd_policy(policy);
-            for &(n, m, k) in &shapes {
-                let mut rng = StdRng::seed_from_u64((n * 7919 + m * 131 + k) as u64);
-                for (la, lb) in [
-                    (Layout::Normal, Layout::Normal),
-                    (Layout::Transposed, Layout::Normal),
-                    (Layout::Normal, Layout::Transposed),
-                ] {
-                    let a = random_matrix(&mut rng, n * k);
-                    let b = random_matrix(&mut rng, k * m);
-                    let mut unblocked = vec![f32::NAN; n * m];
-                    gemm_with_kc(n, m, k, &a, la, &b, lb, usize::MAX, &mut unblocked);
-                    let mut naive = vec![f32::NAN; n * m];
-                    gemm_naive(n, m, k, &a, la, &b, lb, &mut naive);
-                    assert_eq!(naive, unblocked, "({n},{m},{k}) {la:?}/{lb:?} {policy:?}");
-                    for &kc in &[1usize, 3, 64, 256] {
-                        let mut blocked = vec![f32::NAN; n * m];
-                        gemm_with_kc(n, m, k, &a, la, &b, lb, kc, &mut blocked);
-                        assert_eq!(
-                            unblocked, blocked,
-                            "({n},{m},{k}) {la:?}/{lb:?} kc={kc} {policy:?}"
-                        );
-                    }
+        for &(n, m, k) in &shapes {
+            let mut rng = StdRng::seed_from_u64((n * 7919 + m * 131 + k) as u64);
+            for (la, lb) in [
+                (Layout::Normal, Layout::Normal),
+                (Layout::Transposed, Layout::Normal),
+                (Layout::Normal, Layout::Transposed),
+            ] {
+                let a = random_matrix(&mut rng, n * k);
+                let b = random_matrix(&mut rng, k * m);
+                let mut unblocked = vec![f32::NAN; n * m];
+                gemm_with_kc(n, m, k, &a, la, &b, lb, usize::MAX, &mut unblocked);
+                let mut naive = vec![f32::NAN; n * m];
+                gemm_naive(n, m, k, &a, la, &b, lb, &mut naive);
+                assert_eq!(
+                    bits(&naive),
+                    bits(&unblocked),
+                    "({n},{m},{k}) {la:?}/{lb:?}"
+                );
+                for &kc in &[1usize, 3, 64, 256] {
+                    let mut blocked = vec![f32::NAN; n * m];
+                    gemm_with_kc(n, m, k, &a, la, &b, lb, kc, &mut blocked);
+                    assert_eq!(
+                        bits(&unblocked),
+                        bits(&blocked),
+                        "({n},{m},{k}) {la:?}/{lb:?} kc={kc}"
+                    );
                 }
             }
         }
-        set_simd_policy(SimdPolicy::Auto);
     }
 
     #[test]

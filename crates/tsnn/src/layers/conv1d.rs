@@ -169,17 +169,17 @@ struct Block {
 /// # Determinism
 ///
 /// Every output element replays exactly that chain on every path — lane
-/// tile, edge block, overlapped final block, scalar fallback — with mul
-/// and add rounded separately (no FMA). Edge lanes and zero-weight rows
-/// *keep* their accumulator (a mask select or a skipped add) instead of
-/// adding `w · 0`: adding a zero would turn a `-0.0` chain into `+0.0`,
-/// and an infinite weight would turn `inf · 0` into NaN. The chain is the
-/// one the pre-tile tap-major axpy loops computed, so the tile changes no
-/// bits, NaN sign and payload included (pinned against copies of those
-/// loops in the tests, with NaN and ±inf inputs). One case lies outside
-/// any float chain's contract, the old loops' too: when two *different*
-/// NaNs meet in one add, which of them propagates depends on the operand
-/// order the compiler picks.
+/// tile, edge block, overlapped final block, and [`conv_elem`] for rows
+/// shorter than one block — with mul and add rounded separately (no
+/// FMA). Edge lanes and zero-weight rows *keep* their accumulator (a mask
+/// select or a skipped add) instead of adding `w · 0`: adding a zero
+/// would turn a `-0.0` chain into `+0.0`, and an infinite weight would
+/// turn `inf · 0` into NaN. The chain is the one the pre-tile tap-major
+/// axpy loops computed, so the tile changes no bits, NaN sign and payload
+/// included (pinned against copies of those loops in the tests, with NaN
+/// and ±inf inputs). One case lies outside any float chain's contract,
+/// the old loops' too: when two *different* NaNs meet in one add, which
+/// of them propagates depends on the operand order the compiler picks.
 struct TapPlan {
     /// Taps of every tile, tile after tile, each tile in chain order.
     taps: Vec<Tap>,
@@ -302,8 +302,8 @@ impl TapPlan {
         let lp = l + 2 * pad;
         let in_stride = self.rows_in * l;
         let work = y.len() * self.rows_in * self.kernel;
-        // Stable within one call; read once, not per tap.
-        let lanes = simd::simd_enabled() && !self.blocks.is_empty();
+        // Rows shorter than one lane block have no blocks.
+        let lanes = !self.blocks.is_empty();
         tspar::par_chunks_mut_gated(y, self.rows_out * l, work, |ni, yb| {
             STAGE.with_borrow_mut(|stage| {
                 stage.clear();
@@ -413,8 +413,8 @@ fn sparse_step(
 }
 
 /// Tile row `r`'s output at time `t`, replaying the chain one scalar at a
-/// time (see [`TapPlan`]): the fallback for `KD_NO_SIMD=1` and rows
-/// shorter than one lane block.
+/// time (see [`TapPlan`]): the path for rows shorter than one lane block,
+/// which have no blocks for [`TapPlan::tile_lanes`].
 #[inline]
 fn conv_elem(
     stage: &[f32],
@@ -451,8 +451,8 @@ const GRAD_ROWS: usize = 8;
 /// `acc = acc + g · x` per chunk (mul and add rounded separately, `g`
 /// first), one add of a tail vector holding `g · x` on the remainder
 /// lanes and `+0.0` on the rest, then [`F32x8::reduce_sum`]. The lane
-/// types are plain per-lane arrays, so this one path gives the same bits
-/// under either [`simd::SimdPolicy`].
+/// types are plain per-lane arrays, so these bits do not depend on the
+/// ISA the crate is compiled for.
 ///
 /// # Parallelism
 ///
@@ -639,36 +639,6 @@ mod tests {
         let _ = Conv1d::new(1, 1, 4, &mut rng);
     }
 
-    #[test]
-    fn forward_and_backward_bitwise_equal_across_simd_paths() {
-        use crate::simd::{set_simd_policy, SimdPolicy};
-        let run = || {
-            let mut rng = StdRng::seed_from_u64(9);
-            let mut c = Conv1d::new(3, 4, 5, &mut rng);
-            let x = Tensor::from_vec(
-                &[2, 3, 19], // odd length exercises the lane-remainder tails
-                (0..114)
-                    .map(|i| ((i * 13 % 29) as f32 - 14.0) * 0.07)
-                    .collect(),
-            );
-            let y = c.forward(&x, true);
-            let g = Tensor::from_vec(&[2, 4, 19], y.data().iter().map(|v| v * 0.5).collect());
-            let gx = c.backward(&g);
-            (
-                y.data().to_vec(),
-                gx.data().to_vec(),
-                c.weight.grad.data().to_vec(),
-                c.bias.grad.data().to_vec(),
-            )
-        };
-        set_simd_policy(SimdPolicy::Lanes);
-        let lanes = run();
-        set_simd_policy(SimdPolicy::Scalar);
-        let scalar = run();
-        set_simd_policy(SimdPolicy::Auto);
-        assert!(lanes == scalar, "Conv1d lane and scalar paths diverge");
-    }
-
     /// The pre-register-blocking formulation: bias fill, then one
     /// `y += w · x` pass over the row per `(ci, k)` tap. Kept as the
     /// reference the tiled kernel must reproduce bitwise.
@@ -823,7 +793,6 @@ mod tests {
 
     #[test]
     fn register_blocked_matches_tap_major_bitwise() {
-        use crate::simd::{set_simd_policy, SimdPolicy};
         let mut rng = StdRng::seed_from_u64(11);
         // Lane-block edge cases (l = 16 is one block, 17/24/31 overlap
         // the final block, 64 is the served window), remainder tiles
@@ -853,7 +822,7 @@ mod tests {
         ] {
             shapes.push((cin, cout, k, 64));
         }
-        // ConvNet encoder stages, sub-lane rows (scalar fallback) and
+        // ConvNet encoder stages, sub-lane rows (`conv_elem`) and
         // rows shorter than the pad.
         shapes.extend([
             (8, 16, 5, 32),
@@ -877,21 +846,17 @@ mod tests {
                     ramp_input(cout, l),
                 ),
             ];
-            for policy in [SimdPolicy::Lanes, SimdPolicy::Scalar] {
-                set_simd_policy(policy);
-                for (c, x, g) in &cases {
-                    let at = format!("(cin={cin}, cout={cout}, k={k}, l={l}, {policy:?})");
-                    assert_same_bits(&c.infer(x), &infer_tap_major(c, x), &format!("y {at}"));
-                    let mut trained = c.clone();
-                    trained.forward(x, true);
-                    assert_same_bits(
-                        &trained.backward(g),
-                        &backward_tap_major(c, g),
-                        &format!("dX {at}"),
-                    );
-                }
+            for (c, x, g) in &cases {
+                let at = format!("(cin={cin}, cout={cout}, k={k}, l={l})");
+                assert_same_bits(&c.infer(x), &infer_tap_major(c, x), &format!("y {at}"));
+                let mut trained = c.clone();
+                trained.forward(x, true);
+                assert_same_bits(
+                    &trained.backward(g),
+                    &backward_tap_major(c, g),
+                    &format!("dX {at}"),
+                );
             }
-            set_simd_policy(SimdPolicy::Auto);
         }
     }
 
@@ -951,7 +916,6 @@ mod tests {
 
     #[test]
     fn weight_gradient_matches_dot_major_bitwise() {
-        use crate::simd::{set_simd_policy, SimdPolicy};
         let mut rng = StdRng::seed_from_u64(14);
         // Remainder tiles (c_out = 1, 3, 5, 9), half-height tiles
         // (c_out ≤ 8), tail-only dots (l < 8), rows shorter than the pad
@@ -981,14 +945,10 @@ mod tests {
                 (special_input(cin, l), special_input(cout, l)),
                 (ramp_input(cin, l), finite),
             ];
-            for policy in [SimdPolicy::Lanes, SimdPolicy::Scalar] {
-                set_simd_policy(policy);
-                for (x, g) in &cases {
-                    let at = format!("(cin={cin}, cout={cout}, k={k}, l={l}, {policy:?})");
-                    assert_weight_grad_matches(&c, x, g, &at);
-                }
+            for (x, g) in &cases {
+                let at = format!("(cin={cin}, cout={cout}, k={k}, l={l})");
+                assert_weight_grad_matches(&c, x, g, &at);
             }
-            set_simd_policy(SimdPolicy::Auto);
         }
         // Above the pool's work gate, so the tiles run as parallel tasks:
         // full 8-row tiles, 4-row tiles and an 8 + 1 split.

@@ -18,8 +18,8 @@
 //! * [`gradcheck`] — finite-difference gradient verification used throughout
 //!   the test suite.
 //! * [`simd`] — dependency-free fixed-width lane types (`F32x8`, `F64x4`)
-//!   behind the GEMM micro-kernel and the other measured hot loops, each
-//!   with a bitwise-identical scalar fallback (`KD_NO_SIMD=1`).
+//!   behind the GEMM micro-kernel and the other measured hot loops: one
+//!   code path each, whose bits do not depend on the target ISA.
 //!
 //! Design notes: layers are stateful (`forward` caches, `backward` consumes)
 //! and models are static trees of combinators — there is no taped autograd.

@@ -12,27 +12,25 @@
 //! # Determinism
 //!
 //! Lane ops are ordinary IEEE-754 scalar arithmetic applied lane-wise —
-//! no FMA contraction, no fast-math reassociation — so every helper here
-//! has a **bitwise-identical scalar fallback** compiled into the binary.
-//! The elementwise helper [`axpy_f64`] touches each element with the
-//! same single operation on both paths. Reduction helpers ([`sum`],
-//! [`sum_sq_diff`], [`dot`]) fix one canonical order — [`F32_LANES`]
-//! striped partial sums folded by pairwise halving — and the scalar
-//! fallback replays exactly that order, so switching paths can never
-//! change a bit. `tests` in this module and the consumer crates pin the
-//! equality. The gate math ([`exp`], [`sigmoid`], [`tanh`]) needs no
-//! fallback: each is one branch-free chain of per-element IEEE ops, so a
+//! no implicit FMA contraction (the fused ops are explicit, correctly
+//! rounded `mul_add`), no fast-math reassociation — and the lane types
+//! are plain per-lane arrays, so their bits cannot depend on the ISA the
+//! crate is compiled for: an SSE2-only `target-cpu=x86-64` build and a
+//! `target-cpu=native` AVX-512 build produce the same outputs (a CI leg
+//! builds the baseline ISA and runs the oracle and fingerprint tests to
+//! pin that). The elementwise helper [`axpy_f64`] touches each element
+//! with one mul and one add. Reduction helpers ([`sum`], [`sum_sq_diff`],
+//! [`dot`]) fix one canonical order — [`F32_LANES`] striped partial sums
+//! folded by pairwise halving — which `tests` in this module pin against
+//! scalar replays of the same order. The gate math ([`exp`], [`sigmoid`],
+//! [`tanh`]) is one branch-free chain of per-element IEEE ops, so a
 //! vectorised slice loop and a scalar call agree bitwise on any host.
 //!
 //! # Dispatch
 //!
-//! [`simd_enabled`] picks the path: `KD_NO_SIMD=1` in the environment
-//! forces the scalar fallback process-wide (the CI leg that keeps both
-//! paths green), and [`set_simd_policy`] overrides programmatically for
-//! tests, mirroring [`tspar::set_parallelism`]. The flag is consulted at
-//! helper entry, never inside an inner loop.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! There is none: every helper has exactly one body, the lane loop, and
+//! kernels built on the lane types (GEMM, Conv1d, z-normalisation,
+//! MiniRocket) have one production path each.
 
 /// Lane count of [`F32x8`].
 pub const F32_LANES: usize = 8;
@@ -99,7 +97,7 @@ impl F32x8 {
 
     /// The canonical horizontal sum: pairwise halving —
     /// `(l0+l4, l1+l5, l2+l6, l3+l7)` → `(s0+s2, s1+s3)` → `t0+t1`.
-    /// The scalar reduction fallbacks replay this exact order.
+    /// The reduction helpers ([`sum`], [`sum_sq_diff`], [`dot`]) end in it.
     #[inline(always)]
     pub fn reduce_sum(self) -> f32 {
         let l = self.0;
@@ -280,56 +278,8 @@ impl F64x4 {
     }
 }
 
-/// Which micro-kernel path the compute helpers take. Never affects
-/// results — the scalar fallback is bitwise-identical by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdPolicy {
-    /// Follow the environment: scalar iff `KD_NO_SIMD=1`.
-    Auto,
-    /// Force the lane path regardless of the environment.
-    Lanes,
-    /// Force the scalar fallback regardless of the environment.
-    Scalar,
-}
-
-/// 0 = Auto, 1 = Lanes, 2 = Scalar.
-static POLICY: AtomicU8 = AtomicU8::new(0);
-
-/// Installs a process-wide dispatch override (tests sweep both paths);
-/// `Auto` restores the `KD_NO_SIMD` environment default.
-pub fn set_simd_policy(p: SimdPolicy) {
-    let v = match p {
-        SimdPolicy::Auto => 0,
-        SimdPolicy::Lanes => 1,
-        SimdPolicy::Scalar => 2,
-    };
-    POLICY.store(v, Ordering::SeqCst);
-}
-
-fn env_no_simd() -> bool {
-    static CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("KD_NO_SIMD")
-            .map(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0"
-            })
-            .unwrap_or(false)
-    })
-}
-
-/// Whether the lane path is live (see the module docs for dispatch).
-#[inline]
-pub fn simd_enabled() -> bool {
-    match POLICY.load(Ordering::SeqCst) {
-        1 => true,
-        2 => false,
-        _ => !env_no_simd(),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Elementwise helpers (identical per-element op on both paths).
+// Elementwise helpers.
 // ---------------------------------------------------------------------------
 
 /// `dst[i] += a * xs[i]` over `f64` (MiniRocket's conv accumulation).
@@ -339,20 +289,14 @@ pub fn simd_enabled() -> bool {
 #[inline]
 pub fn axpy_f64(dst: &mut [f64], a: f64, xs: &[f64]) {
     assert_eq!(dst.len(), xs.len(), "axpy length mismatch");
-    if simd_enabled() {
-        let av = F64x4::splat(a);
-        let mut d = dst.chunks_exact_mut(F64_LANES);
-        let mut x = xs.chunks_exact(F64_LANES);
-        for (dc, xc) in (&mut d).zip(&mut x) {
-            (F64x4::load(dc) + av * F64x4::load(xc)).store(dc);
-        }
-        for (dv, &xv) in d.into_remainder().iter_mut().zip(x.remainder()) {
-            *dv += a * xv;
-        }
-    } else {
-        for (dv, &xv) in dst.iter_mut().zip(xs) {
-            *dv += a * xv;
-        }
+    let av = F64x4::splat(a);
+    let mut d = dst.chunks_exact_mut(F64_LANES);
+    let mut x = xs.chunks_exact(F64_LANES);
+    for (dc, xc) in (&mut d).zip(&mut x) {
+        (F64x4::load(dc) + av * F64x4::load(xc)).store(dc);
+    }
+    for (dv, &xv) in d.into_remainder().iter_mut().zip(x.remainder()) {
+        *dv += a * xv;
     }
 }
 
@@ -461,99 +405,49 @@ pub fn tanh(x: f32) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// Reductions (one canonical striped order, replayed exactly by the scalar
-// fallback).
+// Reductions (one canonical striped order).
 // ---------------------------------------------------------------------------
 
 /// Striped sum: 8 partial sums over `xs[i*8+j]`, the zero-padded tail
 /// added lane-wise, folded by [`F32x8::reduce_sum`]'s pairwise tree.
 ///
 /// This is a *different* (and deterministic) summation order than a
-/// sequential `iter().sum()`, chosen once so the lane and scalar paths
-/// agree bitwise; callers adopting it accept the one-time change in
-/// rounding relative to the sequential order.
+/// sequential `iter().sum()`, chosen once so every build computes the same
+/// bits; callers adopting it accept the one-time change in rounding
+/// relative to the sequential order.
 #[inline]
 pub fn sum(xs: &[f32]) -> f32 {
-    if simd_enabled() {
-        let mut acc = F32x8::zero();
-        let chunks = xs.chunks_exact(F32_LANES);
-        let rem = chunks.remainder();
-        for c in chunks {
-            acc = acc + F32x8::load(c);
-        }
-        acc = acc + F32x8::load_partial(rem);
-        acc.reduce_sum()
-    } else {
-        sum_scalar(xs)
-    }
-}
-
-/// The scalar replay of [`sum`]'s striped order (public so consumer tests
-/// can pin lane ≡ scalar without flipping the global policy).
-pub fn sum_scalar(xs: &[f32]) -> f32 {
-    let mut acc = [0.0f32; F32_LANES];
+    let mut acc = F32x8::zero();
     let chunks = xs.chunks_exact(F32_LANES);
     let rem = chunks.remainder();
     for c in chunks {
-        for (a, &v) in acc.iter_mut().zip(c) {
-            *a += v;
-        }
+        acc = acc + F32x8::load(c);
     }
-    let mut tail = [0.0f32; F32_LANES];
-    tail[..rem.len()].copy_from_slice(rem);
-    for (a, &v) in acc.iter_mut().zip(&tail) {
-        *a += v;
-    }
-    F32x8(acc).reduce_sum()
+    acc = acc + F32x8::load_partial(rem);
+    acc.reduce_sum()
 }
 
 /// Striped `Σ (xs[i] - mean)²` in [`sum`]'s canonical order — the variance
 /// accumulation of window z-normalisation.
 #[inline]
 pub fn sum_sq_diff(xs: &[f32], mean: f32) -> f32 {
-    if simd_enabled() {
-        let mv = F32x8::splat(mean);
-        let mut acc = F32x8::zero();
-        let chunks = xs.chunks_exact(F32_LANES);
-        let rem = chunks.remainder();
-        for c in chunks {
-            let d = F32x8::load(c) - mv;
-            acc = acc + d * d;
-        }
-        // Zero-pad the tail *after* subtracting the mean so padded lanes
-        // contribute exactly 0.0, like the scalar replay below.
-        let mut tail = [0.0f32; F32_LANES];
-        for (t, &v) in tail.iter_mut().zip(rem) {
-            let d = v - mean;
-            *t = d * d;
-        }
-        acc = acc + F32x8(tail);
-        acc.reduce_sum()
-    } else {
-        sum_sq_diff_scalar(xs, mean)
-    }
-}
-
-/// The scalar replay of [`sum_sq_diff`].
-pub fn sum_sq_diff_scalar(xs: &[f32], mean: f32) -> f32 {
-    let mut acc = [0.0f32; F32_LANES];
+    let mv = F32x8::splat(mean);
+    let mut acc = F32x8::zero();
     let chunks = xs.chunks_exact(F32_LANES);
     let rem = chunks.remainder();
     for c in chunks {
-        for (a, &v) in acc.iter_mut().zip(c) {
-            let d = v - mean;
-            *a += d * d;
-        }
+        let d = F32x8::load(c) - mv;
+        acc = acc + d * d;
     }
+    // Zero-pad the tail *after* subtracting the mean so padded lanes
+    // contribute exactly 0.0.
     let mut tail = [0.0f32; F32_LANES];
     for (t, &v) in tail.iter_mut().zip(rem) {
         let d = v - mean;
         *t = d * d;
     }
-    for (a, &v) in acc.iter_mut().zip(&tail) {
-        *a += v;
-    }
-    F32x8(acc).reduce_sum()
+    acc = acc + F32x8(tail);
+    acc.reduce_sum()
 }
 
 /// Striped dot product `Σ a[i]·b[i]` in [`sum`]'s canonical order: the
@@ -565,43 +459,18 @@ pub fn sum_sq_diff_scalar(xs: &[f32], mean: f32) -> f32 {
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
-    if simd_enabled() {
-        let mut acc = F32x8::zero();
-        let mut ac = a.chunks_exact(F32_LANES);
-        let mut bc = b.chunks_exact(F32_LANES);
-        for (av, bv) in (&mut ac).zip(&mut bc) {
-            acc = acc + F32x8::load(av) * F32x8::load(bv);
-        }
-        let mut tail = [0.0f32; F32_LANES];
-        for ((t, &av), &bv) in tail.iter_mut().zip(ac.remainder()).zip(bc.remainder()) {
-            *t = av * bv;
-        }
-        acc = acc + F32x8(tail);
-        acc.reduce_sum()
-    } else {
-        dot_scalar(a, b)
-    }
-}
-
-/// The scalar replay of [`dot`].
-pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    let mut acc = [0.0f32; F32_LANES];
+    let mut acc = F32x8::zero();
     let mut ac = a.chunks_exact(F32_LANES);
     let mut bc = b.chunks_exact(F32_LANES);
     for (av, bv) in (&mut ac).zip(&mut bc) {
-        for ((x, &p), &q) in acc.iter_mut().zip(av).zip(bv) {
-            *x += p * q;
-        }
+        acc = acc + F32x8::load(av) * F32x8::load(bv);
     }
     let mut tail = [0.0f32; F32_LANES];
     for ((t, &av), &bv) in tail.iter_mut().zip(ac.remainder()).zip(bc.remainder()) {
         *t = av * bv;
     }
-    for (x, &v) in acc.iter_mut().zip(&tail) {
-        *x += v;
-    }
-    F32x8(acc).reduce_sum()
+    acc = acc + F32x8(tail);
+    acc.reduce_sum()
 }
 
 #[cfg(test)]
@@ -614,14 +483,82 @@ mod tests {
             .collect()
     }
 
-    /// Runs `f` under both forced policies and restores `Auto`.
-    fn both_paths<R>(mut f: impl FnMut() -> R) -> (R, R) {
-        set_simd_policy(SimdPolicy::Lanes);
-        let lanes = f();
-        set_simd_policy(SimdPolicy::Scalar);
-        let scalar = f();
-        set_simd_policy(SimdPolicy::Auto);
-        (lanes, scalar)
+    /// Scalar replay of [`sum`]'s striped order: the oracle the lane body
+    /// is pinned against.
+    fn sum_scalar(xs: &[f32]) -> f32 {
+        let mut acc = [0.0f32; F32_LANES];
+        let chunks = xs.chunks_exact(F32_LANES);
+        let rem = chunks.remainder();
+        for c in chunks {
+            for (a, &v) in acc.iter_mut().zip(c) {
+                *a += v;
+            }
+        }
+        let mut tail = [0.0f32; F32_LANES];
+        tail[..rem.len()].copy_from_slice(rem);
+        for (a, &v) in acc.iter_mut().zip(&tail) {
+            *a += v;
+        }
+        F32x8(acc).reduce_sum()
+    }
+
+    /// Scalar replay of [`sum_sq_diff`].
+    fn sum_sq_diff_scalar(xs: &[f32], mean: f32) -> f32 {
+        let mut acc = [0.0f32; F32_LANES];
+        let chunks = xs.chunks_exact(F32_LANES);
+        let rem = chunks.remainder();
+        for c in chunks {
+            for (a, &v) in acc.iter_mut().zip(c) {
+                let d = v - mean;
+                *a += d * d;
+            }
+        }
+        let mut tail = [0.0f32; F32_LANES];
+        for (t, &v) in tail.iter_mut().zip(rem) {
+            let d = v - mean;
+            *t = d * d;
+        }
+        for (a, &v) in acc.iter_mut().zip(&tail) {
+            *a += v;
+        }
+        F32x8(acc).reduce_sum()
+    }
+
+    /// Scalar replay of [`dot`].
+    fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
+        let mut acc = [0.0f32; F32_LANES];
+        let mut ac = a.chunks_exact(F32_LANES);
+        let mut bc = b.chunks_exact(F32_LANES);
+        for (av, bv) in (&mut ac).zip(&mut bc) {
+            for ((x, &p), &q) in acc.iter_mut().zip(av).zip(bv) {
+                *x += p * q;
+            }
+        }
+        let mut tail = [0.0f32; F32_LANES];
+        for ((t, &av), &bv) in tail.iter_mut().zip(ac.remainder()).zip(bc.remainder()) {
+            *t = av * bv;
+        }
+        for (x, &v) in acc.iter_mut().zip(&tail) {
+            *x += v;
+        }
+        F32x8(acc).reduce_sum()
+    }
+
+    /// `ramp(n, salt)` with IEEE special values planted at fixed strides:
+    /// `-0.0`, `+inf`, `-inf` and a NaN built at run time (`inf - inf`),
+    /// so the oracle tests cover sign-of-zero and non-finite propagation
+    /// through every lane and the tail. `every = 0` leaves the ramp finite.
+    fn ramp_special(n: usize, salt: f32, every: usize) -> Vec<f32> {
+        let inf = f32::INFINITY;
+        let nan = std::hint::black_box(inf) - std::hint::black_box(inf);
+        let specials = [-0.0, inf, -inf, nan];
+        let mut xs = ramp(n, salt);
+        if every > 0 {
+            for (i, x) in xs.iter_mut().enumerate().skip(every / 2).step_by(every) {
+                *x = specials[(i / every) % specials.len()];
+            }
+        }
+        xs
     }
 
     #[test]
@@ -689,35 +626,65 @@ mod tests {
     }
 
     #[test]
-    fn reductions_bitwise_equal_across_paths_and_lengths() {
+    fn reductions_match_scalar_replays_bitwise() {
         // Lengths crossing every tail case: empty, sub-lane, exact
-        // multiples, and off-by-one around them.
+        // multiples, and off-by-one around them. Each length runs finite,
+        // with one special value (landing in a lane or in the tail), and
+        // with specials dense enough to hit several lanes at once.
         for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 64, 100, 1000] {
-            let xs = ramp(n, 0.17);
-            let ys = ramp(n, 4.2);
-            let (l, s) = both_paths(|| sum(&xs));
-            assert_eq!(l.to_bits(), s.to_bits(), "sum n={n}");
-            assert_eq!(s.to_bits(), sum_scalar(&xs).to_bits());
-            let (l, s) = both_paths(|| sum_sq_diff(&xs, 0.21));
-            assert_eq!(l.to_bits(), s.to_bits(), "sum_sq_diff n={n}");
-            let (l, s) = both_paths(|| dot(&xs, &ys));
-            assert_eq!(l.to_bits(), s.to_bits(), "dot n={n}");
+            for every in [0usize, n.max(1), 5] {
+                let xs = ramp_special(n, 0.17, every);
+                let ys = ramp_special(n, 4.2, every + 3);
+                let ctx = format!("n={n} every={every}");
+                assert_eq!(sum(&xs).to_bits(), sum_scalar(&xs).to_bits(), "sum {ctx}");
+                for mean in [0.21, -0.0, f32::INFINITY] {
+                    assert_eq!(
+                        sum_sq_diff(&xs, mean).to_bits(),
+                        sum_sq_diff_scalar(&xs, mean).to_bits(),
+                        "sum_sq_diff mean={mean} {ctx}"
+                    );
+                }
+                assert_eq!(
+                    dot(&xs, &ys).to_bits(),
+                    dot_scalar(&xs, &ys).to_bits(),
+                    "dot {ctx}"
+                );
+            }
         }
+        // All-(-0.0) inputs: the +0.0 accumulator start makes every sum
+        // +0.0, in lanes and in the replay alike.
+        let neg_zero = vec![-0.0f32; 13];
+        assert_eq!(sum(&neg_zero).to_bits(), 0.0f32.to_bits());
+        assert_eq!(sum(&neg_zero).to_bits(), sum_scalar(&neg_zero).to_bits());
     }
 
     #[test]
-    fn axpy_bitwise_equal_across_paths() {
+    fn axpy_matches_per_element_loop_bitwise() {
         for n in [0usize, 1, 5, 8, 13, 64, 257] {
-            let xs = ramp(n, 1.1);
-            let base = ramp(n, 2.2);
-            let xs64: Vec<f64> = xs.iter().map(|&v| v as f64).collect();
-            let base64: Vec<f64> = base.iter().map(|&v| v as f64).collect();
-            let (l, s) = both_paths(|| {
-                let mut d = base64.clone();
-                axpy_f64(&mut d, 0.83, &xs64);
-                d
-            });
-            assert_eq!(l, s, "axpy_f64 n={n}");
+            for every in [0usize, n.max(1), 3] {
+                let xs: Vec<f64> = ramp_special(n, 1.1, every)
+                    .iter()
+                    .map(|&v| v as f64)
+                    .collect();
+                let base: Vec<f64> = ramp_special(n, 2.2, every + 2)
+                    .iter()
+                    .map(|&v| v as f64)
+                    .collect();
+                for a in [0.83, -0.0, f64::INFINITY] {
+                    let mut got = base.clone();
+                    axpy_f64(&mut got, a, &xs);
+                    let mut want = base.clone();
+                    for (d, &x) in want.iter_mut().zip(&xs) {
+                        *d += a * x;
+                    }
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "axpy_f64 n={n} every={every} a={a}"
+                    );
+                }
+            }
         }
     }
 
@@ -840,14 +807,5 @@ mod tests {
         slice_loop_vs_calls(exp, black_box(exp as fn(f32) -> f32), &xs);
         slice_loop_vs_calls(sigmoid, black_box(sigmoid as fn(f32) -> f32), &xs);
         slice_loop_vs_calls(tanh, black_box(tanh as fn(f32) -> f32), &xs);
-    }
-
-    #[test]
-    fn policy_override_controls_dispatch() {
-        set_simd_policy(SimdPolicy::Lanes);
-        assert!(simd_enabled());
-        set_simd_policy(SimdPolicy::Scalar);
-        assert!(!simd_enabled());
-        set_simd_policy(SimdPolicy::Auto);
     }
 }

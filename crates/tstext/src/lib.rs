@@ -13,7 +13,7 @@
 //! (derived from the token hash, so there is no stored vocabulary), summed
 //! with sub-linear term weighting and L2-normalised. Numeric tokens
 //! additionally emit magnitude-bucket tokens so "length 128" and "length 130"
-//! land close together. The substitution is documented in DESIGN.md.
+//! land close together. The substitution is documented in the README's "Substitutions" section.
 
 mod encoder;
 mod template;

@@ -4,6 +4,7 @@ use kdselector::core::prune::{PruneState, PruningStrategy};
 use kdselector::core::selector::majority_vote;
 use kdselector::lsh::{hamming, SimHash};
 use kdselector::metrics::{auc_pr, auc_roc};
+use kdselector::nn::gemm::{gemm_naive, Layout};
 use kdselector::nn::loss::{cross_entropy, info_nce, softmax_rows};
 use kdselector::nn::Tensor;
 use proptest::prelude::*;
@@ -14,12 +15,40 @@ use tsdata::{extract_windows, AnomalyInterval, AnomalyKind, TimeSeries, WindowCo
 mod common;
 use common::random_tensor;
 
-fn assert_close(fast: &Tensor, slow: &Tensor, what: &str) {
-    assert_eq!(fast.shape(), slow.shape(), "{what} shape");
-    for (i, (&x, &y)) in fast.data().iter().zip(slow.data()).enumerate() {
+/// `gemm_naive`'s `n×m` product of row-major `a` and `b` read through the
+/// given layouts: the single-rounding fma chain per output element that
+/// the blocked kernel documents.
+fn fused_naive(
+    n: usize,
+    m: usize,
+    k: usize,
+    a: &Tensor,
+    la: Layout,
+    b: &Tensor,
+    lb: Layout,
+) -> Tensor {
+    let mut c = Tensor::zeros(&[n, m]);
+    gemm_naive(n, m, k, a.data(), la, b.data(), lb, c.data_mut());
+    c
+}
+
+/// The blocked kernel and [`fused_naive`] run the same ascending-`p` fma
+/// chain per output element, so they must agree bit for bit. The seed's
+/// `Tensor::*_naive` kernels round the multiply and the add separately,
+/// so they are an accuracy reference only.
+fn assert_blocked_matches(blocked: &Tensor, fused: &Tensor, seed: &Tensor, what: &str) {
+    assert_eq!(blocked.shape(), fused.shape(), "{what} shape");
+    for (i, (&x, &y)) in blocked.data().iter().zip(fused.data()).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{what} diverges at {i}: blocked {x} vs fused naive {y}"
+        );
+    }
+    for (i, (&x, &y)) in blocked.data().iter().zip(seed.data()).enumerate() {
         assert!(
             (x - y).abs() <= 1e-5,
-            "{what} diverges at {i}: blocked {x} vs naive {y}"
+            "{what} drifts from the seed kernel at {i}: blocked {x} vs seed {y}"
         );
     }
 }
@@ -190,15 +219,19 @@ proptest! {
         // Rectangular and degenerate shapes (dims of 1, non-multiples of
         // the register tile) across all three products.
         let mut rng = StdRng::seed_from_u64(seed);
+        let (nl, tr) = (Layout::Normal, Layout::Transposed);
         let a = random_tensor(&mut rng, &[n, k]);
         let b = random_tensor(&mut rng, &[k, m]);
-        assert_close(&a.matmul(&b), &a.matmul_naive(&b), "matmul");
+        let fused = fused_naive(n, m, k, &a, nl, &b, nl);
+        assert_blocked_matches(&a.matmul(&b), &fused, &a.matmul_naive(&b), "matmul");
 
         let at = random_tensor(&mut rng, &[k, n]); // (k,n)ᵀ × (k,m)
-        assert_close(&at.t_matmul(&b), &at.t_matmul_naive(&b), "t_matmul");
+        let fused = fused_naive(n, m, k, &at, tr, &b, nl);
+        assert_blocked_matches(&at.t_matmul(&b), &fused, &at.t_matmul_naive(&b), "t_matmul");
 
         let bt = random_tensor(&mut rng, &[m, k]); // (n,k) × (m,k)ᵀ
-        assert_close(&a.matmul_t(&bt), &a.matmul_t_naive(&bt), "matmul_t");
+        let fused = fused_naive(n, m, k, &a, nl, &bt, tr);
+        assert_blocked_matches(&a.matmul_t(&bt), &fused, &a.matmul_t_naive(&bt), "matmul_t");
     }
 
     #[test]
