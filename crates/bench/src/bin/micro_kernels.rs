@@ -694,8 +694,8 @@ fn route_benchmark() -> serde_json::Value {
 }
 
 /// Calibrates the `MIN_PAR_WORK` gate against the persistent pool: the
-/// same fixed chunking executed inline vs dispatched (`Backend::Pool`,
-/// width 4) across a ladder of work sizes (1 multiply-add per element,
+/// same fixed chunking executed inline vs dispatched on the pool (width
+/// 4) across a ladder of work sizes (1 multiply-add per element,
 /// matching how the layer gates estimate work).
 ///
 /// Two crossover estimates are recorded:
@@ -721,7 +721,6 @@ fn route_benchmark() -> serde_json::Value {
 fn par_gate_sweep() -> serde_json::Value {
     const WIDTH: usize = 4;
     tspar::set_parallelism(tspar::Parallelism::Fixed(WIDTH));
-    tspar::set_backend(tspar::Backend::Pool);
 
     println!(
         "\n{:<10} {:>12} {:>12} {:>12} {:>8}",
@@ -799,60 +798,6 @@ fn par_gate_sweep() -> serde_json::Value {
         "direct_crossover": direct_crossover,
         "gate": tspar::MIN_PAR_WORK,
     })
-}
-
-/// Per-region dispatch overhead: the same fixed partitions executed on the
-/// persistent pool vs the pre-pool scoped spawn/join reference, at work
-/// sizes small enough that dispatch (not compute) dominates. Results are
-/// bit-identical by construction (`tests/pool_determinism.rs` enforces
-/// it); this measures only the fixed cost a region pays to go parallel.
-fn dispatch_overhead() -> Vec<serde_json::Value> {
-    const WIDTH: usize = 4;
-    tspar::set_parallelism(tspar::Parallelism::Fixed(WIDTH));
-
-    let mut records = Vec::new();
-    println!(
-        "\n{:<18} {:>8} {:>12} {:>12} {:>8}",
-        "region", "elems", "spawn ns", "pool ns", "speedup"
-    );
-    for &elems in &[4 * 1024usize, 64 * 1024] {
-        let chunk = elems.div_ceil(WIDTH);
-        let mut buf = vec![0.0f32; elems];
-        let mut region = |backend| {
-            tspar::set_backend(backend);
-            // Warm up (spawns the pool workers on the first pooled region).
-            tspar::par_chunks_mut(&mut buf, chunk, |ci, c| {
-                for (j, x) in c.iter_mut().enumerate() {
-                    *x = (ci * chunk + j) as f32 * 1.0009;
-                }
-            });
-            time_ns(|| {
-                tspar::par_chunks_mut(&mut buf, chunk, |ci, c| {
-                    for (j, x) in c.iter_mut().enumerate() {
-                        *x = (ci * chunk + j) as f32 * 1.0009;
-                    }
-                });
-            })
-        };
-        let spawn_ns = region(tspar::Backend::Spawn);
-        let pool_ns = region(tspar::Backend::Pool);
-        let speedup = spawn_ns / pool_ns;
-        println!(
-            "{:<18} {:>8} {:>12.0} {:>12.0} {:>7.2}x",
-            "par_chunks_mut", elems, spawn_ns, pool_ns, speedup
-        );
-        records.push(serde_json::json!({
-            "region": "par_chunks_mut",
-            "elems": elems,
-            "threads": WIDTH,
-            "spawn_ns": spawn_ns,
-            "pool_ns": pool_ns,
-            "speedup": speedup,
-        }));
-    }
-    tspar::set_backend(tspar::Backend::Pool);
-    tspar::set_parallelism(tspar::Parallelism::Auto);
-    records
 }
 
 /// Training throughput through the session stack: windows/sec over a
@@ -1404,9 +1349,6 @@ fn main() {
     // --- Streaming loop: ingest throughput + drift->deploy latency. -------
     let stream = stream_benchmark();
 
-    // --- Region dispatch overhead: persistent pool vs spawn/join. ---------
-    let dispatch = dispatch_overhead();
-
     // --- MIN_PAR_WORK calibration: serial vs pool across work sizes. ------
     let par_gate = par_gate_sweep();
 
@@ -1434,7 +1376,6 @@ fn main() {
         "route": route,
         "train": train,
         "stream": stream,
-        "dispatch": dispatch,
         "par_gate": par_gate,
     });
     let path = std::env::var("KD_BENCH_OUT").unwrap_or_else(|_| "BENCH_micro.json".into());

@@ -164,6 +164,9 @@ fn cache_path(cache_dir: &Path, key: &str) -> PathBuf {
 /// Default on-disk cache directory (under `target/` so `cargo clean` clears
 /// it). Overridable with the `KDSEL_CACHE_DIR` environment variable.
 pub fn default_cache_dir() -> PathBuf {
+    // kdlint: allow(env-knob): a path — where cached labels live, not how
+    // they are computed (a file is served only if its seed and version
+    // match).
     if let Ok(dir) = std::env::var("KDSEL_CACHE_DIR") {
         return PathBuf::from(dir);
     }

@@ -10,9 +10,9 @@
 //!
 //! The default batch implementation fans the per-series kernel out over
 //! [`tspar`]'s fixed work partitions, executed on the persistent worker
-//! pool: results are bit-identical at any `KD_THREADS` setting (and on the
-//! spawn reference backend) because each series is scored independently
-//! and the partition boundaries never depend on the worker count.
+//! pool: results are bit-identical at any `KD_THREADS` setting because
+//! each series is scored independently and the partition boundaries never
+//! depend on the worker count.
 
 use crate::serve::WindowCache;
 use crate::train::TrainedSelector;
@@ -43,32 +43,19 @@ pub trait Selector: Send + Sync {
     fn series_scores(&self, ts: &TimeSeries) -> Vec<Vec<f32>>;
 
     /// Batch-first entry point: scores for every series in the batch,
-    /// preserving order. Delegates to [`Selector::window_scores_refs`]
-    /// (collecting a reference view is free), so for non-overriders the
-    /// owned and borrowed batch paths cannot drift apart.
+    /// preserving order. The default fans [`Selector::series_scores`] out
+    /// over [`tspar::par_map`]'s fixed partitions (which depend only on
+    /// the count), so it is bit-identical to the serial per-series loop at
+    /// any thread count. It takes borrowed series so the serving queue's
+    /// coalescer can merge requests with zero series copies. Override it
+    /// only to batch work across series (as [`NnSelector`] does), keeping
+    /// the default's results bit for bit.
     ///
-    /// **Batch-consistency contract:** the serving layer uses *both*
-    /// batch methods — `window_scores` for contiguous batches
-    /// ([`crate::serve::SelectorEngine::select_batch`]) and
-    /// [`Selector::window_scores_refs`] for coalesced queued requests —
-    /// and promises bit-identical results across those paths. The
-    /// defaults uphold that automatically; an implementor overriding
-    /// either batch method must override the other to match, or the
-    /// queued ≡ direct determinism contract silently breaks. Prefer
-    /// customising [`Selector::series_scores`] only.
-    fn window_scores(&self, batch: &[TimeSeries]) -> Vec<Vec<Vec<f32>>> {
-        self.window_scores_refs(&batch.iter().collect::<Vec<_>>())
-    }
-
-    /// The batched scoring kernel, over borrowed series: fans
-    /// [`Selector::series_scores`] out over [`tspar::par_map`]'s fixed
-    /// partitions (which depend only on the count) — bit-identical to the
-    /// serial per-series loop at any thread count, and to
-    /// [`Selector::window_scores`] on the same series without the caller
-    /// materialising a contiguous batch. The serving queue's coalescer
-    /// uses this to merge requests with zero series copies. Subject to
-    /// the batch-consistency contract on [`Selector::window_scores`].
-    fn window_scores_refs(&self, batch: &[&TimeSeries]) -> Vec<Vec<Vec<f32>>> {
+    /// Every serving path ([`crate::serve::SelectorEngine`], the queue,
+    /// the router's fallback) goes through this one method, and rejects a
+    /// result with a different number of score sets than series as
+    /// [`crate::serve::ServeError::MalformedOutput`].
+    fn window_scores(&self, batch: &[&TimeSeries]) -> Vec<Vec<Vec<f32>>> {
         tspar::par_map(batch.len(), |i| self.series_scores(batch[i]))
     }
 
@@ -91,7 +78,7 @@ pub trait Selector: Send + Sync {
     /// batched scores, so it matches per-series [`Selector::select`] calls
     /// exactly.
     fn select_batch(&self, batch: &[TimeSeries]) -> Vec<ModelId> {
-        self.window_scores(batch)
+        self.window_scores(&batch.iter().collect::<Vec<_>>())
             .iter()
             .map(|scores| {
                 let votes: Vec<usize> = scores.iter().map(|row| argmax(row)).collect();
@@ -269,10 +256,9 @@ impl Selector for NnSelector {
     /// layer of the forward pass is per-batch-element independent, the
     /// GEMM kernels are row-independent with all dispatch variants pinned
     /// bitwise-equal, and `tests/serve_arena.rs` pins grouped ≡ per-series
-    /// directly. `window_scores` delegates here, so the batch-consistency
-    /// contract holds by construction.
+    /// directly.
     // kdprof: hot
-    fn window_scores_refs(&self, batch: &[&TimeSeries]) -> Vec<Vec<Vec<f32>>> {
+    fn window_scores(&self, batch: &[&TimeSeries]) -> Vec<Vec<Vec<f32>>> {
         if batch.is_empty() {
             return Vec::new();
         }
@@ -363,7 +349,7 @@ mod tests {
         let batch: Vec<TimeSeries> = (1..5)
             .map(|i| TimeSeries::new(format!("s{i}"), "D", vec![0.0; i * 10], vec![]))
             .collect();
-        let scores = Ramp.window_scores(&batch);
+        let scores = Ramp.window_scores(&batch.iter().collect::<Vec<_>>());
         assert_eq!(scores.len(), 4);
         for (i, s) in scores.iter().enumerate() {
             assert_eq!(s.len(), i + 1, "series {i} window count");

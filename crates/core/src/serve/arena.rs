@@ -13,18 +13,11 @@
 //! Pooling never changes results: every buffer is fully overwritten (or
 //! `clear()`ed and re-extended) before use, and the arithmetic performed
 //! on it is byte-for-byte the same as on a fresh allocation. The
-//! `tests/serve_arena.rs` harness pins queued ≡ direct bitwise with the
-//! arena on and off at `KD_THREADS ∈ {1, 4}`.
-//!
-//! # Toggling
-//!
-//! [`set_arena_enabled`] flips pooling at runtime (tests sweep both
-//! states); `KD_NO_ARENA=1` in the environment disables it process-wide.
-//! Disabled, [`with_arena`] hands out a fresh arena per call, which
-//! degenerates to the old allocate-per-batch behaviour.
+//! `tests/serve_arena.rs` harness pins warm-arena serving, direct and
+//! queued at `KD_THREADS ∈ {1, 4}`, bitwise against requests each served
+//! on a fresh thread, whose arena starts empty.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Reusable scratch buffers for one serving thread.
 #[derive(Debug, Default)]
@@ -98,56 +91,13 @@ impl ScratchArena {
     }
 }
 
-/// 0 = uninitialised (consult `KD_NO_ARENA`), 1 = enabled, 2 = disabled.
-static ARENA_STATE: AtomicU8 = AtomicU8::new(0);
-
-fn env_default() -> u8 {
-    let disabled = std::env::var("KD_NO_ARENA")
-        .map(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-        .unwrap_or(false);
-    if disabled {
-        2
-    } else {
-        1
-    }
-}
-
-/// Whether serving uses the per-thread arenas (default: on, unless
-/// `KD_NO_ARENA=1`).
-pub fn arena_enabled() -> bool {
-    match ARENA_STATE.load(Ordering::SeqCst) {
-        1 => true,
-        2 => false,
-        _ => {
-            let v = env_default();
-            ARENA_STATE.store(v, Ordering::SeqCst);
-            v == 1
-        }
-    }
-}
-
-/// Enables or disables arena pooling process-wide (tests sweep both
-/// states to pin that pooling never changes results).
-pub fn set_arena_enabled(enabled: bool) {
-    ARENA_STATE.store(if enabled { 1 } else { 2 }, Ordering::SeqCst);
-}
-
 thread_local! {
     static ARENA: RefCell<ScratchArena> = RefCell::new(ScratchArena::new());
 }
 
-/// Runs `f` with this thread's arena — or a throwaway one when pooling
-/// is disabled, which reproduces the old allocate-per-batch behaviour
-/// exactly.
+/// Runs `f` with this thread's arena.
 pub fn with_arena<R>(f: impl FnOnce(&mut ScratchArena) -> R) -> R {
-    if arena_enabled() {
-        ARENA.with(|a| f(&mut a.borrow_mut()))
-    } else {
-        f(&mut ScratchArena::new())
-    }
+    ARENA.with(|a| f(&mut a.borrow_mut()))
 }
 
 #[cfg(test)]
@@ -177,20 +127,5 @@ mod tests {
         // Pool drained: the next take is fresh.
         let w2 = a.take_window_buf();
         assert_eq!(w2.capacity(), 0);
-    }
-
-    #[test]
-    fn toggle_is_respected() {
-        set_arena_enabled(false);
-        assert!(!arena_enabled());
-        // Disabled: with_arena hands out empty arenas every call.
-        with_arena(|a| {
-            let mut b = a.take_input();
-            b.push(1.0);
-            a.put_input(b);
-        });
-        with_arena(|a| assert_eq!(a.take_input().capacity(), 0));
-        set_arena_enabled(true);
-        assert!(arena_enabled());
     }
 }

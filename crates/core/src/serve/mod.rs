@@ -37,9 +37,9 @@
 //! scoring kernel, fanned out over [`tspar`]'s fixed work partitions on
 //! the persistent worker pool (so a high-QPS serving loop pays queue
 //! dispatch per batch, not thread spawn/join). Partition boundaries depend
-//! only on the batch size, never on the worker count or the execution
-//! backend, and each series is scored independently — so a batch served at
-//! `KD_THREADS=1` and at `KD_THREADS=64`, the same series selected one at
+//! only on the batch size, never on the worker count, and each series is
+//! scored independently — so a batch served at `KD_THREADS=1` and at
+//! `KD_THREADS=64`, the same series selected one at
 //! a time via [`Selector::select`], a request served directly via
 //! [`SelectorEngine::handle`], or the same request coalesced with
 //! arbitrary neighbours by a [`queue::ServeQueue`] all produce
@@ -81,7 +81,7 @@ pub mod queue;
 pub mod router;
 pub mod shard;
 
-pub use arena::{arena_enabled, set_arena_enabled, ScratchArena};
+pub use arena::ScratchArena;
 pub use cache::{CacheStats, WindowCache};
 pub use fault::{FaultAction, FaultInjector, FaultPlan, FaultPoint, FaultRule};
 pub use policy::{Breaker, BreakerConfig, BreakerVerdict, RetryPolicy};
@@ -202,11 +202,12 @@ pub enum ServeError {
     /// The queue is shutting down and no longer admits requests.
     ShuttingDown,
     /// The selector broke the batch contract: it returned a different
-    /// number of per-series score sets than series submitted, so the
-    /// coalescer could not split results back onto tickets without
-    /// misassigning them. Affects every request in the coalesced group.
+    /// number of per-series score sets than series submitted, so results
+    /// could not be paired with series without misassigning them. Checked
+    /// on every serving path; in a [`queue::ServeQueue`] it fails every
+    /// request of the coalesced group.
     MalformedOutput {
-        /// Series in the coalesced batch.
+        /// Series in the batch.
         expected: usize,
         /// Score sets the selector returned.
         got: usize,
@@ -410,27 +411,7 @@ impl SelectorEngine {
         window: WindowConfig,
     ) -> std::io::Result<()> {
         let name = name.into();
-        if model.window < model.arch.min_window() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "selector {name:?}: window {} is shorter than the {} minimum of {}",
-                    model.window,
-                    model.arch.name(),
-                    model.arch.min_window()
-                ),
-            ));
-        }
-        if model.window != window.length {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "selector {name:?} was trained with window length {}, \
-                     but the serving WindowConfig has length {}",
-                    model.window, window.length
-                ),
-            ));
-        }
+        check_servable_window(&name, &model, &window)?;
         let mut selector = NnSelector::new(name.clone(), model, window);
         if let Some(cache) = &self.window_cache {
             selector = selector.with_cache(Arc::clone(cache));
@@ -470,34 +451,22 @@ impl SelectorEngine {
     /// Serves a batch against the named selector. The registry read lock is
     /// held only for the name lookup, never during scoring — registration
     /// stays responsive while long batches compute.
+    ///
+    /// # Errors
+    /// [`ServeError::UnknownSelector`] for an unregistered name;
+    /// [`ServeError::MalformedOutput`] when the selector returns a
+    /// different number of score sets than series.
     pub fn select_batch(
         &self,
         selector: &str,
         batch: &[TimeSeries],
     ) -> Result<Vec<Selection>, ServeError> {
-        // Contiguous batches go through the trait's documented batch entry
-        // point so a selector overriding `window_scores` keeps its
-        // override on the direct serving path (the default implementations
-        // of the two batch methods are consistent by construction — see
-        // the `Selector` docs).
-        let sel = self
-            .get(selector)
-            .ok_or_else(|| ServeError::UnknownSelector(selector.to_string()))?;
-        let selections: Vec<Selection> = sel
-            .window_scores(batch)
-            .iter()
-            .map(|scores| Selection::from_scores(scores))
-            .collect();
-        self.tap_observe(selector, &selections);
-        Ok(selections)
+        self.select_batch_refs(selector, &batch.iter().collect::<Vec<_>>())
     }
 
     /// [`SelectorEngine::select_batch`] over borrowed series — the path
     /// the [`queue::ServeQueue`] coalescer takes to serve several merged
     /// requests without copying their series into one contiguous batch.
-    /// Bit-identical to `select_batch` on the same series in the same
-    /// order (the fan-out partitions depend only on the count) for any
-    /// selector that upholds the [`Selector`] batch-consistency contract.
     pub fn select_batch_refs(
         &self,
         selector: &str,
@@ -506,14 +475,65 @@ impl SelectorEngine {
         let sel = self
             .get(selector)
             .ok_or_else(|| ServeError::UnknownSelector(selector.to_string()))?;
-        let selections: Vec<Selection> = sel
-            .window_scores_refs(batch)
-            .iter()
-            .map(|scores| Selection::from_scores(scores))
-            .collect();
+        let selections = select_with(sel.as_ref(), batch)?;
         self.tap_observe(selector, &selections);
         Ok(selections)
     }
+}
+
+/// Scores `batch` on `selector` and derives one [`Selection`] per series:
+/// the one body behind direct, queued and degraded serving.
+///
+/// # Errors
+/// [`ServeError::MalformedOutput`] when the selector breaks the batch
+/// contract (one score set per series): pairing a short or long result
+/// with the batch would hand series selections that belong to others.
+pub(crate) fn select_with(
+    selector: &dyn Selector,
+    batch: &[&TimeSeries],
+) -> Result<Vec<Selection>, ServeError> {
+    let scores = selector.window_scores(batch);
+    if scores.len() != batch.len() {
+        return Err(ServeError::MalformedOutput {
+            expected: batch.len(),
+            got: scores.len(),
+        });
+    }
+    Ok(scores.iter().map(|s| Selection::from_scores(s)).collect())
+}
+
+/// Rejects serving `model` under `window`: the window length must be the
+/// one the selector was trained with and at least its architecture's
+/// minimum ([`crate::Architecture::min_window`]). Every deploy path
+/// (engine, router, shard respawn) checks here, so a bad deployment fails
+/// with `InvalidInput` instead of panicking in a serving thread.
+pub(crate) fn check_servable_window(
+    name: &str,
+    model: &TrainedSelector,
+    window: &WindowConfig,
+) -> std::io::Result<()> {
+    if model.window < model.arch.min_window() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "selector {name:?}: window {} is shorter than the {} minimum of {}",
+                model.window,
+                model.arch.name(),
+                model.arch.min_window()
+            ),
+        ));
+    }
+    if model.window != window.length {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "selector {name:?} was trained with window length {}, \
+                 but the serving WindowConfig has length {}",
+                model.window, window.length
+            ),
+        ));
+    }
+    Ok(())
 }
 
 impl Clone for SelectorEngine {

@@ -676,22 +676,6 @@ fn serve_group(engine: &SelectorEngine, shared: &Shared, group: Vec<Pending>) {
     }));
     match outcome {
         Ok(Ok(all)) => {
-            // A selector that breaks the batch contract (one result per
-            // series) must fail the whole group loudly — splitting a
-            // short or long result vector would silently hand tickets
-            // results belonging to other requests.
-            if all.len() != merged.len() {
-                let err = ServeError::MalformedOutput {
-                    expected: merged.len(),
-                    got: all.len(),
-                };
-                for pending in group {
-                    // kdlint: allow(hot-alloc): contract-violation fault
-                    // path — a well-formed selector never reaches it.
-                    pending.slot.complete(Err(err.clone()));
-                }
-                return;
-            }
             kdprof::span!(kdprof::Phase::Complete);
             let mut all = all.into_iter();
             for pending in group {
@@ -705,7 +689,8 @@ fn serve_group(engine: &SelectorEngine, shared: &Shared, group: Vec<Pending>) {
         }
         Ok(Err(err)) => {
             // One selector name per group, so the error is the same for
-            // every member (e.g. UnknownSelector).
+            // every member (UnknownSelector, or MalformedOutput when the
+            // selector broke the one-result-per-series contract).
             for pending in group {
                 // kdlint: allow(hot-alloc): error completion — cold by
                 // definition; steady-state requests resolve `Ok`.

@@ -196,8 +196,9 @@ pub enum RouteError {
     BreakerOpen,
     /// The router is shutting down.
     ShuttingDown,
-    /// The fallback selector itself failed (panicked) while serving a
-    /// degraded request.
+    /// The fallback selector itself failed while serving a degraded
+    /// request: it panicked, or returned a different number of score sets
+    /// than series.
     FallbackFailed(String),
 }
 
@@ -229,7 +230,7 @@ impl std::error::Error for RouteError {}
 /// Why an inline fallback attempt produced no reply.
 enum DegradeFailure {
     NoFallback,
-    FallbackPanicked(String),
+    FallbackFailed(String),
 }
 
 /// One shard's health view in [`RouterStats`].
@@ -391,24 +392,14 @@ impl ShardedRouter {
 
     /// Deploys a freshly trained selector onto its ring-placed shard (the
     /// in-memory analogue of [`ShardedRouter::register_from_store`],
-    /// validating the window length like
-    /// [`super::SelectorEngine::deploy`]).
+    /// validating the window like [`super::SelectorEngine::deploy`]).
     pub fn deploy(
         &self,
         name: &str,
         model: TrainedSelector,
         window: WindowConfig,
     ) -> std::io::Result<()> {
-        if model.window != window.length {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "selector {name:?} was trained with window length {}, \
-                     but the serving WindowConfig has length {}",
-                    model.window, window.length
-                ),
-            ));
-        }
+        super::check_servable_window(name, &model, &window)?;
         let selector: Arc<dyn Selector> = Arc::new(crate::selector::NnSelector::new(
             name.to_string(),
             model,
@@ -621,7 +612,7 @@ impl ShardedRouter {
                 self.failed.fetch_add(1, Ordering::Relaxed);
                 match err {
                     DegradeFailure::NoFallback => RouteError::BreakerOpen,
-                    DegradeFailure::FallbackPanicked(msg) => RouteError::FallbackFailed(msg),
+                    DegradeFailure::FallbackFailed(msg) => RouteError::FallbackFailed(msg),
                 }
             });
         }
@@ -712,9 +703,7 @@ impl ShardedRouter {
                         self.failed.fetch_add(1, Ordering::Relaxed);
                         match err {
                             DegradeFailure::NoFallback => RouteError::DeadlineExceeded { attempts },
-                            DegradeFailure::FallbackPanicked(msg) => {
-                                RouteError::FallbackFailed(msg)
-                            }
+                            DegradeFailure::FallbackFailed(msg) => RouteError::FallbackFailed(msg),
                         }
                     });
                 }
@@ -747,7 +736,7 @@ impl ShardedRouter {
             // kdlint: allow(relaxed): stat counter — snapshot-only.
             self.failed.fetch_add(1, Ordering::Relaxed);
             match err {
-                DegradeFailure::FallbackPanicked(msg) => RouteError::FallbackFailed(msg),
+                DegradeFailure::FallbackFailed(msg) => RouteError::FallbackFailed(msg),
                 DegradeFailure::NoFallback => {
                     // kdlint: allow(wallclock): picks the error type
                     // (deadline vs exhausted); the reply data is fixed.
@@ -773,28 +762,31 @@ impl ShardedRouter {
             return Err(DegradeFailure::NoFallback);
         };
         let refs: Vec<&tsdata::TimeSeries> = request.batch.iter().collect();
-        let scored = catch_unwind(AssertUnwindSafe(|| fallback.window_scores_refs(&refs)));
-        match scored {
-            Ok(scores) => {
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            super::select_with(fallback.as_ref(), &refs)
+        }));
+        match served {
+            Ok(Ok(selections)) => {
                 // kdlint: allow(relaxed): stat counter — snapshot-only.
                 self.degraded.fetch_add(1, Ordering::Relaxed);
                 Ok(RouteReply {
-                    selections: scores
-                        .iter()
-                        .map(|s| Selection::from_scores(s).into_degraded())
+                    selections: selections
+                        .into_iter()
+                        .map(Selection::into_degraded)
                         .collect(),
                     shard: None,
                     attempts,
                     degraded: true,
                 })
             }
+            Ok(Err(err)) => Err(DegradeFailure::FallbackFailed(err.to_string())),
             Err(payload) => {
                 let msg = payload
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "fallback panicked".into());
-                Err(DegradeFailure::FallbackPanicked(msg))
+                Err(DegradeFailure::FallbackFailed(msg))
             }
         }
     }
@@ -953,6 +945,59 @@ mod tests {
             counts.iter().all(|&c| c > 0),
             "200 names must touch every one of 4 shards: {counts:?}"
         );
+    }
+
+    #[test]
+    fn deploy_rejects_windows_below_the_architecture_minimum() {
+        // ConvNet builds at window 2 but cannot serve it: deploying must
+        // fail up front, not panic on every request and burn retries.
+        let router = ShardedRouter::new(RouterConfig::default());
+        let model = TrainedSelector::build(crate::Architecture::ConvNet, 2, 4, 5);
+        let window = WindowConfig {
+            length: 2,
+            stride: 2,
+            znormalize: true,
+        };
+        let err = router.deploy("short", model, window).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(!router.names().iter().any(|n| n == "short"));
+        router.shutdown();
+    }
+
+    #[test]
+    fn malformed_fallback_output_fails_the_route() {
+        // Primary and fallback both return one score set short: the
+        // degraded reply must be an error, not a short reply.
+        struct Short;
+        impl Selector for Short {
+            fn name(&self) -> &str {
+                "short"
+            }
+            fn series_scores(&self, _ts: &tsdata::TimeSeries) -> Vec<Vec<f32>> {
+                unreachable!("window_scores is overridden")
+            }
+            fn window_scores(&self, batch: &[&tsdata::TimeSeries]) -> Vec<Vec<Vec<f32>>> {
+                vec![vec![vec![1.0; 12]]; batch.len().saturating_sub(1)]
+            }
+        }
+        let router = ShardedRouter::new(RouterConfig {
+            retry: RetryPolicy {
+                max_retries: 0,
+                ..RetryPolicy::default()
+            },
+            ..RouterConfig::default()
+        });
+        router.register("short", Arc::new(Short)).unwrap();
+        router.set_fallback(Arc::new(Short));
+        let series = tsdata::TimeSeries::new("s", "D", vec![0.0; 64], vec![]);
+        let err = router
+            .route(&SelectRequest::new("short", vec![series.clone(), series]))
+            .unwrap_err();
+        assert!(
+            matches!(err, RouteError::FallbackFailed(ref msg) if msg.contains("1 results for a batch of 2")),
+            "{err:?}"
+        );
+        router.shutdown();
     }
 
     #[test]

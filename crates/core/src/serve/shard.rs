@@ -183,16 +183,7 @@ impl Shard {
                     None => engine.load(store, name, *window),
                     Some(injector) => {
                         let model = store.load(name)?;
-                        if model.window != window.length {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::InvalidInput,
-                                format!(
-                                    "selector {name:?} was trained with window length {}, \
-                                     but the serving WindowConfig has length {}",
-                                    model.window, window.length
-                                ),
-                            ));
-                        }
+                        super::check_servable_window(name, &model, window)?;
                         let mut selector =
                             crate::selector::NnSelector::new(name.to_string(), model, *window);
                         if let Some(cache) = engine.window_cache() {

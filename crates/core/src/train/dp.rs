@@ -2,8 +2,8 @@
 //!
 //! Each minibatch is split into `cfg.replicas` **fixed micro-partitions**
 //! ([`micro_partitions`]): contiguous index ranges whose boundaries depend
-//! only on the batch size and the replica count — never on `KD_THREADS`,
-//! the execution backend, or which worker runs what. Every replica owns a
+//! only on the batch size and the replica count — never on `KD_THREADS`
+//! or which worker runs what. Every replica owns a
 //! full clone of the model (encoder, classifier, objective terms) and runs
 //! forward/backward over its partition; the fan-out executes on
 //! [`tspar`]'s persistent worker pool via `par_chunks_mut` (one replica

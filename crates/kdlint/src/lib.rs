@@ -6,8 +6,8 @@
 //! dynamically; kdlint drift-proofs them mechanically by banning the
 //! constructs that erode them — wall-clock reads, ambient RNG, hash-order
 //! iteration, unjustified `unsafe`, unaudited `Ordering::Relaxed`,
-//! unbounded waits in the serving tier, and allocation in `kdprof: hot`
-//! functions. See [`rules`] for the rule catalogue and the
+//! unbounded waits in the serving tier, allocation in `kdprof: hot`
+//! functions, and run-time environment switches. See [`rules`] for the rule catalogue and the
 //! `// kdlint: allow(<rule>): <reason>` grammar.
 //!
 //! The crate is dependency-free by design (no syn, no proc-macro): it

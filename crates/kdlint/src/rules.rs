@@ -1,4 +1,4 @@
-//! The rule engine: seven contract rules plus the annotation grammar.
+//! The rule engine: eight contract rules plus the annotation grammar.
 //!
 //! Every rule is keyed to an invariant the workspace's tests pin
 //! dynamically — bitwise-identical results at any `KD_THREADS`, every
@@ -14,6 +14,7 @@
 //! | `relaxed-ordering-audit` | `Relaxed` only on audited stat counters |
 //! | `unbounded-wait` | `core::serve` waits are deadline-bounded |
 //! | `no-hot-alloc` | profiled hot paths stay allocation-free |
+//! | `no-env-knob` | behaviour is not switched by environment variables |
 //!
 //! Rules report candidate findings; the engine suppresses those whose line
 //! carries a `// kdlint: allow(<key>): <reason>` annotation and flags
@@ -72,13 +73,14 @@ pub struct FileCtx {
 }
 
 /// The canonical allow-keys, in rule order.
-const ALLOW_KEYS: [&str; 6] = [
+const ALLOW_KEYS: [&str; 7] = [
     "wallclock",
     "ambient-rng",
     "hash-iteration",
     "relaxed",
     "unbounded-wait",
     "hot-alloc",
+    "env-knob",
 ];
 
 impl FileCtx {
@@ -748,10 +750,57 @@ impl Rule for NoHotAlloc {
 }
 
 // ---------------------------------------------------------------------
+// no-env-knob
+// ---------------------------------------------------------------------
+
+/// A run-time `env::var` / `env::var_os` read is a hidden switch: it
+/// selects a second code path (or value) that tests and production may
+/// not share. Allowed only at annotated sites that configure deployment
+/// (a thread count, a cache path), never behaviour. The compile-time
+/// `env!` macro is not a read and is not flagged.
+pub struct NoEnvKnob;
+
+impl Rule for NoEnvKnob {
+    fn name(&self) -> &'static str {
+        "no-env-knob"
+    }
+    fn allow_key(&self) -> &'static str {
+        "env-knob"
+    }
+    fn applies(&self, path: &str) -> bool {
+        // Bench drivers take their scale and output path from the
+        // environment.
+        !in_bench(path)
+    }
+    fn check(&self, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
+        let code = &ctx.code;
+        for (i, t) in code.iter().enumerate() {
+            if t.kind.ident() != Some("env")
+                || code.get(i + 1).map(|t| &t.kind) != Some(&Tok::PathSep)
+            {
+                continue;
+            }
+            if let Some(read @ ("var" | "var_os")) = code.get(i + 2).and_then(|t| t.kind.ident()) {
+                out.push(diag(
+                    ctx,
+                    t.line,
+                    self.name(),
+                    format!(
+                        "`env::{read}` reads a run-time switch; one code path must serve \
+                         tests and production — take the value as an argument, or \
+                         annotate why it only configures deployment"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------
 
-/// The seven contract rules, in reporting order.
+/// The eight contract rules, in reporting order.
 pub fn default_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(NoWallclock),
@@ -761,6 +810,7 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(RelaxedOrderingAudit),
         Box::new(UnboundedWait),
         Box::new(NoHotAlloc),
+        Box::new(NoEnvKnob),
     ]
 }
 

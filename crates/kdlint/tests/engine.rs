@@ -120,7 +120,25 @@ fn unbounded_wait_distinguishes_thread_join_from_path_join() {
     assert!(one_rule("unbounded-wait", bounded).is_empty());
 }
 
+#[test]
+fn env_knob_flags_runtime_reads_not_the_env_macro() {
+    let src = "fn f() -> bool { std::env::var(\"KD_X\").is_ok() }";
+    assert_eq!(rules_of(&one_rule("no-env-knob", src)), ["no-env-knob"]);
+    let src = "use std::env; fn f() -> bool { env::var_os(\"KD_X\").is_some() }";
+    assert_eq!(one_rule("no-env-knob", src).len(), 1);
+    // Compile-time `env!` and non-reading `env` items are not switches.
+    assert!(one_rule("no-env-knob", "fn f() -> &'static str { env!(\"X\") }").is_empty());
+    assert!(one_rule("no-env-knob", "fn f() { let _ = std::env::args(); }").is_empty());
+}
+
 // ------------------------------------------------------------- scoping
+
+#[test]
+fn bench_crate_may_read_the_environment() {
+    let src = "fn f() -> bool { std::env::var(\"KD_X\").is_ok() }";
+    assert!(scoped("crates/bench/src/bin/micro_kernels.rs", src).is_empty());
+    assert!(!scoped("crates/tsnn/src/gemm.rs", src).is_empty());
+}
 
 #[test]
 fn bench_crate_may_read_the_clock() {

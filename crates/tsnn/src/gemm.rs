@@ -58,10 +58,8 @@
 //! size. Parallelism splits row tiles (fixed [`MR`]-aligned boundaries,
 //! independent of the worker count), so results are also bit-identical at
 //! any thread count — the property `tests/parallel_determinism.rs` pins.
-//!
-//! `KD_BLOCK` overrides the number of row tiles per parallel task (the
-//! split granularity, which never affects values); `KD_THREADS` caps the
-//! workers (see [`tspar`]).
+//! Each parallel task owns [`TILES_PER_TASK`] row tiles; `KD_THREADS` caps
+//! the workers (see [`tspar`]).
 
 use crate::simd::{self, F32x16};
 
@@ -83,6 +81,10 @@ const PACK_FLOP_THRESHOLD: usize = 4096;
 /// hardware-prefetch-friendly stream per micro-kernel call. `k ≤ KC`
 /// degenerates to a single block, i.e. exactly the pre-blocking kernel.
 pub const KC: usize = 256;
+
+/// Row tiles per parallel task (64 rows): the split granularity of a
+/// parallel product, which never affects values.
+const TILES_PER_TASK: usize = 8;
 
 /// Whether the k-blocked path may fuse two adjacent `B` panels into one
 /// micro-kernel call (an `MR × 2NR` register tile), so every packed-`A`
@@ -226,14 +228,13 @@ fn gemm_blocked(
 ) {
     let flops = n * m * k;
     let n_tiles = n.div_ceil(MR);
-    let tiles_per_task = block_rows().max(1);
     let kc = kc.max(1);
     // The packed-A scratch only ever holds one k block.
     let pa_len = kc.min(k) * MR;
 
-    // Work below the execution backend's gate (`tspar::min_par_work`,
-    // shared with the layer-level gates) is not worth a parallel region.
-    if flops < tspar::min_par_work() || tspar::threads() <= 1 {
+    // Work below the pool's gate (`tspar::MIN_PAR_WORK`, shared with the
+    // layer-level gates) is not worth a parallel region.
+    if flops < tspar::MIN_PAR_WORK || tspar::threads() <= 1 {
         let mut packed_a = vec![0.0f32; pa_len];
         for tile in 0..n_tiles {
             gemm_row_tile_into(tile, 0, n, m, k, kc, a, a_layout, panels, &mut packed_a, c);
@@ -241,13 +242,13 @@ fn gemm_blocked(
         return;
     }
 
-    // Parallel: each task owns `tiles_per_task` consecutive row tiles and
+    // Parallel: each task owns `TILES_PER_TASK` consecutive row tiles and
     // the matching rows of C, dispatched to tspar's persistent pool. Tile
     // boundaries depend only on MR and the task size, never on the worker
-    // count or the execution backend.
-    let rows_per_task = tiles_per_task * MR;
+    // count.
+    let rows_per_task = TILES_PER_TASK * MR;
     tspar::par_chunks_mut(c, rows_per_task * m, |task, c_chunk| {
-        let tile0 = task * tiles_per_task;
+        let tile0 = task * TILES_PER_TASK;
         let mut packed_a = vec![0.0f32; pa_len];
         let rows_here = c_chunk.len() / m;
         let tiles_here = rows_here.div_ceil(MR);
@@ -330,18 +331,6 @@ pub fn gemm_prepacked_with_kc(
 ) {
     debug_assert_eq!(c.len(), n * b.m);
     gemm_blocked(n, b.m, b.k, a, a_layout, &b.panels, kc, c);
-}
-
-/// Row tiles per parallel task (`KD_BLOCK`, default 8 → 64 rows/task).
-fn block_rows() -> usize {
-    static CACHE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("KD_BLOCK")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&v| v >= 1)
-            .unwrap_or(8)
-    })
 }
 
 /// Packs `B'` (`k×m` after layout) into [`NR`]-wide column panels,

@@ -16,24 +16,19 @@
 //! 3. **Ordered reductions.** When chunk results must be combined, callers
 //!    receive them in chunk order ([`par_map`] preserves index order).
 //!
-//! # Execution backends
+//! # Execution
 //!
-//! Partitioning is separate from execution. The partitions of a region are
-//! handed to one of two [`Backend`]s:
+//! Partitioning is separate from execution. The partitions of a region
+//! run on a lazily-initialized, process-wide pool of long-lived workers
+//! ([`mod@pool`]): the caller runs partition 0 inline and claims
+//! leftovers, workers claim the rest from a shared queue. Per-region cost
+//! is a queue push plus condvar wakeups.
 //!
-//! * [`Backend::Pool`] (default) — a lazily-initialized, process-wide pool
-//!   of long-lived workers ([`mod@pool`]): the caller runs partition 0
-//!   inline and claims leftovers, workers claim the rest from a shared
-//!   queue. Per-region cost is a queue push plus condvar wakeups instead of
-//!   `threads() − 1` OS thread spawns and joins.
-//! * [`Backend::Spawn`] — the original per-region scoped spawn/join,
-//!   kept as the reference implementation: benchmarks measure dispatch
-//!   overhead against it and the determinism harness pins pool ≡ spawn
-//!   bitwise.
-//!
-//! Because partitions and per-chunk work are identical under both backends
-//! and all writes are disjoint, the backend (and the number of live pool
-//! workers) can never affect results.
+//! Because partitions and per-chunk work are fixed before dispatch and all
+//! writes are disjoint, the number of live pool workers can never affect
+//! results: a region at any width is bit-identical to the serial run at
+//! `Parallelism::Fixed(1)`, which is the reference the determinism tests
+//! compare against.
 //!
 //! # Thread-count snapshot semantics
 //!
@@ -54,7 +49,7 @@ mod pool;
 pub use pool::{pool_workers, shutdown_pool};
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Thread-count policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +77,8 @@ impl Parallelism {
 }
 
 fn env_threads() -> Option<usize> {
+    // kdlint: allow(env-knob): deployment width — results are
+    // bit-identical at any worker count.
     std::env::var("KD_THREADS")
         .ok()?
         .trim()
@@ -132,46 +129,10 @@ pub fn threads() -> usize {
     }
 }
 
-/// How a region's fixed partitions are executed. Never affects results —
-/// see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Persistent worker pool (default): caller runs partition 0 inline,
-    /// long-lived workers claim the rest from a shared queue.
-    Pool,
-    /// Per-region scoped spawn/join — the seed's implementation, kept as
-    /// the bitwise reference for the determinism harness and the dispatch
-    /// overhead benchmark.
-    Spawn,
-}
-
-/// 0 = Pool, 1 = Spawn.
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the execution backend for subsequent parallel regions
-/// (process-wide; used by tests and benchmarks).
-pub fn set_backend(b: Backend) {
-    BACKEND.store(
-        match b {
-            Backend::Pool => 0,
-            Backend::Spawn => 1,
-        },
-        Ordering::SeqCst,
-    );
-}
-
-/// The backend new parallel regions execute on.
-pub fn backend() -> Backend {
-    match BACKEND.load(Ordering::SeqCst) {
-        0 => Backend::Pool,
-        _ => Backend::Spawn,
-    }
-}
-
 thread_local! {
     /// True while this thread is executing region partitions — on pool
-    /// workers, on spawn-backend scoped threads, and on a submitting caller
-    /// while it runs its own lots — so nested regions stay inline.
+    /// workers and on a submitting caller while it runs its own lots — so
+    /// nested regions stay inline.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -196,9 +157,8 @@ impl Drop for WorkerScope {
 }
 
 /// Interior-mutable cell for one partition's task list: each lot index is
-/// executed exactly once (spawn backend: one scoped thread per lot; pool
-/// backend: claimed once from the job's atomic counter), so the executor
-/// holds the only live access to the lot's contents.
+/// claimed exactly once from the pool job's atomic counter, so the
+/// executor holds the only live access to the lot's contents.
 struct LotCell<T>(UnsafeCell<T>);
 
 // SAFETY: see `LotCell` — exclusive per-lot access is guaranteed by the
@@ -211,25 +171,6 @@ type MapLot<'a, T> = LotCell<Vec<(usize, &'a mut Option<T>)>>;
 
 /// One [`par_chunks_mut`] partition: `(chunk index, chunk)` pairs.
 type ChunkLot<'a, T> = LotCell<Vec<(usize, &'a mut [T])>>;
-
-/// Executes `body(lot)` exactly once for every `lot in 0..n_lots` on the
-/// configured [`Backend`]. `n_lots >= 2`; panics from lot bodies propagate
-/// to the caller after all lots finish (both backends).
-fn execute(n_lots: usize, body: &(dyn Fn(usize) + Sync)) {
-    match backend() {
-        Backend::Pool => pool::run_region(n_lots, body),
-        Backend::Spawn => {
-            std::thread::scope(|s| {
-                for lot in 0..n_lots {
-                    s.spawn(move || {
-                        let _worker = worker_scope();
-                        body(lot);
-                    });
-                }
-            });
-        }
-    }
-}
 
 /// Maps `f` over `0..n`, preserving index order in the output. Tasks are
 /// dealt to partitions round-robin (task `i` → partition `i % workers`),
@@ -259,7 +200,7 @@ where
             .map(|lot| LotCell(UnsafeCell::new(lot)))
             .collect();
         let f = &f;
-        execute(lots.len(), &|lot| {
+        pool::run_region(lots.len(), &|lot| {
             // SAFETY: `lot` is executed exactly once (LotCell contract).
             let items = unsafe { &mut *lots[lot].0.get() };
             for (i, slot) in items.iter_mut() {
@@ -277,50 +218,26 @@ where
 /// below this the dispatch cost outweighs the compute and callers should
 /// stay serial.
 ///
-/// Calibrated against the persistent pool by the `micro_kernels` bench's
-/// `par_gate` sweep (`BENCH_micro.json`): pool dispatch costs ≈ 4–5 µs per
-/// region where the pre-pool scoped spawn/join (which the original
-/// `1 << 21` gate was tuned for) cost ≈ 100 µs. A width-`w` region breaks
-/// even once its serial time exceeds `overhead · w / (w − 1)` — ≈ 6.5 µs
-/// at width 4, reached at the `1 << 17` rung of the sweep (~1 multiply-add
-/// per work unit), which is where this constant now sits — 16× lower than
-/// the spawn-era gate. Below-gate regions run the
-/// identical serial chunking (same boundaries, same results) — the
-/// `pool_props` proptest pins gated ≡ sequential on both sides of the
-/// gate, so retuning the constant can never change values.
-///
-/// This is the **pool-backend** gate; [`min_par_work`] returns the gate
-/// for the currently selected backend (the spawn reference keeps the
-/// spawn-era [`MIN_PAR_WORK_SPAWN`], since its ~100 µs/region dispatch is
-/// what the old value was calibrated against).
+/// Calibrated by the `micro_kernels` bench's `par_gate` sweep
+/// (`BENCH_micro.json`): pool dispatch costs ≈ 4–5 µs per region. A
+/// width-`w` region breaks even once its serial time exceeds
+/// `overhead · w / (w − 1)` — ≈ 6.5 µs at width 4, reached at the
+/// `1 << 17` rung of the sweep (~1 multiply-add per work unit). Below-gate
+/// regions run the identical serial chunking (same boundaries, same
+/// results) — the `pool_props` proptest pins gated ≡ sequential on both
+/// sides of the gate, so retuning the constant can never change values.
 pub const MIN_PAR_WORK: usize = 1 << 17;
 
-/// The gate for [`Backend::Spawn`]: per-region scoped spawn/join costs
-/// ~20× pool dispatch, so regions between the two gates that profit on
-/// the pool would regress under spawn. Kept at the original calibration.
-pub const MIN_PAR_WORK_SPAWN: usize = 1 << 21;
-
-/// The work gate for the currently selected [`Backend`] — what
-/// [`par_chunks_mut_gated`] (and the layer-level gates) compare their
-/// work estimate against. Backend choice never affects results, only
-/// whether a region's fixed chunking runs inline or dispatched.
-pub fn min_par_work() -> usize {
-    match backend() {
-        Backend::Pool => MIN_PAR_WORK,
-        Backend::Spawn => MIN_PAR_WORK_SPAWN,
-    }
-}
-
 /// [`par_chunks_mut`] gated by a work estimate: runs serially (same chunk
-/// boundaries, same results) when `work` is below the current backend's
-/// gate ([`min_par_work`]). Hot per-minibatch layers use this so small
-/// shapes never pay dispatch overhead.
+/// boundaries, same results) when `work` is below [`MIN_PAR_WORK`]. Hot
+/// per-minibatch layers use this so small shapes never pay dispatch
+/// overhead.
 pub fn par_chunks_mut_gated<T, F>(data: &mut [T], chunk_len: usize, work: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    if work < min_par_work() {
+    if work < MIN_PAR_WORK {
         for (i, chunk) in data.chunks_mut(chunk_len.max(1)).enumerate() {
             f(i, chunk);
         }
@@ -359,7 +276,7 @@ where
         .map(|lot| LotCell(UnsafeCell::new(lot)))
         .collect();
     let f = &f;
-    execute(lots.len(), &|lot| {
+    pool::run_region(lots.len(), &|lot| {
         // SAFETY: `lot` is executed exactly once (LotCell contract).
         let items = unsafe { &mut *lots[lot].0.get() };
         for (i, chunk) in items.iter_mut() {
@@ -402,8 +319,8 @@ mod tests {
         assert_eq!(data, (0..103).collect::<Vec<_>>());
     }
 
-    /// One test (not several) so the process-global override and backend
-    /// are never mutated concurrently by the multi-threaded test harness.
+    /// One test (not several) so the process-global override is never
+    /// mutated concurrently by the multi-threaded test harness.
     /// (Pool lifecycle, panic safety, and env snapshot behaviour live in
     /// their own integration binaries — each is a separate process.)
     #[test]
@@ -416,7 +333,7 @@ mod tests {
             "executors must see threads() == 1 to keep nested regions inline: {inner:?}"
         );
 
-        // Identical results at 1 vs 8 workers, pool and spawn backends.
+        // Identical results at 1 vs 8 workers.
         let run = || {
             let mut v = vec![0.0f64; 777];
             par_chunks_mut(&mut v, 13, |ci, chunk| {
@@ -430,11 +347,7 @@ mod tests {
         let serial = run();
         set_parallelism(Parallelism::Fixed(8));
         let pooled = run();
-        assert_eq!(serial, pooled, "pool backend at 8 workers");
-        set_backend(Backend::Spawn);
-        let spawned = run();
-        set_backend(Backend::Pool);
-        assert_eq!(serial, spawned, "spawn backend at 8 workers");
+        assert_eq!(serial, pooled, "pool at 8 workers");
 
         // Nested region inside a region body: inline, correct, no deadlock.
         let nested = par_map(6, |i| {

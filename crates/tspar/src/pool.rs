@@ -1,10 +1,9 @@
-//! The persistent worker pool behind [`crate::Backend::Pool`].
+//! The persistent worker pool every parallel region executes on.
 //!
-//! Every parallel region used to spawn and join one scoped OS thread per
-//! partition, so hot per-minibatch layers just above the
-//! [`crate::MIN_PAR_WORK`] gate paid recurring spawn cost. This module
-//! replaces that with a lazily-initialized, process-wide pool of long-lived
-//! workers fed from a shared FIFO injector queue:
+//! A lazily-initialized, process-wide pool of long-lived workers fed from
+//! a shared FIFO injector queue, so hot per-minibatch layers just above
+//! the [`crate::MIN_PAR_WORK`] gate pay a queue push and condvar wakeups
+//! per region rather than OS thread spawns:
 //!
 //! * **Jobs, not tasks.** A region submits one [`Job`] describing its fixed
 //!   partitions ("lots"). Executors *claim* lots from the job's atomic
@@ -19,9 +18,9 @@
 //! * **Determinism is upstream.** Partition boundaries and per-lot work are
 //!   fixed by [`crate::par_map`]/[`crate::par_chunks_mut`] before dispatch
 //!   and each lot writes disjoint output, so *which* executor runs a lot
-//!   cannot affect results. The pool path is bit-identical to the scoped
-//!   spawn path ([`crate::Backend::Spawn`]) — `tests/pool_determinism.rs`
-//!   at the workspace root pins that contract.
+//!   cannot affect results. The pool path is bit-identical to the serial
+//!   path at `Parallelism::Fixed(1)` — `tests/pool_determinism.rs` at the
+//!   workspace root pins that contract.
 //! * **Panic safety.** Each lot body runs under `catch_unwind`; the first
 //!   payload is stored on the job and re-raised on the submitting thread
 //!   after every lot has finished (mirroring [`std::thread::scope`]).

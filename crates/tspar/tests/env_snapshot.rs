@@ -14,6 +14,8 @@ use tspar::Parallelism;
 /// One test fn so the env/override mutations never interleave.
 #[test]
 fn kd_threads_is_snapshotted_once_per_region() {
+    // kdlint: allow(env-knob): saves the caller's width to restore it;
+    // this test pins how `KD_THREADS` is read.
     let original = std::env::var("KD_THREADS").ok();
     tspar::set_parallelism(Parallelism::Auto);
 

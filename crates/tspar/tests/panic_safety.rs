@@ -7,7 +7,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tspar::{Backend, Parallelism};
+use tspar::Parallelism;
 
 /// Runs `f` with panic-hook output suppressed (the panics in here are
 /// deliberate; their default-hook stack traces would drown the test log).
@@ -26,11 +26,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("<non-string payload>")
 }
 
-/// One test fn so the global policy/backend mutations never interleave.
+/// One test fn so the global policy mutations never interleave.
 #[test]
 fn panics_propagate_and_the_pool_stays_usable() {
     tspar::set_parallelism(Parallelism::Fixed(4));
-    tspar::set_backend(Backend::Pool);
 
     // --- A worker-executed lot panics: the submitter gets the payload. ---
     let err = quiet(|| {
@@ -112,23 +111,6 @@ fn panics_propagate_and_the_pool_stays_usable() {
     // kdlint: allow(relaxed): read after scope join — the join edge already
     // ordered every increment before this load.
     assert_eq!(clean_runs.load(Ordering::Relaxed), 20);
-
-    // --- Parity: the spawn reference backend also fails the region
-    //     (`thread::scope` re-panics with a generic payload; the pool is
-    //     strictly better — it preserves the original message above). ---
-    let err = quiet(|| {
-        catch_unwind(AssertUnwindSafe(|| {
-            tspar::set_backend(Backend::Spawn);
-            tspar::par_map(64, |i| {
-                if i == 13 {
-                    panic!("boom at {i}");
-                }
-                i * 2
-            })
-        }))
-    });
-    tspar::set_backend(Backend::Pool);
-    err.expect_err("spawn backend must propagate too");
 
     tspar::set_parallelism(Parallelism::Auto);
 }

@@ -4,13 +4,12 @@
 //! Own integration binary (own process): worker-count assertions require
 //! that nothing else drives the pool concurrently.
 
-use tspar::{Backend, Parallelism};
+use tspar::Parallelism;
 
 /// One test fn so the global policy mutations and worker-count
 /// observations never interleave.
 #[test]
 fn pool_grows_lazily_is_reused_and_survives_shutdown() {
-    tspar::set_backend(Backend::Pool);
     assert_eq!(
         tspar::pool_workers(),
         0,

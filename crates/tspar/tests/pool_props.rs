@@ -1,17 +1,15 @@
 //! Property tests for the parallel runtime: pool execution must match a
 //! sequential reference for arbitrary partition counts, work sizes and
-//! `KD_THREADS` values — including regions below the `MIN_PAR_WORK` gate —
-//! and the pool backend must match the scoped-spawn reference backend
-//! bitwise.
+//! `KD_THREADS` values — including regions below the `MIN_PAR_WORK` gate.
 //!
-//! These tests mutate the process-global thread policy and backend
-//! concurrently (the harness runs them in parallel), which is safe here
-//! because every assertion is *width- and backend-independent*: any
-//! snapshot an interleaved region happens to observe must produce the same
-//! bits. That is exactly the determinism contract under test.
+//! These tests mutate the process-global thread policy concurrently (the
+//! harness runs them in parallel), which is safe here because every
+//! assertion is *width-independent*: any snapshot an interleaved region
+//! happens to observe must produce the same bits. That is exactly the
+//! determinism contract under test.
 
 use proptest::prelude::*;
-use tspar::{Backend, Parallelism};
+use tspar::Parallelism;
 
 /// Deterministic pure-float task: bit-identical wherever it runs.
 fn task(i: usize, salt: u64) -> f64 {
@@ -85,21 +83,5 @@ proptest! {
         tspar::par_chunks_mut_gated(&mut got, chunk_len, work, fill);
         tspar::set_parallelism(Parallelism::Auto);
         prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn pool_backend_matches_spawn_backend_bitwise(
-        n in 2usize..250,
-        width in 2usize..9,
-        salt in 0u64..10_000,
-    ) {
-        tspar::set_parallelism(Parallelism::Fixed(width));
-        tspar::set_backend(Backend::Pool);
-        let pooled = tspar::par_map(n, |i| task(i, salt));
-        tspar::set_backend(Backend::Spawn);
-        let spawned = tspar::par_map(n, |i| task(i, salt));
-        tspar::set_backend(Backend::Pool);
-        tspar::set_parallelism(Parallelism::Auto);
-        prop_assert_eq!(pooled, spawned, "n={} width={}", n, width);
     }
 }

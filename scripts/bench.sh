@@ -6,8 +6,8 @@
 # threads ("route", with a bitwise routed == direct guard) —
 # training throughput through the data-parallel session stack ("train":
 # windows/sec at 1 and N worker threads, weights asserted bitwise-equal
-# across the two), plus pool dispatch overhead ("dispatch") and the
-# MIN_PAR_WORK calibration sweep ("par_gate") and the label cost per
+# across the two), plus the MIN_PAR_WORK calibration sweep ("par_gate",
+# which measures pool dispatch overhead) and the label cost per
 # detector plus the LSTM gate math vs libm ("detectors"), and appends one JSON
 # record per run to BENCH_micro.json (repo root), so the perf trajectory
 # accumulates PR over PR.

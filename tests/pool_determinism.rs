@@ -1,11 +1,11 @@
 //! The persistent-pool determinism contract, enforced end to end:
 //!
-//! 1. **Pool ≡ spawn, bitwise.** Every parallel entry point must produce
-//!    bit-identical results on the persistent pool ([`Backend::Pool`]) and
-//!    on the pre-pool scoped spawn/join reference ([`Backend::Spawn`]), at
-//!    every tested `KD_THREADS` width — checked at the primitive level
-//!    (`par_map` / `par_chunks_mut`) and through the `SelectorEngine`
-//!    serving path (selector fan-out → tsnn batched layers → GEMM).
+//! 1. **Pool ≡ serial, bitwise.** Every parallel entry point must produce
+//!    results on the persistent pool bit-identical to the serial run at
+//!    `Parallelism::Fixed(1)`, at every tested `KD_THREADS` width —
+//!    checked at the primitive level (`par_map` / `par_chunks_mut`) and
+//!    through the `SelectorEngine` serving path (selector fan-out → tsnn
+//!    batched layers → GEMM).
 //! 2. **Stress.** N concurrent `SelectorEngine` callers × a
 //!    `KD_THREADS ∈ {1, 2, 4, 7}` sweep: bit-identical `Selection`s, no
 //!    deadlock, with nested parallel regions running inline on executors.
@@ -14,8 +14,8 @@
 //!    correctly afterwards.
 //!
 //! Lives in its own integration binary because it mutates the
-//! process-global `tspar` thread policy and backend (one test fn so the
-//! mutations never interleave).
+//! process-global `tspar` thread policy (one test fn so the mutations
+//! never interleave).
 
 use kdselector::core::selector::NnSelector;
 use kdselector::core::serve::{SelectRequest, Selection, SelectorEngine};
@@ -24,11 +24,10 @@ use kdselector::core::Architecture;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tsdata::{TimeSeries, WindowConfig};
-use tspar::{Backend, Parallelism};
+use tspar::Parallelism;
 
 /// The ISSUE-mandated width sweep.
 const WIDTHS: [usize; 4] = [1, 2, 4, 7];
-const BACKENDS: [Backend; 2] = [Backend::Pool, Backend::Spawn];
 
 /// Deterministic synthetic series, long enough for several 64-windows.
 fn batch(n: usize, len: usize) -> Vec<TimeSeries> {
@@ -73,10 +72,9 @@ fn test_engine() -> SelectorEngine {
 }
 
 #[test]
-fn pool_path_is_bitwise_identical_to_spawn_path() {
+fn pool_path_is_bitwise_identical_to_serial_path() {
     // ---- Primitive level: references computed serially once. ------------
     tspar::set_parallelism(Parallelism::Fixed(1));
-    tspar::set_backend(Backend::Pool);
     let map_ref: Vec<f64> = (0..513).map(float_task).collect();
     let chunk_fill = |ci: usize, chunk: &mut [f64]| {
         for (j, x) in chunk.iter_mut().enumerate() {
@@ -96,86 +94,75 @@ fn pool_path_is_bitwise_identical_to_spawn_path() {
         .collect();
 
     for &width in &WIDTHS {
-        for &backend in &BACKENDS {
-            tspar::set_parallelism(Parallelism::Fixed(width));
-            tspar::set_backend(backend);
-            let tag = format!("width {width}, {backend:?}");
+        tspar::set_parallelism(Parallelism::Fixed(width));
+        let tag = format!("width {width}");
 
-            let got = tspar::par_map(513, float_task);
-            assert_eq!(got, map_ref, "par_map diverged at {tag}");
+        let got = tspar::par_map(513, float_task);
+        assert_eq!(got, map_ref, "par_map diverged at {tag}");
 
-            let mut v = vec![0.0f64; 1001];
-            tspar::par_chunks_mut(&mut v, 37, chunk_fill);
-            assert_eq!(v, chunks_ref, "par_chunks_mut diverged at {tag}");
+        let mut v = vec![0.0f64; 1001];
+        tspar::par_chunks_mut(&mut v, 37, chunk_fill);
+        assert_eq!(v, chunks_ref, "par_chunks_mut diverged at {tag}");
 
-            let nested = tspar::par_map(24, |i| {
-                tspar::par_map(40, move |j| float_task(i * 40 + j))
-                    .iter()
-                    .sum::<f64>()
-            });
-            assert_eq!(nested, nested_ref, "nested regions diverged at {tag}");
-        }
+        let nested = tspar::par_map(24, |i| {
+            tspar::par_map(40, move |j| float_task(i * 40 + j))
+                .iter()
+                .sum::<f64>()
+        });
+        assert_eq!(nested, nested_ref, "nested regions diverged at {tag}");
     }
 
     // ---- Serving level: engine Selections across the full matrix. -------
     let engine = test_engine();
     let series = batch(12, 420);
     tspar::set_parallelism(Parallelism::Fixed(1));
-    tspar::set_backend(Backend::Pool);
     let reference_conv = engine.select_batch("convnet", &series).unwrap();
     let reference_tf = engine.select_batch("transformer", &series).unwrap();
 
     for &width in &WIDTHS {
-        for &backend in &BACKENDS {
-            tspar::set_parallelism(Parallelism::Fixed(width));
-            tspar::set_backend(backend);
-            let tag = format!("width {width}, {backend:?}");
-            assert_eq!(
-                engine.select_batch("convnet", &series).unwrap(),
-                reference_conv,
-                "convnet Selections diverged at {tag}"
-            );
-            assert_eq!(
-                engine.select_batch("transformer", &series).unwrap(),
-                reference_tf,
-                "transformer Selections diverged at {tag}"
-            );
-        }
+        tspar::set_parallelism(Parallelism::Fixed(width));
+        let tag = format!("width {width}");
+        assert_eq!(
+            engine.select_batch("convnet", &series).unwrap(),
+            reference_conv,
+            "convnet Selections diverged at {tag}"
+        );
+        assert_eq!(
+            engine.select_batch("transformer", &series).unwrap(),
+            reference_tf,
+            "transformer Selections diverged at {tag}"
+        );
     }
 
-    // ---- Stress: 4 concurrent callers × width sweep, both backends. -----
+    // ---- Stress: 4 concurrent callers × width sweep. ---------------------
     // Each caller opens its own selector fan-out region (which nests into
     // batched layers and GEMM); all share one pool and must agree bitwise.
     let request = SelectRequest::new("convnet", series.clone());
     for &width in &WIDTHS {
-        for &backend in &BACKENDS {
-            tspar::set_parallelism(Parallelism::Fixed(width));
-            tspar::set_backend(backend);
-            let results: Vec<Vec<Selection>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..4)
-                    .map(|_| {
-                        let engine = &engine;
-                        let request = &request;
-                        s.spawn(move || engine.handle(request).unwrap())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("serving caller"))
-                    .collect()
-            });
-            for (caller, got) in results.iter().enumerate() {
-                assert_eq!(
-                    got, &reference_conv,
-                    "caller {caller} diverged at width {width}, {backend:?}"
-                );
-            }
+        tspar::set_parallelism(Parallelism::Fixed(width));
+        let results: Vec<Vec<Selection>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let engine = &engine;
+                    let request = &request;
+                    s.spawn(move || engine.handle(request).unwrap())
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("serving caller"))
+                .collect()
+        });
+        for (caller, got) in results.iter().enumerate() {
+            assert_eq!(
+                got, &reference_conv,
+                "caller {caller} diverged at width {width}"
+            );
         }
     }
 
     // ---- Panic/recovery: a panicking region next to a serving caller. ---
     tspar::set_parallelism(Parallelism::Fixed(4));
-    tspar::set_backend(Backend::Pool);
     std::panic::set_hook(Box::new(|_| {})); // the panics below are deliberate
     std::thread::scope(|s| {
         let panicker = s.spawn(|| {
@@ -213,5 +200,4 @@ fn pool_path_is_bitwise_identical_to_spawn_path() {
     );
 
     tspar::set_parallelism(Parallelism::Auto);
-    tspar::set_backend(Backend::Pool);
 }

@@ -1,26 +1,26 @@
 //! The scratch-arena contract (`core::serve::arena`), end to end:
 //!
-//! 1. **Pooling never changes results.** Direct serving and the queued,
-//!    coalescing front-end produce bitwise-identical `Selection`s with
-//!    the arena enabled and disabled, at `KD_THREADS ∈ {1, 4}` — the
-//!    buffers it recycles are fully overwritten before every use, so
-//!    reuse can only change speed.
-//! 2. **Grouped ≡ per-series, bitwise.** The coalescer's one-forward-pass
-//!    batch path (`window_scores_refs`) scores exactly what per-series
-//!    `series_scores` calls produce.
+//! 1. **Pooling never changes results.** The reference serves each
+//!    request directly on its own freshly spawned thread at
+//!    `KD_THREADS=1`, so every request starts from an empty thread-local
+//!    arena. Direct serving and the queued, coalescing front-end on warm
+//!    arenas, at `KD_THREADS ∈ {1, 4}`, produce bitwise-identical
+//!    `Selection`s — the buffers the arena recycles are fully overwritten
+//!    before every use, so reuse can only change speed.
+//! 2. **Grouped ≡ per-series, bitwise.** The one-forward-pass batch path
+//!    (`window_scores`) scores exactly what per-series `series_scores`
+//!    calls produce.
 //! 3. **Steady state is allocation-free.** After one warm-up pass,
 //!    re-serving the same request shapes grows no arena buffer:
 //!    `kdprof::Counter::ArenaGrowth` stays zero while `ArenaReuse`
 //!    advances.
 //!
 //! Lives in its own integration binary because it flips the
-//! process-global arena toggle and `tspar` thread policy (one test fn so
-//! the mutations never interleave with other tests).
+//! process-global `tspar` thread policy and resets the `kdprof` counters
+//! (one test fn so the mutations never interleave with other tests).
 
 use kdselector::core::selector::NnSelector;
-use kdselector::core::serve::{
-    set_arena_enabled, QueueConfig, SelectRequest, Selection, SelectorEngine, ServeQueue,
-};
+use kdselector::core::serve::{QueueConfig, SelectRequest, Selection, SelectorEngine, ServeQueue};
 use kdselector::core::train::TrainedSelector;
 use kdselector::core::Architecture;
 use std::sync::Arc;
@@ -94,59 +94,60 @@ fn arena_pooling_is_invisible_and_allocation_free_after_warmup() {
     let pool = series_pool(8, 320);
     let requests = request_stream(&pool, 16);
 
-    // ---- Reference: arena off, serial, served directly. -----------------
-    set_arena_enabled(false);
+    // ---- Reference: serial, each request on a fresh thread (cold arena).
     tspar::set_parallelism(Parallelism::Fixed(1));
-    let expected: Vec<Vec<Selection>> = requests
-        .iter()
-        .map(|r| engine.handle(r).expect("direct serve"))
-        .collect();
+    let expected: Vec<Vec<Selection>> = std::thread::scope(|s| {
+        requests
+            .iter()
+            .map(|r| {
+                s.spawn(|| engine.handle(r).expect("direct serve"))
+                    .join()
+                    .expect("reference thread")
+            })
+            .collect()
+    });
 
-    // ---- Sweep: arena {off, on} × KD_THREADS {1, 4}, direct and queued. -
-    for arena_on in [false, true] {
-        for &threads in &KD_SWEEP {
-            set_arena_enabled(arena_on);
-            tspar::set_parallelism(Parallelism::Fixed(threads));
-            let tag = format!("arena={arena_on}, KD_THREADS={threads}");
+    // ---- Sweep: KD_THREADS {1, 4} on warm arenas, direct and queued. ----
+    for &threads in &KD_SWEEP {
+        tspar::set_parallelism(Parallelism::Fixed(threads));
+        let tag = format!("KD_THREADS={threads}");
 
-            for (i, request) in requests.iter().enumerate() {
-                let got = engine.handle(request).expect("direct serve");
-                assert_eq!(
-                    got, expected[i],
-                    "direct request {i} diverged from reference at {tag}"
-                );
-            }
-
-            let queue = ServeQueue::new(
-                Arc::clone(&engine),
-                QueueConfig {
-                    max_depth: 1024,
-                    max_batch: 8,
-                },
+        for (i, request) in requests.iter().enumerate() {
+            let got = engine.handle(request).expect("direct serve");
+            assert_eq!(
+                got, expected[i],
+                "direct request {i} diverged from reference at {tag}"
             );
-            // Submit everything up front so the FIFO really holds
-            // overlapping traffic for the coalescer, then redeem in order.
-            let tickets: Vec<_> = requests
-                .iter()
-                .map(|r| queue.submit(r.clone()).expect("admitted"))
-                .collect();
-            for (i, ticket) in tickets.into_iter().enumerate() {
-                let got = ticket.wait().expect("served");
-                assert_eq!(
-                    got, expected[i],
-                    "queued request {i} diverged from reference at {tag}"
-                );
-            }
-            assert_eq!(queue.depth(), 0, "queue fully drained at {tag}");
         }
+
+        let queue = ServeQueue::new(
+            Arc::clone(&engine),
+            QueueConfig {
+                max_depth: 1024,
+                max_batch: 8,
+            },
+        );
+        // Submit everything up front so the FIFO really holds
+        // overlapping traffic for the coalescer, then redeem in order.
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|r| queue.submit(r.clone()).expect("admitted"))
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let got = ticket.wait().expect("served");
+            assert_eq!(
+                got, expected[i],
+                "queued request {i} diverged from reference at {tag}"
+            );
+        }
+        assert_eq!(queue.depth(), 0, "queue fully drained at {tag}");
     }
 
     // ---- Grouped ≡ per-series, bitwise. ---------------------------------
-    set_arena_enabled(true);
     tspar::set_parallelism(Parallelism::Fixed(1));
     let selector = engine.get("convnet").expect("registered");
     let refs: Vec<&TimeSeries> = pool.iter().collect();
-    let grouped = selector.window_scores_refs(&refs);
+    let grouped = selector.window_scores(&refs);
     assert_eq!(grouped.len(), refs.len());
     for (i, ts) in pool.iter().enumerate() {
         assert_eq!(

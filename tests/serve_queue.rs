@@ -346,9 +346,9 @@ fn queued_serving_is_deterministic_bounded_and_recoverable() {
         fn series_scores(&self, _ts: &TimeSeries) -> Vec<Vec<f32>> {
             unreachable!("batch override below bypasses this")
         }
-        // Returns one row fewer than series: the coalescer must refuse to
-        // split this across tickets.
-        fn window_scores_refs(&self, batch: &[&TimeSeries]) -> Vec<Vec<Vec<f32>>> {
+        // Returns one row fewer than series: serving must refuse to pair
+        // this with the batch, queued or direct.
+        fn window_scores(&self, batch: &[&TimeSeries]) -> Vec<Vec<Vec<f32>>> {
             vec![vec![vec![1.0; 12]]; batch.len().saturating_sub(1)]
         }
     }
@@ -366,6 +366,14 @@ fn queued_serving_is_deterministic_bounded_and_recoverable() {
             got: 1
         },
         "short output must fail the group, not misassign results"
+    );
+    assert_eq!(
+        gated_engine.select_batch("short", &pool[..2]),
+        Err(ServeError::MalformedOutput {
+            expected: 2,
+            got: 1
+        }),
+        "direct serving must reject short output the same way"
     );
     let alive = queue.submit(gated_request(7)).expect("queue survived");
     assert_eq!(

@@ -109,7 +109,8 @@ fn engine_serves_deterministically_and_round_trips() {
     let store = SelectorStore::open(&store_dir).unwrap();
     let conv = engine.get("convnet").unwrap();
     // Scores before the trip (full window-score matrices, not just votes).
-    let scores_before: Vec<Vec<Vec<f32>>> = conv.window_scores(&series);
+    let refs: Vec<&TimeSeries> = series.iter().collect();
+    let scores_before: Vec<Vec<Vec<f32>>> = conv.window_scores(&refs);
     let nn = TrainedSelector::build(Architecture::ConvNet, 64, 8, 17);
     store.save("roundtrip", &nn, "serving test").unwrap();
 
@@ -117,7 +118,7 @@ fn engine_serves_deterministically_and_round_trips() {
     engine2.load(&store, "roundtrip", window_cfg()).unwrap();
     assert_eq!(engine2.names(), vec!["roundtrip"]);
     let reloaded = engine2.get("roundtrip").unwrap();
-    let scores_after = reloaded.window_scores(&series);
+    let scores_after = reloaded.window_scores(&refs);
     assert_eq!(
         scores_before, scores_after,
         "save → load → serve must preserve every logit bit-for-bit"
