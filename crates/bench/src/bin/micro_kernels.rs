@@ -505,6 +505,7 @@ fn serving_benchmarks() -> (ServeBench, serde_json::Value) {
         stats.hits,
         stats.misses,
     );
+    let admitted = queue.stats().admitted;
     let cache_record = serde_json::json!({
         "hits": stats.hits,
         "misses": stats.misses,
@@ -519,6 +520,7 @@ fn serving_benchmarks() -> (ServeBench, serde_json::Value) {
         "width": WIDTH,
         "batch_seconds": queued_seconds,
         "selections_per_sec": queued_per_sec,
+        "admitted": admitted,
         "window_cache": cache_record,
     });
     (serve, queue_record)
@@ -1041,9 +1043,7 @@ fn stream_benchmark() -> serde_json::Value {
 
 /// Snapshot of the kdprof aggregates accumulated so far — the serving
 /// phase breakdown (admit → coalesce → window → pack → score → complete)
-/// plus the deterministic counters (cache, arena, coalescer). The bench
-/// binary builds with kdprof's `timing` feature, so spans carry real
-/// nanoseconds here; library builds without the bench compile them out.
+/// plus the deterministic counters (coalescer, windows, arena).
 fn profile_record() -> serde_json::Value {
     let phases = kdprof::phase_stats();
     let counters = kdprof::counter_stats();
@@ -1071,7 +1071,6 @@ fn profile_record() -> serde_json::Value {
         .collect();
     println!("counters: {}", counter_line.join(" "));
     serde_json::json!({
-        "timing": kdprof::timing_enabled(),
         "phases": phases
             .iter()
             .map(|p| {
@@ -1327,8 +1326,8 @@ fn main() {
     println!();
     kdprof::reset();
     let (serve, serve_queue) = serving_benchmarks();
-    // Snapshot the profile before the router/train sections add their own
-    // phases, so the record isolates the serving hot path.
+    // Snapshot the profile before the router section adds its own spans
+    // and counters, so the record isolates the queued serving hot path.
     let profile = profile_record();
     println!(
         "serving throughput: {:.0} selections/sec, {:.0} windows/sec \

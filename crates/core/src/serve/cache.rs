@@ -201,7 +201,6 @@ impl WindowCache {
                 // kdlint: allow(relaxed): stat counter — read only by
                 // `stats()` snapshots; nothing branches on it.
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                kdprof::incr(kdprof::Counter::CacheHits, 1);
                 return Arc::clone(&entry.windows);
             }
         }
@@ -218,13 +217,11 @@ impl WindowCache {
             // kdlint: allow(relaxed): stat counter — read only by
             // `stats()` snapshots; nothing branches on it.
             self.hits.fetch_add(1, Ordering::Relaxed);
-            kdprof::incr(kdprof::Counter::CacheHits, 1);
             return Arc::clone(&entry.windows);
         }
         // kdlint: allow(relaxed): stat counter — read only by `stats()`
         // snapshots; nothing branches on it.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        kdprof::incr(kdprof::Counter::CacheMisses, 1);
         let bytes: usize = built
             .iter()
             .map(|row| row.len() * std::mem::size_of::<f32>())

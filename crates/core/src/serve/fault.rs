@@ -16,21 +16,24 @@
 //! * A [`FaultPlan`] is an ordered rule list; the first live matching rule
 //!   fires per event. Plans are `Send + Sync` and shared across shards.
 //!
-//! Faults enter the tier through two seams, both always compiled (no
+//! A plan reaches the tier through
+//! [`super::ShardedRouter::with_fault_injection`], which hands it to every
+//! shard. Each shard consults it at two places, both always compiled (no
 //! test-only feature to drift out of sync with production code paths):
 //!
-//! * The queue hook ([`super::queue::QueueHook`]): [`FaultPoint::Submit`]
-//!   rejections at admission, and [`FaultPoint::Group`] panics/stalls on
-//!   the worker thread — a Group panic escapes the scoring guard and
-//!   **kills the shard worker**, which is exactly how supervision and
-//!   respawn are exercised.
-//! * The selector wrapper ([`FaultySelector`]): [`FaultPoint::Score`]
-//!   panics/stalls inside scoring, which the per-group guard catches —
-//!   the shard survives, the group fails with
-//!   [`super::ServeError::Panicked`].
+//! * Its [`super::ServeQueue`]: [`FaultPoint::Submit`] rejections at
+//!   admission, and [`FaultPoint::Group`] panics/stalls on the worker
+//!   thread — a Group panic escapes the scoring guard and **kills the
+//!   shard worker**, which is exactly how supervision and respawn are
+//!   exercised.
+//! * A selector wrapper (`FaultySelector`) around every selector it
+//!   registers: [`FaultPoint::Score`] panics/stalls inside scoring, which
+//!   the per-group guard catches — the shard survives, the group fails
+//!   with [`super::ServeError::Panicked`].
 
 use crate::selector::Selector;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use tsdata::TimeSeries;
 
@@ -164,22 +167,6 @@ impl FaultRule {
     }
 }
 
-/// The interception interface the sharded tier consults. Implemented by
-/// [`FaultPlan`]; a no-injector tier skips all of it.
-pub trait FaultInjector: Send + Sync {
-    /// Consulted at queue admission on `shard`; a returned action rejects
-    /// or delays the submit.
-    fn on_submit(&self, shard: usize, selector: &str) -> Option<FaultAction>;
-
-    /// Consulted on the shard worker after a group is claimed; a returned
-    /// `Panic` kills the worker.
-    fn on_group(&self, shard: usize, selector: &str) -> Option<FaultAction>;
-
-    /// Consulted inside scoring for each series; a returned `Panic` fails
-    /// the group (the worker survives).
-    fn on_score(&self, shard: usize, selector: &str, series: &TimeSeries) -> Option<FaultAction>;
-}
-
 /// An ordered fault schedule: for each event the first rule that matches
 /// (and still has occurrence budget) fires.
 #[derive(Debug, Default)]
@@ -215,25 +202,36 @@ impl FaultPlan {
             .iter()
             .find_map(|rule| rule.fire(point, shard, selector, series))
     }
-}
 
-impl FaultInjector for FaultPlan {
-    fn on_submit(&self, shard: usize, selector: &str) -> Option<FaultAction> {
+    /// Consulted at queue admission on `shard`. The queue acts only on
+    /// `Reject`; any other action spends its occurrence and is ignored,
+    /// since a panic or stall there would fault the submitter, not the
+    /// shard.
+    pub fn on_submit(&self, shard: usize, selector: &str) -> Option<FaultAction> {
         self.first_firing(FaultPoint::Submit, shard, selector, None)
     }
 
-    fn on_group(&self, shard: usize, selector: &str) -> Option<FaultAction> {
+    /// Consulted on the shard worker after a group is claimed; a returned
+    /// `Panic` kills the worker.
+    pub fn on_group(&self, shard: usize, selector: &str) -> Option<FaultAction> {
         self.first_firing(FaultPoint::Group, shard, selector, None)
     }
 
-    fn on_score(&self, shard: usize, selector: &str, series: &TimeSeries) -> Option<FaultAction> {
+    /// Consulted inside scoring for each series; a returned `Panic` fails
+    /// the group (the worker survives).
+    pub fn on_score(
+        &self,
+        shard: usize,
+        selector: &str,
+        series: &TimeSeries,
+    ) -> Option<FaultAction> {
         self.first_firing(FaultPoint::Score, shard, selector, Some(&series.id))
     }
 }
 
 /// Executes a worker-side fault action (panics or sleeps). Shared by the
-/// shard hook and [`FaultySelector`]; `Reject` is an admission-only action
-/// and is ignored here.
+/// queue worker and [`FaultySelector`]; `Reject` is an admission-only
+/// action and is ignored here.
 pub(crate) fn run_action(action: FaultAction) {
     match action {
         FaultAction::Panic(msg) => panic!("{msg}"),
@@ -242,29 +240,29 @@ pub(crate) fn run_action(action: FaultAction) {
     }
 }
 
-/// A selector wrapper that consults a [`FaultInjector`] at
+/// A selector wrapper that consults a [`FaultPlan`] at
 /// [`FaultPoint::Score`] before delegating to the wrapped selector — how a
 /// shard's registered selectors become faulty without the engine, queue,
 /// or scoring kernels knowing.
-pub struct FaultySelector {
-    inner: std::sync::Arc<dyn Selector>,
-    injector: std::sync::Arc<dyn FaultInjector>,
+pub(crate) struct FaultySelector {
+    inner: Arc<dyn Selector>,
+    plan: Arc<FaultPlan>,
     shard: usize,
     registered: String,
 }
 
 impl FaultySelector {
     /// Wraps `inner` (registered as `registered` on shard `shard`) with
-    /// `injector`.
-    pub fn new(
-        inner: std::sync::Arc<dyn Selector>,
-        injector: std::sync::Arc<dyn FaultInjector>,
+    /// `plan`.
+    pub(crate) fn new(
+        inner: Arc<dyn Selector>,
+        plan: Arc<FaultPlan>,
         shard: usize,
         registered: impl Into<String>,
     ) -> Self {
         Self {
             inner,
-            injector,
+            plan,
             shard,
             registered: registered.into(),
         }
@@ -277,7 +275,7 @@ impl Selector for FaultySelector {
     }
 
     fn series_scores(&self, series: &TimeSeries) -> Vec<Vec<f32>> {
-        if let Some(action) = self.injector.on_score(self.shard, &self.registered, series) {
+        if let Some(action) = self.plan.on_score(self.shard, &self.registered, series) {
             run_action(action);
         }
         self.inner.series_scores(series)
@@ -350,10 +348,10 @@ mod tests {
             }
         }
         let plan =
-            std::sync::Arc::new(FaultPlan::new().with(
+            Arc::new(FaultPlan::new().with(
                 FaultRule::at(FaultPoint::Score, FaultAction::Panic("scored".into())).times(1),
             ));
-        let faulty = FaultySelector::new(std::sync::Arc::new(Flat), plan, 0, "flat");
+        let faulty = FaultySelector::new(Arc::new(Flat), plan, 0, "flat");
         let series = TimeSeries::new("s", "D", vec![0.0; 4], vec![]);
         std::panic::set_hook(Box::new(|_| {}));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -13,7 +13,7 @@
 //! (in-flight batches finish on the selector they resolved; the next
 //! lookup sees the replacement).
 //!
-//! Two optional layers scale the serving path:
+//! Optional layers scale and observe the serving path:
 //!
 //! * [`queue::ServeQueue`] — a bounded FIFO + coalescer thread that merges
 //!   many small same-selector requests into one engine batch, with
@@ -29,7 +29,9 @@
 //!   hashing, with worker supervision/respawn, per-request deadlines,
 //!   bounded deterministic retries, per-(shard, selector) circuit breakers,
 //!   and degraded-mode fallback ([`Selection::degraded`]). Failure paths
-//!   are exercised deterministically through [`fault::FaultPlan`].
+//!   are exercised deterministically by handing a [`fault::FaultPlan`] to
+//!   [`router::ShardedRouter::with_fault_injection`]; it is the tier's one
+//!   fault seam.
 //!
 //! # Determinism
 //!
@@ -83,9 +85,9 @@ pub mod shard;
 
 pub use arena::ScratchArena;
 pub use cache::{CacheStats, WindowCache};
-pub use fault::{FaultAction, FaultInjector, FaultPlan, FaultPoint, FaultRule};
+pub use fault::{FaultAction, FaultPlan, FaultPoint, FaultRule};
 pub use policy::{Breaker, BreakerConfig, BreakerVerdict, RetryPolicy};
-pub use queue::{QueueConfig, QueueHook, QueueStats, ServeQueue, Ticket};
+pub use queue::{QueueConfig, QueueStats, ServeQueue, Ticket};
 pub use router::{
     HashRing, RouteError, RouteOptions, RouteReply, RouterConfig, RouterStats, ShardHealth,
     ShardedRouter,
@@ -216,13 +218,12 @@ pub enum ServeError {
     /// panic message). The queue survives and keeps serving.
     Panicked(String),
     /// The worker thread serving the queue died (a panic escaped the
-    /// per-group guard, e.g. through an injected [`queue::QueueHook`])
+    /// per-group guard, e.g. an injected [`FaultPoint::Group`] fault)
     /// before this request could be served, or would never serve it. The
     /// supervision layer respawns workers; retrying covers the window.
     WorkerDied,
-    /// An installed [`queue::QueueHook`] refused admission (fault
-    /// injection / custom admission policy). The request was **not**
-    /// enqueued.
+    /// A shard's [`FaultPlan`] refused admission (an injected
+    /// [`FaultPoint::Submit`] `Reject`). The request was **not** enqueued.
     Rejected,
 }
 
@@ -249,7 +250,9 @@ impl std::fmt::Display for ServeError {
             ServeError::WorkerDied => {
                 write!(f, "the serve queue's worker thread died before serving")
             }
-            ServeError::Rejected => write!(f, "admission hook rejected the request"),
+            ServeError::Rejected => {
+                write!(f, "an injected fault rejected the request at admission")
+            }
         }
     }
 }
@@ -411,13 +414,26 @@ impl SelectorEngine {
         window: WindowConfig,
     ) -> std::io::Result<()> {
         let name = name.into();
-        check_servable_window(&name, &model, &window)?;
-        let mut selector = NnSelector::new(name.clone(), model, window);
-        if let Some(cache) = &self.window_cache {
-            selector = selector.with_cache(Arc::clone(cache));
-        }
+        let selector = self.servable(&name, model, window)?;
         self.register(name, Arc::new(selector));
         Ok(())
+    }
+
+    /// The selector [`SelectorEngine::deploy`] registers: `model` checked
+    /// for a servable `window` and wrapped with the engine's window cache,
+    /// if one is configured.
+    pub(crate) fn servable(
+        &self,
+        name: &str,
+        model: TrainedSelector,
+        window: WindowConfig,
+    ) -> std::io::Result<NnSelector> {
+        check_servable_window(name, &model, &window)?;
+        let selector = NnSelector::new(name, model, window);
+        Ok(match &self.window_cache {
+            Some(cache) => selector.with_cache(Arc::clone(cache)),
+            None => selector,
+        })
     }
 
     /// The registered selector names, sorted.

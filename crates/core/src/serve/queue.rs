@@ -49,14 +49,16 @@
 //! or with submitters still holding tickets is safe and panic-free.
 //!
 //! Tickets can never be left dangling: every admitted request completes
-//! exactly once. If the coalescer thread dies (a [`QueueHook`] panic
-//! escaping the per-group `catch_unwind` — the fault-injection path a
-//! supervisor uses to exercise worker death), the requests it had claimed
+//! exactly once. If the coalescer thread dies (an injected
+//! [`super::FaultPoint::Group`] panic escaping the per-group
+//! `catch_unwind` — the fault-injection path a supervisor uses to
+//! exercise worker death), the requests it had claimed
 //! complete with [`super::ServeError::WorkerDied`] as they unwind, and
 //! later submits are bounced with the same error instead of queueing work
 //! nothing will serve. The supervision layer transplants the unclaimed
 //! backlog onto a respawned worker.
 
+use super::fault::{run_action, FaultAction, FaultPlan};
 use super::{SelectRequest, Selection, SelectorEngine, ServeError};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -154,32 +156,6 @@ impl Counters {
             panicked: self.panicked.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Interception points on a [`ServeQueue`] worker, for fault injection and
-/// instrumentation. The default implementations do nothing; production
-/// queues run without a hook installed (see [`ServeQueue::with_hook`]).
-///
-/// The contract mirrors where each method is called:
-///
-/// * [`QueueHook::on_submit`] runs inside `submit` after the shutdown
-///   check; returning an error rejects the request at admission (it is
-///   never enqueued).
-/// * [`QueueHook::on_group`] runs on the worker thread after a coalesced
-///   group is claimed, **outside** the panic guard around scoring — a
-///   panic here escapes and kills the worker (the claimed requests fail
-///   with [`ServeError::WorkerDied`], never hang), and a sleep here stalls
-///   the worker's heartbeat. This is exactly the surface
-///   [`super::fault::FaultPlan`] drives to exercise supervision.
-pub trait QueueHook: Send + Sync {
-    /// Admission interception: `Some(err)` rejects the submit.
-    fn on_submit(&self, _selector: &str) -> Option<ServeError> {
-        None
-    }
-
-    /// Worker-side interception before a claimed group is scored. May
-    /// panic (worker death) or block (worker stall) by design.
-    fn on_group(&self, _selector: &str) {}
 }
 
 /// One-shot completion slot shared between a [`Ticket`] and the coalescer.
@@ -301,7 +277,9 @@ struct Shared {
     /// Signalled on submit and on shutdown.
     work: Condvar,
     counters: Arc<Counters>,
-    hook: Option<Arc<dyn QueueHook>>,
+    /// The fault plan a shard queue consults, with the shard index its
+    /// rules filter on; `None` outside fault-injection runs.
+    faults: Option<(usize, Arc<FaultPlan>)>,
     /// Worker liveness beat: bumped every time the coalescer claims a group
     /// and again when it finishes serving one. Stagnant beats while work is
     /// pending or in flight mean the worker is wedged.
@@ -331,21 +309,30 @@ impl ServeQueue {
         Self::build(engine, config, None)
     }
 
-    /// Starts a queue whose worker consults `hook` at the [`QueueHook`]
-    /// interception points — the fault-injection entry used by
-    /// [`super::router`] and the test harnesses.
-    pub fn with_hook(
+    /// Starts shard `shard`'s queue consulting `plan`:
+    ///
+    /// * [`super::FaultPoint::Submit`] runs inside `submit` after the
+    ///   shutdown check. A `Reject` bounces the request with
+    ///   [`ServeError::Rejected`] (counted as `rejected`, never enqueued);
+    ///   any other action spends its occurrence and is ignored.
+    /// * [`super::FaultPoint::Group`] runs on the worker thread after a
+    ///   coalesced group is claimed, **outside** the panic guard around
+    ///   scoring — a panic there kills the worker (the claimed requests
+    ///   fail with [`ServeError::WorkerDied`], never hang), and a stall
+    ///   wedges the worker's heartbeat.
+    pub(crate) fn with_faults(
         engine: Arc<SelectorEngine>,
         config: QueueConfig,
-        hook: Arc<dyn QueueHook>,
+        shard: usize,
+        plan: Arc<FaultPlan>,
     ) -> Self {
-        Self::build(engine, config, Some(hook))
+        Self::build(engine, config, Some((shard, plan)))
     }
 
     fn build(
         engine: Arc<SelectorEngine>,
         config: QueueConfig,
-        hook: Option<Arc<dyn QueueHook>>,
+        faults: Option<(usize, Arc<FaultPlan>)>,
     ) -> Self {
         let shared = Arc::new(Shared {
             config: QueueConfig {
@@ -358,7 +345,7 @@ impl ServeQueue {
             }),
             work: Condvar::new(),
             counters: Arc::new(Counters::default()),
-            hook,
+            faults,
             beats: AtomicU64::new(0),
             in_flight: AtomicBool::new(false),
         });
@@ -388,8 +375,8 @@ impl ServeQueue {
     /// # Errors
     /// [`ServeError::Overloaded`] when the FIFO already holds `max_depth`
     /// pending requests (the request is **not** admitted — retry after
-    /// backing off); [`ServeError::Rejected`] when an installed
-    /// [`QueueHook`] refuses admission; [`ServeError::ShuttingDown`] when
+    /// backing off); [`ServeError::Rejected`] when a shard's fault plan
+    /// refuses admission; [`ServeError::ShuttingDown`] when
     /// the queue is being shut down; [`ServeError::WorkerDied`] when the
     /// worker thread is gone (nothing would ever serve the request). An
     /// unknown selector name is *not* checked here: it surfaces on the
@@ -409,18 +396,18 @@ impl ServeQueue {
             if st.shutdown {
                 return Err(ServeError::ShuttingDown);
             }
-            if let Some(hook) = &self.shared.hook {
-                if let Some(err) = hook.on_submit(&request.selector) {
+            if let Some((shard, plan)) = &self.shared.faults {
+                if let Some(FaultAction::Reject) = plan.on_submit(*shard, &request.selector) {
                     self.shared
                         .counters
                         .rejected
                         // kdlint: allow(relaxed): stat counter — snapshot-only.
                         .fetch_add(1, Ordering::Relaxed);
-                    return Err(err);
+                    return Err(ServeError::Rejected);
                 }
             }
             if !self.is_alive() {
-                // A dead worker (hook panic escaped the group guard) can
+                // A dead worker (Group fault escaped the group guard) can
                 // never drain the FIFO; admitting would hang the ticket
                 // until the supervision layer transplants the backlog.
                 // Fail fast instead — the router retry path covers it.
@@ -445,7 +432,6 @@ impl ServeQueue {
                 // admission bound itself reads `st.queue.len()` under the
                 // state lock, never this counter.
                 .fetch_add(1, Ordering::Relaxed);
-            kdprof::incr(kdprof::Counter::RequestsAdmitted, 1);
             st.queue.push_back(Pending {
                 request,
                 slot: Arc::clone(&slot),
@@ -503,7 +489,7 @@ impl ServeQueue {
 
     /// Whether the coalescer thread is still running. `false` after
     /// [`ServeQueue::shutdown`] — or, without a shutdown, when the worker
-    /// died (a hook panic escaped the group guard).
+    /// died (an injected Group panic escaped the group guard).
     pub fn is_alive(&self) -> bool {
         self.coalescer
             .lock()
@@ -640,11 +626,13 @@ fn coalescer_loop(engine: &SelectorEngine, shared: &Shared) {
         // must be published before the beat that advertises it.
         shared.in_flight.store(true, Ordering::Release);
         shared.beats.fetch_add(1, Ordering::Release);
-        if let Some(hook) = &shared.hook {
-            // Deliberately outside the scoring panic guard: a panicking
-            // hook kills the worker (the supervision fault path). The
-            // claimed group's drop-guards fail its tickets on unwind.
-            hook.on_group(&group[0].request.selector);
+        if let Some((shard, plan)) = &shared.faults {
+            // Deliberately outside the scoring panic guard: a Group panic
+            // kills the worker (the supervision fault path). The claimed
+            // group's drop-guards fail its tickets on unwind.
+            if let Some(action) = plan.on_group(*shard, &group[0].request.selector) {
+                run_action(action);
+            }
         }
         serve_group(engine, shared, group);
         // Release, as above: the completed group happens-before the beat
@@ -720,6 +708,7 @@ fn serve_group(engine: &SelectorEngine, shared: &Shared, group: Vec<Pending>) {
 mod tests {
     use super::*;
     use crate::selector::Selector;
+    use crate::serve::{FaultPoint, FaultRule};
     use tsdata::TimeSeries;
 
     /// A selector whose vote is the series length mod 12 — cheap and
@@ -902,24 +891,11 @@ mod tests {
     }
 
     #[test]
-    fn hook_rejection_bounces_at_admission() {
-        struct RejectOnce(AtomicU64);
-        impl QueueHook for RejectOnce {
-            fn on_submit(&self, _selector: &str) -> Option<ServeError> {
-                // kdlint: allow(relaxed): RMW-unique claim — exactly one
-                // caller observes 0; no data is published through it.
-                if self.0.fetch_add(1, Ordering::Relaxed) == 0 {
-                    Some(ServeError::Rejected)
-                } else {
-                    None
-                }
-            }
-        }
-        let queue = ServeQueue::with_hook(
-            len_engine(),
-            QueueConfig::default(),
-            Arc::new(RejectOnce(AtomicU64::new(0))),
-        );
+    fn submit_reject_fault_bounces_at_admission() {
+        let plan =
+            FaultPlan::new().with(FaultRule::at(FaultPoint::Submit, FaultAction::Reject).times(1));
+        let queue =
+            ServeQueue::with_faults(len_engine(), QueueConfig::default(), 0, Arc::new(plan));
         assert!(matches!(
             queue.submit(req(5)).unwrap_err(),
             ServeError::Rejected
@@ -931,22 +907,61 @@ mod tests {
     }
 
     #[test]
-    fn worker_death_fails_claimed_tickets_and_later_submits() {
-        struct KillOnce(AtomicU64);
-        impl QueueHook for KillOnce {
-            fn on_group(&self, _selector: &str) {
-                // kdlint: allow(relaxed): RMW-unique claim — exactly one
-                // caller observes 0; no data is published through it.
-                if self.0.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("injected worker death");
-                }
-            }
-        }
-        let queue = ServeQueue::with_hook(
+    fn submit_panic_and_stall_faults_are_spent_and_ignored() {
+        let plan = Arc::new(
+            FaultPlan::new()
+                .with(
+                    FaultRule::at(
+                        FaultPoint::Submit,
+                        FaultAction::Panic("at admission".into()),
+                    )
+                    .times(1),
+                )
+                .with(
+                    FaultRule::at(
+                        FaultPoint::Submit,
+                        FaultAction::Stall(Duration::from_secs(3600)),
+                    )
+                    .times(1),
+                ),
+        );
+        let queue = Arc::new(ServeQueue::with_faults(
             len_engine(),
             QueueConfig::default(),
-            Arc::new(KillOnce(AtomicU64::new(0))),
+            0,
+            Arc::clone(&plan),
+        ));
+        // Submit from a helper thread so a submitter that panicked or
+        // stalled shows up as a bounded receive failure, not a hung test.
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                let served = [queue.serve(req(5)), queue.serve(req(6))].map(|r| r.map(|s| s.len()));
+                let _ = tx.send(served);
+            });
+        }
+        let served = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a Submit panic or stall must not reach the submitter");
+        assert!(matches!(served, [Ok(1), Ok(1)]), "{served:?}");
+        assert!(plan.on_submit(0, "len").is_none(), "both occurrences spent");
+        wait_until("served count", || queue.stats().served == 2);
+        let stats = queue.stats();
+        assert_eq!((stats.rejected, stats.admitted), (0, 2));
+    }
+
+    #[test]
+    fn worker_death_fails_claimed_tickets_and_later_submits() {
+        let plan = FaultPlan::new().with(
+            FaultRule::at(
+                FaultPoint::Group,
+                FaultAction::Panic("injected worker death".into()),
+            )
+            .times(1),
         );
+        let queue =
+            ServeQueue::with_faults(len_engine(), QueueConfig::default(), 0, Arc::new(plan));
         std::panic::set_hook(Box::new(|_| {}));
         let err = queue.serve(req(3)).unwrap_err();
         let _ = std::panic::take_hook();

@@ -33,7 +33,7 @@
 //! policy) on threads, keeping the whole failure matrix deterministic and
 //! testable via [`super::fault::FaultPlan`].
 
-use super::fault::FaultInjector;
+use super::fault::FaultPlan;
 use super::policy::{Breaker, BreakerConfig, BreakerVerdict, RetryPolicy};
 use super::queue::{QueueConfig, QueueStats};
 use super::shard::{SelectorSpec, Shard};
@@ -301,17 +301,14 @@ impl ShardedRouter {
         Self::build(config, None)
     }
 
-    /// Starts a tier whose shards consult `injector` at every
+    /// Starts a tier whose shards consult `plan` at every
     /// [`super::fault::FaultPoint`] — the deterministic fault-injection
     /// entry for tests and drills.
-    pub fn with_fault_injection(
-        config: RouterConfig,
-        injector: Arc<dyn FaultInjector>,
-    ) -> Arc<Self> {
-        Self::build(config, Some(injector))
+    pub fn with_fault_injection(config: RouterConfig, plan: Arc<FaultPlan>) -> Arc<Self> {
+        Self::build(config, Some(plan))
     }
 
-    fn build(mut config: RouterConfig, injector: Option<Arc<dyn FaultInjector>>) -> Arc<Self> {
+    fn build(mut config: RouterConfig, faults: Option<Arc<FaultPlan>>) -> Arc<Self> {
         config.shards = config.shards.max(1);
         config.vnodes = config.vnodes.max(1);
         config.wedge_checks = config.wedge_checks.max(1);
@@ -322,7 +319,7 @@ impl ShardedRouter {
                     i,
                     config.queue,
                     config.cache_capacity,
-                    injector.as_ref().map(Arc::clone),
+                    faults.as_ref().map(Arc::clone),
                 )
             })
             .collect();
@@ -577,8 +574,6 @@ impl ShardedRouter {
         request: &SelectRequest,
         opts: RouteOptions,
     ) -> Result<RouteReply, RouteError> {
-        kdprof::span!(kdprof::Phase::Route);
-        kdprof::incr(kdprof::Counter::RouteHops, 1);
         if self.shutdown.load(Ordering::Acquire) {
             return Err(RouteError::ShuttingDown);
         }

@@ -14,9 +14,9 @@
 //! deterministic, a respawned shard serves **bit-identical** `Selection`s
 //! to its predecessor — worker death is invisible in the data plane.
 
-use super::fault::{run_action, FaultAction, FaultInjector, FaultySelector};
-use super::queue::{QueueConfig, QueueHook, QueueStats};
-use super::{SelectorEngine, ServeError, ServeQueue};
+use super::fault::{FaultPlan, FaultySelector};
+use super::queue::{QueueConfig, QueueStats};
+use super::{SelectorEngine, ServeQueue};
 use crate::manage::SelectorStore;
 use crate::selector::Selector;
 use std::collections::BTreeMap;
@@ -73,43 +73,12 @@ struct ShardState {
     retired_stats: QueueStats,
 }
 
-/// Bridges the shard's [`FaultInjector`] into the queue's [`QueueHook`]
-/// seam, stamping events with the shard index.
-struct ShardHook {
-    shard: usize,
-    injector: Arc<dyn FaultInjector>,
-}
-
-impl QueueHook for ShardHook {
-    fn on_submit(&self, selector: &str) -> Option<ServeError> {
-        match self.injector.on_submit(self.shard, selector) {
-            Some(FaultAction::Reject) => Some(ServeError::Rejected),
-            Some(other) => {
-                // Panic/stall at admission would fault the *submitter*,
-                // not the shard; run worker-side actions on the worker
-                // only. Treat them as no-ops here.
-                let _ = other;
-                None
-            }
-            None => None,
-        }
-    }
-
-    fn on_group(&self, selector: &str) {
-        if let Some(action) = self.injector.on_group(self.shard, selector) {
-            // Panics escape the queue's scoring guard by design: this is
-            // the worker-death fault. Stalls wedge the heartbeat.
-            run_action(action);
-        }
-    }
-}
-
 /// One supervised shard: engine + queue + respawnable registry.
 pub(crate) struct Shard {
     index: usize,
     queue_config: QueueConfig,
     cache_capacity: usize,
-    injector: Option<Arc<dyn FaultInjector>>,
+    faults: Option<Arc<FaultPlan>>,
     state: Mutex<ShardState>,
 }
 
@@ -118,15 +87,15 @@ impl Shard {
         index: usize,
         queue_config: QueueConfig,
         cache_capacity: usize,
-        injector: Option<Arc<dyn FaultInjector>>,
+        faults: Option<Arc<FaultPlan>>,
     ) -> Self {
         let engine = Self::fresh_engine(cache_capacity);
-        let queue = Self::fresh_queue(index, &engine, queue_config, injector.as_ref());
+        let queue = Self::fresh_queue(index, &engine, queue_config, faults.as_ref());
         Self {
             index,
             queue_config,
             cache_capacity,
-            injector,
+            faults,
             state: Mutex::new(ShardState {
                 engine,
                 queue,
@@ -149,73 +118,41 @@ impl Shard {
         index: usize,
         engine: &Arc<SelectorEngine>,
         config: QueueConfig,
-        injector: Option<&Arc<dyn FaultInjector>>,
+        faults: Option<&Arc<FaultPlan>>,
     ) -> Arc<ServeQueue> {
-        Arc::new(match injector {
-            Some(injector) => ServeQueue::with_hook(
-                Arc::clone(engine),
-                config,
-                Arc::new(ShardHook {
-                    shard: index,
-                    injector: Arc::clone(injector),
-                }),
-            ),
-            None => ServeQueue::new(Arc::clone(engine), config),
+        let engine = Arc::clone(engine);
+        Arc::new(match faults {
+            Some(plan) => ServeQueue::with_faults(engine, config, index, Arc::clone(plan)),
+            None => ServeQueue::new(engine, config),
         })
     }
 
     /// Builds the servable selector a spec describes and registers it on
-    /// `engine`, wrapping it with the shard's fault injector if one is
-    /// installed.
+    /// `engine` once, wrapped with the shard's fault plan if one is
+    /// installed — no request can see an unwrapped selector.
     fn install_on(
         &self,
         engine: &Arc<SelectorEngine>,
         name: &str,
         spec: &SelectorSpec,
     ) -> std::io::Result<()> {
-        match spec {
+        let servable: Arc<dyn Selector> = match spec {
             SelectorSpec::Stored { store, window } => {
-                // `load` on the engine attaches its window cache and
-                // validates the window length; but with an injector the
-                // selector must be wrapped, so build it by hand the same
-                // way `SelectorEngine::deploy` does.
-                match &self.injector {
-                    None => engine.load(store, name, *window),
-                    Some(injector) => {
-                        let model = store.load(name)?;
-                        super::check_servable_window(name, &model, window)?;
-                        let mut selector =
-                            crate::selector::NnSelector::new(name.to_string(), model, *window);
-                        if let Some(cache) = engine.window_cache() {
-                            selector = selector.with_cache(Arc::clone(cache));
-                        }
-                        engine.register(
-                            name,
-                            Arc::new(FaultySelector::new(
-                                Arc::new(selector),
-                                Arc::clone(injector),
-                                self.index,
-                                name,
-                            )),
-                        );
-                        Ok(())
-                    }
-                }
+                Arc::new(engine.servable(name, store.load(name)?, *window)?)
             }
-            SelectorSpec::Inline { selector } => {
-                let servable: Arc<dyn Selector> = match &self.injector {
-                    None => Arc::clone(selector),
-                    Some(injector) => Arc::new(FaultySelector::new(
-                        Arc::clone(selector),
-                        Arc::clone(injector),
-                        self.index,
-                        name,
-                    )),
-                };
-                engine.register(name, servable);
-                Ok(())
-            }
-        }
+            SelectorSpec::Inline { selector } => Arc::clone(selector),
+        };
+        let servable: Arc<dyn Selector> = match &self.faults {
+            Some(plan) => Arc::new(FaultySelector::new(
+                servable,
+                Arc::clone(plan),
+                self.index,
+                name,
+            )),
+            None => servable,
+        };
+        engine.register(name, servable);
+        Ok(())
     }
 
     /// Registers a spec on the live engine and records it for respawn.
@@ -297,12 +234,7 @@ impl Shard {
                 let _ = err;
             }
         }
-        let queue = Self::fresh_queue(
-            self.index,
-            &engine,
-            self.queue_config,
-            self.injector.as_ref(),
-        );
+        let queue = Self::fresh_queue(self.index, &engine, self.queue_config, self.faults.as_ref());
         for pending in backlog {
             queue.resubmit(pending);
         }

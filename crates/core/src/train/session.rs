@@ -303,9 +303,11 @@ impl TrainSession {
     /// `cfg.replicas > 1`, the data-parallel replica set.
     ///
     /// # Panics
-    /// Panics if the dataset is empty.
+    /// Panics if the dataset is empty or `cfg.batch_size` is 0 (an epoch
+    /// would never advance past its first minibatch).
     pub fn new(dataset: &SelectorDataset, cfg: &TrainConfig) -> Self {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
+        assert!(cfg.batch_size > 0, "batch_size must be at least 1");
         // kdlint: allow(wallclock): reported setup-seconds metric only —
         // training math never reads the clock.
         let start = std::time::Instant::now();
@@ -384,7 +386,6 @@ impl TrainSession {
         // kdlint: allow(wallclock): reported epoch-seconds metric only —
         // training math never reads the clock.
         let t0 = std::time::Instant::now();
-        kdprof::span!(kdprof::Phase::Train);
         let epoch = self.next_epoch;
 
         let mut plan = self.prune.plan_epoch(epoch, self.cfg.epochs);
@@ -413,7 +414,6 @@ impl TrainSession {
                 self.opt.step(&mut params);
             }
             self.prune.record_losses(batch_idx, &out.per_sample);
-            kdprof::incr(kdprof::Counter::TrainSteps, 1);
             epoch_loss += out.loss * b as f64;
             correct += out.correct;
             seen += b;
@@ -478,11 +478,15 @@ impl TrainSession {
     /// wall clock on top).
     ///
     /// # Errors
-    /// Rejects checkpoints whose shapes disagree with the rebuilt model,
-    /// or whose sample count or content fingerprint disagrees with
-    /// `dataset` — a same-sized but different dataset is a hard error,
-    /// not a silent continuation over the wrong data.
+    /// Rejects checkpoints with a zero `batch_size`, whose shapes
+    /// disagree with the rebuilt model, or whose sample count or content
+    /// fingerprint disagrees with `dataset` — a same-sized but different
+    /// dataset is a hard error, not a silent continuation over the wrong
+    /// data.
     pub fn resume(dataset: &SelectorDataset, ckpt: &TrainCheckpoint) -> Result<Self, String> {
+        if ckpt.config.batch_size == 0 {
+            return Err("corrupt checkpoint: batch_size is 0".to_string());
+        }
         if ckpt.stats.total_windows != dataset.len() {
             return Err(format!(
                 "checkpoint was taken over {} windows, dataset has {}",
@@ -756,6 +760,24 @@ mod tests {
         let mut ckpt = session.checkpoint();
         ckpt.stats.total_windows += 1;
         assert!(TrainSession::resume(&ds, &ckpt).is_err());
+    }
+
+    #[test]
+    fn resume_rejects_zero_batch_size() {
+        let ds = toy_dataset();
+        let mut ckpt = TrainSession::new(&ds, &full_cfg()).checkpoint();
+        ckpt.config.batch_size = 0;
+        assert!(TrainSession::resume(&ds, &ckpt).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_size must be at least 1")]
+    fn new_rejects_zero_batch_size() {
+        let cfg = TrainConfig {
+            batch_size: 0,
+            ..full_cfg()
+        };
+        let _ = TrainSession::new(&toy_dataset(), &cfg);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The rule engine: eight contract rules plus the annotation grammar.
+//! The rule engine: nine contract rules plus the annotation grammar.
 //!
 //! Every rule is keyed to an invariant the workspace's tests pin
 //! dynamically — bitwise-identical results at any `KD_THREADS`, every
@@ -15,6 +15,7 @@
 //! | `unbounded-wait` | `core::serve` waits are deadline-bounded |
 //! | `no-hot-alloc` | profiled hot paths stay allocation-free |
 //! | `no-env-knob` | behaviour is not switched by environment variables |
+//! | `no-feature-knob` | behaviour is not switched by cargo features |
 //!
 //! Rules report candidate findings; the engine suppresses those whose line
 //! carries a `// kdlint: allow(<key>): <reason>` annotation and flags
@@ -797,10 +798,77 @@ impl Rule for NoEnvKnob {
 }
 
 // ---------------------------------------------------------------------
+// no-feature-knob
+// ---------------------------------------------------------------------
+
+/// `cfg(feature = ..)` / `cfg!(feature = ..)` is the build-time twin of
+/// an environment knob: each feature combination compiles a different
+/// program, and `cargo test` and `cargo test --workspace` can unify
+/// features differently. The workspace declares no cargo feature, so no
+/// exemption exists.
+pub struct NoFeatureKnob;
+
+impl Rule for NoFeatureKnob {
+    fn name(&self) -> &'static str {
+        "no-feature-knob"
+    }
+    fn allow_key(&self) -> &'static str {
+        ""
+    }
+    fn applies(&self, _path: &str) -> bool {
+        true
+    }
+    fn check(&self, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
+        let code = &ctx.code;
+        for (i, t) in code.iter().enumerate() {
+            if !matches!(t.kind.ident(), Some("cfg" | "cfg_attr")) {
+                continue;
+            }
+            let open = match code.get(i + 1).map(|t| &t.kind) {
+                Some(Tok::Punct('!')) => i + 2,
+                _ => i + 1,
+            };
+            if code.get(open).map(|t| &t.kind) != Some(&Tok::Punct('(')) {
+                continue;
+            }
+            // Any `feature = ..` predicate inside the cfg's parentheses,
+            // nested under `not`/`all`/`any` too.
+            let mut depth = 0usize;
+            for (j, inner) in code.iter().enumerate().skip(open) {
+                match inner.kind {
+                    Tok::Punct('(') => depth += 1,
+                    Tok::Punct(')') => {
+                        depth -= 1;
+                        if depth == 0 {
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+                if inner.kind.ident() == Some("feature")
+                    && code.get(j + 1).map(|t| &t.kind) == Some(&Tok::Punct('='))
+                {
+                    out.push(diag(
+                        ctx,
+                        t.line,
+                        self.name(),
+                        "`cfg(feature = ..)` compiles a second program behind a build \
+                         switch; one code path must serve tests and production — delete \
+                         the feature"
+                            .to_string(),
+                    ));
+                    break;
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------
 
-/// The eight contract rules, in reporting order.
+/// The nine contract rules, in reporting order.
 pub fn default_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(NoWallclock),
@@ -811,6 +879,7 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(UnboundedWait),
         Box::new(NoHotAlloc),
         Box::new(NoEnvKnob),
+        Box::new(NoFeatureKnob),
     ]
 }
 

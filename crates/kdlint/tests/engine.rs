@@ -131,6 +131,31 @@ fn env_knob_flags_runtime_reads_not_the_env_macro() {
     assert!(one_rule("no-env-knob", "fn f() { let _ = std::env::args(); }").is_empty());
 }
 
+#[test]
+fn feature_knob_flags_feature_predicates_not_other_cfgs() {
+    let attr = "#[cfg(feature = \"x\")]\nfn f() {}";
+    assert_eq!(
+        rules_of(&one_rule("no-feature-knob", attr)),
+        ["no-feature-knob"]
+    );
+    let nested = "#[cfg(not(feature = \"x\"))]\nfn f() {}";
+    assert_eq!(one_rule("no-feature-knob", nested).len(), 1);
+    let macro_form = "fn f() -> bool { cfg!(feature = \"x\") }";
+    assert_eq!(one_rule("no-feature-knob", macro_form).len(), 1);
+    // Built-in predicates and a plain `feature` identifier are not knobs.
+    assert!(one_rule("no-feature-knob", "#[cfg(test)]\nmod t {}").is_empty());
+    assert!(one_rule(
+        "no-feature-knob",
+        "fn f() -> bool { cfg!(debug_assertions) }"
+    )
+    .is_empty());
+    assert!(one_rule(
+        "no-feature-knob",
+        "fn f(feature: usize) -> usize { feature }"
+    )
+    .is_empty());
+}
+
 // ------------------------------------------------------------- scoping
 
 #[test]
