@@ -22,5 +22,6 @@ pub fn serve_into(batch: &[f32], scratch: &mut [f32], err: &String) -> Result<()
 pub fn warmup(n: usize) -> Vec<f32> {
     let mut scratch = Vec::with_capacity(n);
     scratch.resize(n, 0.0);
+    scratch.extend(vec![0.0f32; n]);
     scratch
 }

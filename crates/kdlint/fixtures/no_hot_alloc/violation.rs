@@ -6,6 +6,8 @@ pub fn serve(batch: &[f32]) -> Vec<f32> {
     for v in batch {
         out.push(v * 2.0);
     }
+    let scratch = vec![0.0f32; batch.len()];
+    drop(scratch);
     let echo = batch.to_vec();
     drop(echo);
     out.clone()

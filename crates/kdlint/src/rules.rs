@@ -627,10 +627,11 @@ impl Rule for UnboundedWait {
 /// is served without touching the allocator (the kdprof profile record
 /// pins `ArenaGrowth == 0` dynamically; this rule drift-proofs it
 /// statically). Functions marked `// kdprof: hot` — the ones the profile
-/// showed on the per-request path — must not call `Vec::new`,
-/// `.to_vec()`, or `.clone()`; scratch comes from the per-worker arena,
-/// and cold branches (error completion, shutdown) carry an annotation
-/// saying why they never run in steady state.
+/// showed on the per-request path, and the LSTM's step kernels — must not
+/// call `Vec::new`/`Vec::with_capacity`, `vec![..]`, `.to_vec()`, or
+/// `.clone()`; scratch comes from the per-worker arena or the layer's
+/// workspace, and cold branches (error completion, shutdown) carry an
+/// annotation saying why they never run in steady state.
 pub struct NoHotAlloc;
 
 impl NoHotAlloc {
@@ -697,9 +698,13 @@ impl Rule for NoHotAlloc {
         "hot-alloc"
     }
     fn applies(&self, path: &str) -> bool {
-        // The profiled per-request path: the serving tier and the GEMM
-        // kernel it bottoms out in. Train-time code may allocate.
-        path.starts_with("crates/core/src/serve/") || path == "crates/tsnn/src/gemm.rs"
+        // The profiled per-request path (the serving tier and the GEMM
+        // kernel it bottoms out in) and the LSTM's step kernels, which
+        // run on the layer's reused workspace. Other train-time code may
+        // allocate.
+        path.starts_with("crates/core/src/serve/")
+            || path == "crates/tsnn/src/gemm.rs"
+            || path == "crates/tsnn/src/layers/lstm.rs"
     }
     fn check(&self, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
         let code = &ctx.code;
@@ -725,6 +730,20 @@ impl Rule for NoHotAlloc {
                              steady-state serving must be allocation-free — take scratch \
                              from the worker arena, or annotate why this branch is cold"
                         ),
+                    ));
+                    continue;
+                }
+                // The `vec![..]` macro.
+                if name == "vec" && code.get(i + 1).map(|t| &t.kind) == Some(&Tok::Punct('!')) {
+                    out.push(diag(
+                        ctx,
+                        t.line,
+                        self.name(),
+                        "`vec![..]` allocates inside a `kdprof: hot` function; \
+                         steady-state hot paths must be allocation-free — take scratch \
+                         from the worker arena or a reused workspace, or annotate why \
+                         this branch is cold"
+                            .to_string(),
                     ));
                     continue;
                 }

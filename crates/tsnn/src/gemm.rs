@@ -155,10 +155,9 @@ pub fn gemm_with_kc(
     gemm_blocked(n, m, k, a, a_layout, &pack_b(m, k, b, b_layout), kc, c);
 }
 
-/// Products with `k == 1` or a single output column (`m == 1`) — the
-/// LSTM's input projection and input gradient at input width 1, width-1
-/// output layers — would fill one step or one column of every register
-/// tile and still pay full packing. They run here instead, every output
+/// Products with `k == 1` or a single output column (`m == 1`) — outer
+/// products and width-1 output layers — would fill one step or one column
+/// of every register tile and still pay full packing. They run here instead, every output
 /// element on its canonical chain (start at +0.0, then `fma(A'[i][p],
 /// B'[p][j], sum)` for ascending `p`, operands in that order), so the
 /// result is bitwise [`gemm_naive`]'s: `k == 1` is one fma per element; a
@@ -277,11 +276,10 @@ fn gemm_blocked(
 ///
 /// [`gemm`] re-packs `B` on every call, which is the right trade for
 /// one-shot products but wasteful when the same `B` is reused many times —
-/// the LSTM multiplies by its recurrent weights `W_h` once per timestep in
-/// both directions. Packing once per sequence and calling
-/// [`gemm_prepacked`] amortises that cost; results are bit-identical to
-/// [`gemm`] because the micro-kernel sums in the same ascending-`p` order
-/// regardless of who packed the panels.
+/// a trained selector's classifier weights score every serving batch.
+/// Packing once and calling [`gemm_prepacked`] amortises that cost;
+/// results are bit-identical to [`gemm`] because the micro-kernel sums in
+/// the same ascending-`p` order regardless of who packed the panels.
 #[derive(Debug, Clone)]
 pub struct PackedB {
     m: usize,

@@ -227,6 +227,36 @@ fn nn_detectors_match_pinned_bits() {
     assert_eq!(got, want, "got {got:#x?}");
 }
 
+/// A series of `n` points with one noise-like burst and one level shift,
+/// for the LSTM-AD shapes [`fixed_series`] does not reach.
+fn long_series(n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|t| {
+            let tf = t as f64;
+            let base = (tf * 0.13).sin() + 0.3 * (tf * 0.029).cos();
+            if (n / 3..n / 3 + 20).contains(&t) {
+                ((t * 7) as f64 * 0.61).sin() * 1.7
+            } else if (2 * n / 3..2 * n / 3 + 30).contains(&t) {
+                base - 2.0
+            } else {
+                base
+            }
+        })
+        .collect()
+}
+
+/// LSTM-AD at two more shapes. n = 1051: inference runs four 256-row
+/// chunks plus a 3-row tail (a recurrent product below the GEMM's packing
+/// threshold). n = 1536: the training pairs are every 11th target, and a
+/// 256-row inference chunk's recurrent product is above the pool's
+/// parallel-work gate.
+#[test]
+fn lstm_ad_long_series_match_pinned_bits() {
+    let got = [1051, 1536].map(|n| hash_scores(&LstmAd::new(5).score(&long_series(n))));
+    let want: [u64; 2] = [0xe325fffdbb929deb, 0x40319609aa7b5904];
+    assert_eq!(got, want, "got {got:#x?}");
+}
+
 #[test]
 fn projection_mlp_matches_pinned_bits() {
     let mut rng = StdRng::seed_from_u64(0x17E);
