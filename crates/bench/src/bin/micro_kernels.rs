@@ -1,9 +1,10 @@
 //! Kernel-level speedup record — blocked/parallel GEMM vs the naive seed
 //! kernel at matrix shapes drawn from the selector architectures — plus a
 //! serving-throughput record (selections/sec through the batched
-//! `SelectorEngine` at a fixed 64-series batch) and a training-throughput
-//! record (windows/sec through the data-parallel session stack at 1 and N
-//! worker threads, with the bitwise cross-thread-count guard asserted) and
+//! `SelectorEngine` at a fixed 64-series batch) and a training record (the
+//! e2e configuration's windows/sec at 1 and 2 worker threads with the
+//! bitwise cross-thread-count guard asserted, forward and backward ms per
+//! step and allocations per step) and
 //! a streaming-loop record (windows/sec through incremental ingestion with
 //! cache publishing, plus the daemon's drift → retrain → deploy latency)
 //! and a `Conv1d` record (inference and backward cost at the served
@@ -27,7 +28,7 @@ use kdselector_core::selector::{NnSelector, Selector};
 use kdselector_core::serve::{
     QueueConfig, RouterConfig, SelectRequest, SelectorEngine, ServeQueue, ShardedRouter,
 };
-use kdselector_core::train::{MkiConfig, PislConfig, TrainConfig, TrainSession, TrainedSelector};
+use kdselector_core::train::{TrainConfig, TrainSession, TrainedSelector};
 use kdselector_core::{Architecture, PruningStrategy};
 use std::io::Write as _;
 use std::sync::Arc;
@@ -802,21 +803,72 @@ fn par_gate_sweep() -> serde_json::Value {
     })
 }
 
-/// Training throughput through the session stack: windows/sec over a
-/// synthetic-label dataset (no detector runs), with PISL + MKI active and
-/// `REPLICAS` data-parallel replicas, at 1 worker thread and at
-/// `THREADS_HI`. The same fixed micro-partitioning runs in both cases —
-/// only the execution width differs — so the two runs are measuring the
-/// identical computation and the bench asserts their final weights are
-/// bitwise equal (the `train::dp` determinism contract) before reporting.
+/// Counts the allocations (reallocations included) of each thread, so the
+/// "train" record can report allocations per training step.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; the counter is a
+// const-initialised thread-local cell that never allocates.
+unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+    // SAFETY: the trait's `alloc` contract binds the caller, and the
+    // body forwards to `System` under the same contract.
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+
+    // SAFETY: the trait's `realloc` contract binds the caller, and the
+    // body forwards to `System` under the same contract.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { std::alloc::System.realloc(ptr, layout, size) }
+    }
+
+    // SAFETY: the trait's `dealloc` contract binds the caller, and the
+    // body forwards to `System` under the same contract.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> usize {
+    ALLOCS.with(std::cell::Cell::get)
+}
+
+/// Training cost of the e2e configuration (the `learn` workload's full
+/// KDSelector: ResNet width 8, batch 64, PISL + MKI + PA, one replica)
+/// over a synthetic-label dataset (no detector runs), at 1 and
+/// `THREADS_HI` worker threads:
 ///
-/// On a single-core box the "speedup" hovers at/below 1 (the record is the
-/// point, not a pass/fail); on a multi-core box it shows the replica
-/// fan-out paying off.
+/// * windows/sec through `TrainSession` (median of `ROUNDS` runs), with
+///   the final weights asserted bitwise equal across the thread counts;
+/// * one step split into its parts — encoder + classifier forward, the
+///   objective, encoder + classifier backward, and clip + Adam, in ms per
+///   step, on a step assembled from the same public parts the session
+///   uses — and the calling thread's allocations per
+///   step, whole and in the encoder, classifier, clip and Adam part (0
+///   once the workspace has grown).
 fn train_benchmark() -> serde_json::Value {
-    const REPLICAS: usize = 4;
-    const THREADS_HI: usize = 4;
+    use kdselector_core::train::{BatchContext, Objective};
+    use tsnn::layers::{Layer, Linear};
+    use tsnn::optim::{clip_grad_norm_with, Adam};
+    use tsnn::{Dims, Workspace};
+
+    const THREADS_HI: usize = 2;
     const ROUNDS: usize = 5;
+    const STEPS: usize = 40;
 
     // Synthetic perf rows: selector-learning signal without detector cost.
     let mut bcfg = BenchmarkConfig::tiny();
@@ -834,31 +886,19 @@ fn train_benchmark() -> serde_json::Value {
         series_ids: series.iter().map(|s| s.id.clone()).collect(),
         rows,
     };
-    let encoder = FrozenTextEncoder::new(48, 0);
+    let encoder = FrozenTextEncoder::new(64, 0);
     let window_cfg = WindowConfig {
         length: 64,
         stride: 32,
         znormalize: true,
     };
     let dataset = SelectorDataset::build(&series, &perf, window_cfg, &encoder);
-
     let cfg = TrainConfig {
-        arch: Architecture::ConvNet,
-        width: 6,
-        epochs: 3,
+        width: 8,
+        epochs: 4,
         batch_size: 64,
-        replicas: REPLICAS,
-        pisl: Some(PislConfig::default()),
-        mki: Some(MkiConfig {
-            hidden: 64,
-            proj_dim: 32,
-            ..MkiConfig::default()
-        }),
-        // Full data keeps the visited-window count fixed, so windows/sec
-        // at the two thread counts divide out to a clean speedup.
-        pruning: PruningStrategy::None,
         seed: 7,
-        ..TrainConfig::default()
+        ..TrainConfig::kdselector(Architecture::ResNet)
     };
 
     let run = |threads: usize| {
@@ -884,24 +924,142 @@ fn train_benchmark() -> serde_json::Value {
                 ),
             }
         }
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        samples.sort_by(f64::total_cmp);
         let seconds = samples[samples.len() / 2];
         let (weights, visited) = weights.expect("at least one round");
         (visited as f64 / seconds, seconds, weights)
     };
 
+    // One step, split: (forward ms, backward ms, allocations of the whole
+    // step, allocations outside the objective), medians over `STEPS`
+    // steps after a warm-up step.
+    let steps = |threads: usize| {
+        tspar::set_parallelism(tspar::Parallelism::Fixed(threads));
+        let dim = cfg.arch.feature_dim(cfg.width);
+        let mut enc = cfg.arch.build(64, cfg.width, cfg.seed);
+        let mut head = Linear::new(
+            dim,
+            12,
+            &mut rand::SeedableRng::seed_from_u64(cfg.seed ^ 0xC1A5),
+        );
+        let mut objective = Objective::from_config(&cfg, &dataset, dim);
+        let mut opt = Adam::new(cfg.lr, cfg.weight_decay);
+        let mut ws = Workspace::new();
+        let (mut x, mut features, mut logits, mut g_z) = (
+            Vec::new(),
+            Tensor::zeros(&[0]),
+            Tensor::zeros(&[0]),
+            Tensor::zeros(&[0]),
+        );
+        let mut fwd = Vec::with_capacity(STEPS);
+        let mut bwd = Vec::with_capacity(STEPS);
+        let mut obj = Vec::with_capacity(STEPS);
+        let mut upd = Vec::with_capacity(STEPS);
+        let mut whole = 0;
+        let mut outside = 0;
+        for step in 0..=STEPS {
+            let indices: Vec<usize> = (0..64).map(|i| (step * 64 + i) % dataset.len()).collect();
+            let weights = vec![1.0f32; 64];
+            let targets: Vec<usize> = indices.iter().map(|&i| dataset.hard_labels[i]).collect();
+            let a0 = allocations();
+            x.clear();
+            for &i in &indices {
+                x.extend_from_slice(&dataset.windows[i]);
+            }
+            let mut walk = |f: &mut dyn FnMut(&mut tsnn::Param)| {
+                enc.for_each_param_mut(f);
+                head.for_each_param_mut(f);
+                objective.for_each_param_mut(f);
+            };
+            walk(&mut |p| p.zero_grad());
+            let xd = Dims::new(&[64, 1, 64]);
+            let zd = enc.out_dims(xd);
+            let (et, ht) = (enc.ws_len(xd, true), head.ws_len(zd, true));
+            let sl = enc.grad_len(xd).max(head.grad_len(zd));
+            let buf = ws.get(et + ht + sl + xd.numel());
+            let (ew, rest) = buf.split_at_mut(et);
+            let (hw, rest) = rest.split_at_mut(ht);
+            let (scratch, gx) = rest.split_at_mut(sl);
+            features.set_shape(zd.as_slice());
+            logits.set_shape(head.out_dims(zd).as_slice());
+            let t = Instant::now();
+            enc.forward_ws(&x, xd, features.data_mut(), ew);
+            head.forward_ws(features.data(), zd, logits.data_mut(), hw);
+            let t_fwd = t.elapsed().as_secs_f64() * 1e3;
+            let a1 = allocations();
+            let t = Instant::now();
+            let out = objective.accumulate(&BatchContext {
+                dataset: &dataset,
+                indices: &indices,
+                weights: &weights,
+                targets: &targets,
+                features: &features,
+                logits: &logits,
+            });
+            let t_obj = t.elapsed().as_secs_f64() * 1e3;
+            let a2 = allocations();
+            g_z.set_shape(zd.as_slice());
+            let t = Instant::now();
+            head.backward_ws(
+                features.data(),
+                zd,
+                logits.data(),
+                out.grad_logits.data(),
+                g_z.data_mut(),
+                (hw, &mut *scratch),
+            );
+            if let Some(g) = &out.grad_features {
+                g_z.add_assign(g);
+            }
+            enc.backward_ws(&x, xd, features.data(), g_z.data(), gx, (ew, scratch));
+            let t_bwd = t.elapsed().as_secs_f64() * 1e3;
+            drop(out);
+            let a3 = allocations();
+            let mut walk = |f: &mut dyn FnMut(&mut tsnn::Param)| {
+                enc.for_each_param_mut(f);
+                head.for_each_param_mut(f);
+                objective.for_each_param_mut(f);
+            };
+            let t = Instant::now();
+            clip_grad_norm_with(&mut walk, cfg.grad_clip);
+            opt.step_with(walk);
+            let t_upd = t.elapsed().as_secs_f64() * 1e3;
+            let a4 = allocations();
+            if step > 0 {
+                fwd.push(t_fwd);
+                bwd.push(t_bwd);
+                obj.push(t_obj);
+                upd.push(t_upd);
+                whole = a4 - a0;
+                outside = (a1 - a0) + (a3 - a2) + (a4 - a3);
+            }
+        }
+        let median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[STEPS / 2]
+        };
+        let ms = [median(fwd), median(obj), median(bwd), median(upd)];
+        (ms, whole, outside)
+    };
+
     let (wps_1, secs_1, weights_1) = run(1);
     let (wps_n, secs_n, weights_n) = run(THREADS_HI);
+    let ([fwd_1, obj_1, bwd_1, upd_1], allocs_1, outside_1) = steps(1);
+    let ([fwd_n, obj_n, bwd_n, upd_n], allocs_n, outside_n) = steps(THREADS_HI);
     tspar::set_parallelism(tspar::Parallelism::Auto);
     assert_eq!(
         weights_1, weights_n,
-        "data-parallel training diverged across thread counts"
+        "training diverged across thread counts"
     );
 
     let speedup = wps_n / wps_1;
     println!(
         "train throughput:   {wps_1:.0} windows/sec at 1 thread, {wps_n:.0} at {THREADS_HI} \
-         ({speedup:.2}x, {REPLICAS} replicas, {} windows x {} epochs, bitwise-equal weights)",
+         ({speedup:.2}x, ResNet w{} PISL+MKI+PA, {} windows x {} epochs, bitwise-equal weights); \
+         step fwd/objective/bwd/update {fwd_1:.2}/{obj_1:.2}/{bwd_1:.2}/{upd_1:.2} ms at 1 \
+         thread, {fwd_n:.2}/{obj_n:.2}/{bwd_n:.2}/{upd_n:.2} ms at {THREADS_HI}; \
+         {allocs_1} allocations per step, {outside_1} outside the objective",
+        cfg.width,
         dataset.len(),
         cfg.epochs,
     );
@@ -909,15 +1067,28 @@ fn train_benchmark() -> serde_json::Value {
         "windows": dataset.len(),
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
-        "replicas": REPLICAS,
-        "arch": "ConvNet",
+        "replicas": cfg.replicas,
+        "arch": "ResNet",
         "width": cfg.width,
+        "objective": "PISL+MKI+PA",
         "threads_hi": THREADS_HI,
         "seconds_t1": secs_1,
         "seconds_tn": secs_n,
         "windows_per_sec_t1": wps_1,
         "windows_per_sec_tn": wps_n,
         "speedup": speedup,
+        "step_forward_ms_t1": fwd_1,
+        "step_backward_ms_t1": bwd_1,
+        "step_forward_ms_tn": fwd_n,
+        "step_backward_ms_tn": bwd_n,
+        "step_objective_ms_t1": obj_1,
+        "step_objective_ms_tn": obj_n,
+        "step_update_ms_t1": upd_1,
+        "step_update_ms_tn": upd_n,
+        "step_allocations_t1": allocs_1,
+        "step_allocations_tn": allocs_n,
+        "step_allocations_outside_objective_t1": outside_1,
+        "step_allocations_outside_objective_tn": outside_n,
     })
 }
 

@@ -214,6 +214,8 @@ impl Selector for NnSelector {
         if self.cache.is_some() {
             let windows = self.windows_for(ts);
             if windows.is_empty() {
+                // kdlint: allow(hot-alloc): the returned (empty, so
+                // unallocated) scores.
                 return Vec::new();
             }
             let rows: Vec<&[f32]> = windows.iter().map(Vec::as_slice).collect();
@@ -224,6 +226,9 @@ impl Selector for NnSelector {
         // repeated uncached selections re-window allocation-free. The
         // arena borrow is released before prediction (which pools its own
         // staging through the same arena) and re-taken to return buffers.
+        // kdlint: allow(hot-alloc): the list of this call's window rows
+        // (the rows themselves are arena buffers); outside the encoder,
+        // with the row views and the returned scores.
         let mut windows: Vec<Vec<f32>> = Vec::new();
         {
             kdprof::span!(kdprof::Phase::Window);
@@ -238,6 +243,8 @@ impl Selector for NnSelector {
         }
         kdprof::incr(kdprof::Counter::WindowsBuilt, windows.len() as u64);
         if windows.is_empty() {
+            // kdlint: allow(hot-alloc): the returned (empty, so
+            // unallocated) scores.
             return Vec::new();
         }
         let rows: Vec<&[f32]> = windows.iter().map(Vec::as_slice).collect();
@@ -260,6 +267,8 @@ impl Selector for NnSelector {
     // kdprof: hot
     fn window_scores(&self, batch: &[&TimeSeries]) -> Vec<Vec<Vec<f32>>> {
         if batch.is_empty() {
+            // kdlint: allow(hot-alloc): the returned (empty, so
+            // unallocated) scores.
             return Vec::new();
         }
         kdprof::incr(kdprof::Counter::SeriesScored, batch.len() as u64);
@@ -270,6 +279,8 @@ impl Selector for NnSelector {
             .flat_map(|w| w.iter().map(Vec::as_slice))
             .collect();
         if rows.is_empty() {
+            // kdlint: allow(hot-alloc): the returned per-series score
+            // lists, all empty.
             return vec![Vec::new(); batch.len()];
         }
         let mut scores = self.model.predict_logits_rows(&rows).into_iter();

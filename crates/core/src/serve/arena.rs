@@ -2,8 +2,9 @@
 //!
 //! Steady-state inference used to allocate per batch: window-value
 //! buffers during extraction, the flat staging buffer behind the chunked
-//! input tensor, and the logits tensor the classifier writes. The arena
-//! pools all three **per thread** — the coalescer thread and each
+//! input, the encoder's activations and the logits the classifier
+//! writes. The arena pools all four **per thread** (the encoder's as one
+//! [`tsnn::Workspace`]) — the coalescer thread and each
 //! [`tspar`] pool worker own one arena for the life of the process, so
 //! after a warm-up pass the serving loop performs zero allocations in
 //! the pooled paths ([`kdprof::Counter::ArenaGrowth`] pins this).
@@ -29,6 +30,9 @@ pub struct ScratchArena {
     input: Vec<f32>,
     /// Flat staging for the classifier's logit rows.
     logits: Vec<f32>,
+    /// The encoder's inference workspace: features, activation slots and
+    /// layer scratch, carved per chunk.
+    workspace: tsnn::Workspace,
 }
 
 impl ScratchArena {
@@ -59,6 +63,18 @@ impl ScratchArena {
     pub fn put_logits(&mut self, mut buf: Vec<f32>) {
         buf.clear();
         self.logits = buf;
+    }
+
+    /// Takes the encoder's inference workspace, with whatever it has grown
+    /// to.
+    pub fn take_workspace(&mut self) -> tsnn::Workspace {
+        Self::note(self.workspace.len());
+        std::mem::take(&mut self.workspace)
+    }
+
+    /// Returns the inference workspace for the next chunk.
+    pub fn put_workspace(&mut self, ws: tsnn::Workspace) {
+        self.workspace = ws;
     }
 
     /// Takes a recycled window-value buffer (cleared), or a fresh one.

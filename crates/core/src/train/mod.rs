@@ -90,7 +90,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsad_models::ModelId;
 use tsnn::layers::{Layer, Linear, Seq};
-use tsnn::Tensor;
 
 /// PISL hyperparameters (§3, Table of §B.1).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -341,12 +340,13 @@ impl TrainedSelector {
     /// The chunked inference kernel over borrowed window rows — one logit
     /// row per input row, in order.
     ///
-    /// This is the serving hot path: input and logit staging buffers come
-    /// from the per-thread [`crate::serve::ScratchArena`] (recycled via
-    /// `Tensor::into_data`, so steady-state serving allocates nothing
-    /// here), and the classifier multiplies against pre-packed weight
-    /// panels instead of re-packing per chunk. Chunk grouping never
-    /// affects results: every layer of the forward pass is
+    /// This is the serving hot path: the input staging buffer, the
+    /// encoder's inference [`tsnn::Workspace`] (features included) and the
+    /// logit staging come from the per-thread
+    /// [`crate::serve::ScratchArena`], and the classifier multiplies
+    /// against pre-packed weight panels instead of re-packing per chunk,
+    /// so a steady-state chunk allocates only the rows it returns. Chunk
+    /// grouping never affects results: every layer of the forward pass is
     /// per-batch-element independent and the GEMM kernels are bitwise
     /// row-independent (pinned by the `tsnn::gemm` equality sweeps), so
     /// scoring rows in one call or many yields identical bytes.
@@ -359,40 +359,52 @@ impl TrainedSelector {
         });
         let n_out = self.classifier.out_features();
         let bias = self.classifier.bias.value.data();
+        // kdlint: allow(hot-alloc): the returned rows, one per window.
         let mut out = Vec::with_capacity(rows.len());
-        for chunk in rows.chunks(256) {
-            let x = {
+        let (mut x, mut ws, mut logits) = crate::serve::arena::with_arena(|a| {
+            (a.take_input(), a.take_workspace(), a.take_logits())
+        });
+        // A chunk's activations live in the thread's arena for the life of
+        // the process, so the chunk is small: 32 windows keep the served
+        // ResNet's workspace under 1 MB per serving thread (results never
+        // depend on the chunking, above).
+        for chunk in rows.chunks(32) {
+            {
                 kdprof::span!(kdprof::Phase::Pack);
-                let mut buf = crate::serve::arena::with_arena(|a| a.take_input());
-                buf.reserve(chunk.len() * self.window);
+                x.clear();
+                x.reserve(chunk.len() * self.window);
                 for r in chunk {
                     assert_eq!(r.len(), self.window, "window length mismatch");
-                    buf.extend_from_slice(r);
+                    x.extend_from_slice(r);
                 }
-                Tensor::from_vec(&[chunk.len(), 1, self.window], buf)
-            };
-            let z = self.encoder.infer(&x);
-            let mut logits = crate::serve::arena::with_arena(|a| a.take_logits());
+            }
+            let xd = tsnn::Dims::new(&[chunk.len(), 1, self.window]);
+            let zd = self.encoder.out_dims(xd);
+            let buf = ws.get(zd.numel() + self.encoder.ws_len(xd, false));
+            let (z, enc_ws) = buf.split_at_mut(zd.numel());
+            self.encoder.infer_ws(&x, xd, z, enc_ws);
+            logits.clear();
             logits.resize(chunk.len() * n_out, 0.0);
             tsnn::gemm::gemm_prepacked(
                 chunk.len(),
-                z.data(),
+                z,
                 tsnn::gemm::Layout::Normal,
                 packed,
                 &mut logits,
             );
-            for i in 0..chunk.len() {
-                let row = &mut logits[i * n_out..(i + 1) * n_out];
+            for row in logits.chunks_exact_mut(n_out) {
                 for (v, &b) in row.iter_mut().zip(bias) {
                     *v += b;
                 }
+                // kdlint: allow(hot-alloc): a returned row.
                 out.push(row.to_vec());
             }
-            crate::serve::arena::with_arena(|a| {
-                a.put_input(x.into_data());
-                a.put_logits(logits);
-            });
         }
+        crate::serve::arena::with_arena(|a| {
+            a.put_input(x);
+            a.put_workspace(ws);
+            a.put_logits(logits);
+        });
         out
     }
 

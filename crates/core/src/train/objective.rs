@@ -115,6 +115,14 @@ pub trait LossTerm: Send {
         Vec::new()
     }
 
+    /// Calls `f` on every trainable parameter, `params_mut()` order,
+    /// without collecting them. The default collects.
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for p in self.params_mut() {
+            f(p);
+        }
+    }
+
     /// Read-only view of the trainable parameters, `params_mut()` order.
     fn params(&self) -> Vec<&Param> {
         Vec::new()
@@ -313,6 +321,11 @@ impl LossTerm for MkiAlign {
         p
     }
 
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.h_t.for_each_param_mut(f);
+        self.h_k.for_each_param_mut(f);
+    }
+
     fn params(&self) -> Vec<&Param> {
         let mut p = self.h_t.params();
         p.extend(self.h_k.params());
@@ -403,6 +416,14 @@ impl Objective {
             per_sample,
             grad_logits,
             grad_features: grad_features.into_inner(),
+        }
+    }
+
+    /// Calls `f` on every term's trainable parameters, composition order,
+    /// without collecting them.
+    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for term in &mut self.terms {
+            term.for_each_param_mut(f);
         }
     }
 

@@ -40,14 +40,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsad_models::ModelId;
 use tsnn::layers::{Layer, Linear, Seq};
-use tsnn::optim::{clip_grad_norm, Adam, AdamState};
+use tsnn::optim::{clip_grad_norm_with, Adam, AdamState};
 use tsnn::serialize::{load_params, save_params, StateDict};
-use tsnn::{Param, Tensor};
+use tsnn::{Dims, Param, Tensor, Workspace};
 
 /// One model replica's working set: encoder, classifier, objective, and the
-/// scratch buffers batch assembly reuses (the flat input buffer travels
-/// into the batch tensor and is reclaimed via [`Tensor::into_data`], so
-/// steady-state training performs no per-batch input allocations).
+/// memory a step reuses — the flat input batch, the feature, logit and
+/// feature-gradient staging tensors, and the training [`Workspace`] the
+/// encoder and classifier carve their activations, tapes and gradients
+/// from. The workspace is sized by the first batch the core runs (so the
+/// master of a data-parallel session, which never runs one, keeps it
+/// empty) and dropped with the core; after it, the encoder and classifier
+/// passes allocate nothing.
 ///
 /// The session's *master* core owns the canonical weights and takes the
 /// optimizer steps; data-parallel replicas are [`TrainerCore::replicate`]d
@@ -59,6 +63,10 @@ pub(crate) struct TrainerCore {
     window: usize,
     x_buf: Vec<f32>,
     targets: Vec<usize>,
+    features: Tensor,
+    logits: Tensor,
+    grad_features: Tensor,
+    ws: Workspace,
 }
 
 /// What one forward/backward pass over a (micro-)batch produced. Gradients
@@ -82,6 +90,11 @@ impl TrainerCore {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xC1A5);
         let classifier = Linear::new(dim, ModelId::ALL.len(), &mut rng);
         let objective = Objective::from_config(cfg, dataset, dim);
+        Self::assemble(encoder, classifier, objective, window)
+    }
+
+    /// A core over the given model, with empty scratch.
+    fn assemble(encoder: Seq, classifier: Linear, objective: Objective, window: usize) -> Self {
         Self {
             encoder,
             classifier,
@@ -89,7 +102,20 @@ impl TrainerCore {
             window,
             x_buf: Vec::new(),
             targets: Vec::new(),
+            features: Tensor::zeros(&[0]),
+            logits: Tensor::zeros(&[0]),
+            grad_features: Tensor::zeros(&[0]),
+            ws: Workspace::new(),
         }
+    }
+
+    /// Calls `f` on every trainable parameter in [`TrainerCore::params_mut`]
+    /// order without collecting them (the per-step walk of clipping and
+    /// the optimizer).
+    pub(crate) fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.encoder.for_each_param_mut(f);
+        self.classifier.for_each_param_mut(f);
+        self.objective.for_each_param_mut(f);
     }
 
     /// Every trainable parameter — encoder, classifier, then objective
@@ -135,9 +161,7 @@ impl TrainerCore {
 
     /// Zeroes every parameter gradient.
     pub(crate) fn zero_grads(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
+        self.for_each_param_mut(&mut |p| p.zero_grad());
     }
 
     /// Copies parameter values and buffers from `src` (same architecture).
@@ -153,14 +177,12 @@ impl TrainerCore {
     /// A data-parallel replica of this core: a deep copy of the model and
     /// objective terms with fresh scratch.
     pub(crate) fn replicate(&self) -> TrainerCore {
-        TrainerCore {
-            encoder: self.encoder.clone(),
-            classifier: self.classifier.clone(),
-            objective: self.objective.for_replica(),
-            window: self.window,
-            x_buf: Vec::new(),
-            targets: Vec::new(),
-        }
+        Self::assemble(
+            self.encoder.clone(),
+            self.classifier.clone(),
+            self.objective.for_replica(),
+            self.window,
+        )
     }
 
     /// One forward/backward pass over a (micro-)batch: assembles the input
@@ -180,37 +202,69 @@ impl TrainerCore {
         for &i in indices {
             self.x_buf.extend_from_slice(&dataset.windows[i]);
         }
-        let x = Tensor::from_vec(&[b, 1, window], std::mem::take(&mut self.x_buf));
         self.targets.clear();
         self.targets
             .extend(indices.iter().map(|&i| dataset.hard_labels[i]));
 
         self.zero_grads();
-        let z_t = self.encoder.forward(&x, true);
-        let logits = self.classifier.forward(&z_t, true);
+        let xd = Dims::new(&[b, 1, window]);
+        let zd = self.encoder.out_dims(xd);
+        let ld = self.classifier.out_dims(zd);
+        let (enc_len, head_len) = (
+            self.encoder.ws_len(xd, true),
+            self.classifier.ws_len(zd, true),
+        );
+        let scratch_len = self.encoder.grad_len(xd).max(self.classifier.grad_len(zd));
+        // The tapes, the backward scratch both passes share, and the
+        // encoder's input gradient (the window batch is not trained, so it
+        // is never read).
+        let ws = self.ws.get(enc_len + head_len + scratch_len + xd.numel());
+        let (enc_ws, rest) = ws.split_at_mut(enc_len);
+        let (head_ws, rest) = rest.split_at_mut(head_len);
+        let (scratch, grad_x) = rest.split_at_mut(scratch_len);
+        self.features.set_shape(zd.as_slice());
+        self.logits.set_shape(ld.as_slice());
+        self.encoder
+            .forward_ws(&self.x_buf, xd, self.features.data_mut(), enc_ws);
+        self.classifier
+            .forward_ws(self.features.data(), zd, self.logits.data_mut(), head_ws);
         let ctx = BatchContext {
             dataset,
             indices,
             weights,
             targets: &self.targets,
-            features: &z_t,
-            logits: &logits,
+            features: &self.features,
+            logits: &self.logits,
         };
         let out = self.objective.accumulate(&ctx);
-        let mut g_z = self.classifier.backward(&out.grad_logits);
+        let g_z = &mut self.grad_features;
+        g_z.set_shape(zd.as_slice());
+        self.classifier.backward_ws(
+            self.features.data(),
+            zd,
+            self.logits.data(),
+            out.grad_logits.data(),
+            g_z.data_mut(),
+            (head_ws, &mut *scratch),
+        );
         if let Some(grad_features) = &out.grad_features {
             g_z.add_assign(grad_features);
         }
-        let _ = self.encoder.backward(&g_z);
+        self.encoder.backward_ws(
+            &self.x_buf,
+            xd,
+            self.features.data(),
+            g_z.data(),
+            grad_x,
+            (enc_ws, scratch),
+        );
 
         let correct = self
             .targets
             .iter()
             .enumerate()
-            .filter(|&(bi, &t)| argmax(logits.row(bi)) == t)
+            .filter(|&(bi, &t)| argmax(self.logits.row(bi)) == t)
             .count();
-        // Recycle the input buffer for the next batch.
-        self.x_buf = x.into_data();
         StepOutput {
             loss: out.loss,
             per_sample: out.per_sample,
@@ -408,11 +462,9 @@ impl TrainSession {
                 Some(set) => set.step(&mut self.core, dataset, batch_idx, batch_w),
                 None => self.core.run_batch(dataset, batch_idx, batch_w),
             };
-            {
-                let mut params = self.core.params_mut();
-                clip_grad_norm(&mut params, self.cfg.grad_clip);
-                self.opt.step(&mut params);
-            }
+            let core = &mut self.core;
+            clip_grad_norm_with(|f| core.for_each_param_mut(f), self.cfg.grad_clip);
+            self.opt.step_with(|f| core.for_each_param_mut(f));
             self.prune.record_losses(batch_idx, &out.per_sample);
             epoch_loss += out.loss * b as f64;
             correct += out.correct;

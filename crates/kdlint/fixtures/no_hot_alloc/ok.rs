@@ -1,6 +1,7 @@
 //! no-hot-alloc: passes — the hot function works in borrowed/arena
-//! scratch, one annotated cold-branch clone, and an unmarked helper that
-//! may allocate freely.
+//! scratch, one annotated cold-branch clone, a hot function whose only
+//! allocations are its annotated returned rows, and an unmarked helper
+//! that may allocate freely.
 
 /// Scores one batch into caller-provided scratch. No allocation on the
 /// steady-state path; the error completion clones only when the batch is
@@ -24,4 +25,17 @@ pub fn warmup(n: usize) -> Vec<f32> {
     scratch.resize(n, 0.0);
     scratch.extend(vec![0.0f32; n]);
     scratch
+}
+
+/// Returns one owned row per input: the returned rows are the function's
+/// only allocations, and each site says so.
+// kdprof: hot
+pub fn rows_out(batch: &[f32], width: usize) -> Vec<Vec<f32>> {
+    // kdlint: allow(hot-alloc): the returned rows.
+    let mut out = Vec::with_capacity(batch.len() / width);
+    for row in batch.chunks_exact(width) {
+        // kdlint: allow(hot-alloc): a returned row.
+        out.push(row.to_vec());
+    }
+    out
 }

@@ -626,12 +626,13 @@ impl Rule for UnboundedWait {
 /// The serving hot path's steady-state contract: after warmup, a request
 /// is served without touching the allocator (the kdprof profile record
 /// pins `ArenaGrowth == 0` dynamically; this rule drift-proofs it
-/// statically). Functions marked `// kdprof: hot` — the ones the profile
-/// showed on the per-request path, and the LSTM's step kernels — must not
-/// call `Vec::new`/`Vec::with_capacity`, `vec![..]`, `.to_vec()`, or
-/// `.clone()`; scratch comes from the per-worker arena or the layer's
-/// workspace, and cold branches (error completion, shutdown) carry an
-/// annotation saying why they never run in steady state.
+/// statically). Functions marked `// kdprof: hot` anywhere in the
+/// workspace — the per-request serving path, the layer-graph passes and
+/// the kernels they run on — must not call `Vec::new`/`Vec::with_capacity`,
+/// `vec![..]`, `.to_vec()`, or `.clone()`; scratch comes from the
+/// per-worker arena or a layer workspace, and cold branches (error
+/// completion, shutdown) and returned values carry an annotation saying
+/// why they are not steady-state scratch.
 pub struct NoHotAlloc;
 
 impl NoHotAlloc {
@@ -697,14 +698,10 @@ impl Rule for NoHotAlloc {
     fn allow_key(&self) -> &'static str {
         "hot-alloc"
     }
-    fn applies(&self, path: &str) -> bool {
-        // The profiled per-request path (the serving tier and the GEMM
-        // kernel it bottoms out in) and the LSTM's step kernels, which
-        // run on the layer's reused workspace. Other train-time code may
-        // allocate.
-        path.starts_with("crates/core/src/serve/")
-            || path == "crates/tsnn/src/gemm.rs"
-            || path == "crates/tsnn/src/layers/lstm.rs"
+    fn applies(&self, _path: &str) -> bool {
+        // Every marked function, wherever it lives: the marker is the
+        // scope. Unmarked code may allocate.
+        true
     }
     fn check(&self, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
         let code = &ctx.code;

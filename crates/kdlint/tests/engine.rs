@@ -173,13 +173,16 @@ fn bench_crate_may_read_the_clock() {
 }
 
 #[test]
-fn hot_alloc_covers_the_lstm_kernels_and_the_vec_macro() {
+fn hot_alloc_covers_every_marked_function_and_the_vec_macro() {
     let src = "// kdprof: hot\nfn step(n: usize) -> usize { let s = vec![0.0f32; n]; s.len() }";
-    assert_eq!(
-        rules_of(&scoped("crates/tsnn/src/layers/lstm.rs", src)),
-        ["no-hot-alloc"]
-    );
-    assert!(scoped("crates/tsnn/src/layers/conv1d.rs", src).is_empty());
+    for path in [
+        "crates/tsnn/src/layers/lstm.rs",
+        "crates/tsnn/src/layers/conv1d.rs",
+        "crates/core/src/selector.rs",
+        "crates/core/src/train/mod.rs",
+    ] {
+        assert_eq!(rules_of(&scoped(path, src)), ["no-hot-alloc"], "{path}");
+    }
     let cold = "fn setup(n: usize) -> Vec<f32> { vec![0.0; n] }";
     assert!(scoped("crates/tsnn/src/layers/lstm.rs", cold).is_empty());
 }

@@ -70,11 +70,9 @@ impl Detector for AutoEncoder {
         for _ in 0..self.epochs {
             let y = net.forward(&x, true);
             let out = mse(&y, &x, None);
-            for p in net.params_mut() {
-                p.zero_grad();
-            }
+            net.for_each_param_mut(&mut |p| p.zero_grad());
             let _ = net.backward(&out.grad);
-            opt.step(&mut net.params_mut());
+            opt.step_with(|f| net.for_each_param_mut(f));
         }
 
         // Score every window.

@@ -80,11 +80,9 @@ impl Detector for CnnForecaster {
         for _ in 0..self.epochs {
             let pred = net.forward(&x_train, true);
             let out = mse(&pred, &y_train, None);
-            for par in net.params_mut() {
-                par.zero_grad();
-            }
+            net.for_each_param_mut(&mut |p| p.zero_grad());
             let _ = net.backward(&out.grad);
-            opt.step(&mut net.params_mut());
+            opt.step_with(|f| net.for_each_param_mut(f));
         }
 
         let mut errors = vec![0.0f64; n];

@@ -58,7 +58,7 @@ pub fn extract_features(xs: &[f64]) -> Vec<f64> {
         return vec![0.0; FEATURE_COUNT];
     }
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(f64::total_cmp);
 
     let mean = stats::mean(xs);
     let std = stats::std_dev(xs);
@@ -236,6 +236,24 @@ fn spectral_stats(spec: &[f64]) -> (f64, f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nan_windows_extract_without_panicking() {
+        // About 6% NaNs in a 40-point window: the sort must stay total.
+        for s in 0..200u64 {
+            let xs: Vec<f64> = (0..40u64)
+                .map(|t| {
+                    let h = (s * 40 + t).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                    if h % 100 < 6 {
+                        f64::NAN
+                    } else {
+                        (h % 1000) as f64 * 0.01
+                    }
+                })
+                .collect();
+            assert_eq!(extract_features(&xs).len(), FEATURE_COUNT);
+        }
+    }
 
     #[test]
     fn feature_vector_length_matches_names() {

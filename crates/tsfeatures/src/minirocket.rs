@@ -71,7 +71,7 @@ impl MiniRocket {
                     convolve(&windows[wi], kernel, dilation, &mut conv_buf);
                     pool.extend_from_slice(&conv_buf);
                 }
-                pool.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                pool.sort_by(f64::total_cmp);
                 let m = features_per_pair;
                 let qs: Vec<f64> = (1..=m)
                     .map(|q| tslinalg::stats::quantile_sorted(&pool, q as f64 / (m + 1) as f64))
@@ -168,6 +168,18 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    #[test]
+    fn bias_fit_sorts_nan_windows_without_panicking() {
+        let mut windows = toy_windows();
+        for (s, w) in windows.iter_mut().enumerate() {
+            for t in (s % 5..w.len()).step_by(17) {
+                w[t] = f64::NAN;
+            }
+        }
+        let mr = MiniRocket::fit(&windows, 2, 3);
+        assert_eq!(mr.transform(&toy_windows()[0]).len(), mr.n_features());
     }
 
     #[test]

@@ -69,10 +69,12 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Quantile of an unsorted slice (allocates a sorted copy).
+/// Quantile of an unsorted slice (allocates a sorted copy). Sorts in
+/// IEEE total order, so NaNs are ordered too (positive ones last) instead
+/// of breaking the sort.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(f64::total_cmp);
     quantile_sorted(&sorted, q)
 }
 
@@ -169,6 +171,39 @@ pub fn linear_trend_slope(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Deterministic 40-element vectors with about 6% NaNs.
+    fn nan_vectors(count: usize) -> impl Iterator<Item = Vec<f64>> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..count).map(move |_| {
+            (0..40)
+                .map(|_| {
+                    let r = next();
+                    if r % 100 < 6 {
+                        f64::NAN
+                    } else {
+                        (r >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                    }
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn quantile_orders_nan_inputs_without_panicking() {
+        for xs in nan_vectors(2000) {
+            let finite: Vec<f64> = xs.iter().copied().filter(|v| !v.is_nan()).collect();
+            let min = finite.iter().copied().fold(f64::INFINITY, f64::min);
+            // Positive NaNs sort last, so the minimum is still first.
+            assert_eq!(quantile(&xs, 0.0), min);
+        }
+    }
 
     #[test]
     fn mean_and_variance_basics() {

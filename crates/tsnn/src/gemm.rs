@@ -62,6 +62,16 @@
 //! the workers (see [`tspar`]).
 
 use crate::simd::{self, F32x16};
+use std::cell::RefCell;
+
+thread_local! {
+    /// Per-thread packed-`B` panels of [`gemm`] and [`gemm_with_kc`],
+    /// re-packed (and fully rewritten) per call.
+    static PANELS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread packed-`A` tile scratch of the blocked kernel, one per
+    /// executor of a product.
+    static PACKED_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Micro-kernel tile height (rows of `A` per register block). Eight rows —
 /// one lane accumulator each — give eight independent add chains per `k`
@@ -130,7 +140,7 @@ pub fn gemm(
         gemm_thin(n, m, k, a, a_layout, b, c);
         return;
     }
-    gemm_blocked(n, m, k, a, a_layout, &pack_b(m, k, b, b_layout), KC, c);
+    gemm_with_kc(n, m, k, a, a_layout, b, b_layout, KC, c);
 }
 
 /// [`gemm`] with an explicit inner-dimension block size `kc` instead of
@@ -152,7 +162,10 @@ pub fn gemm_with_kc(
     c: &mut [f32],
 ) {
     debug_assert_eq!(c.len(), n * m);
-    gemm_blocked(n, m, k, a, a_layout, &pack_b(m, k, b, b_layout), kc, c);
+    PANELS.with_borrow_mut(|panels| {
+        pack_b(m, k, b, b_layout, panels);
+        gemm_blocked(n, m, k, a, a_layout, panels, kc, c);
+    });
 }
 
 /// Products with `k == 1` or a single output column (`m == 1`) — outer
@@ -234,10 +247,12 @@ fn gemm_blocked(
     // Work below the pool's gate (`tspar::MIN_PAR_WORK`, shared with the
     // layer-level gates) is not worth a parallel region.
     if flops < tspar::MIN_PAR_WORK || tspar::threads() <= 1 {
-        let mut packed_a = vec![0.0f32; pa_len];
-        for tile in 0..n_tiles {
-            gemm_row_tile_into(tile, 0, n, m, k, kc, a, a_layout, panels, &mut packed_a, c);
-        }
+        PACKED_A.with_borrow_mut(|packed_a| {
+            let packed_a = zeroed(packed_a, pa_len);
+            for tile in 0..n_tiles {
+                gemm_row_tile_into(tile, 0, n, m, k, kc, a, a_layout, panels, packed_a, c);
+            }
+        });
         return;
     }
 
@@ -247,28 +262,37 @@ fn gemm_blocked(
     // count.
     let rows_per_task = TILES_PER_TASK * MR;
     tspar::par_chunks_mut(c, rows_per_task * m, |task, c_chunk| {
-        let tile0 = task * TILES_PER_TASK;
-        let mut packed_a = vec![0.0f32; pa_len];
-        let rows_here = c_chunk.len() / m;
-        let tiles_here = rows_here.div_ceil(MR);
-        for t in 0..tiles_here {
-            let tile = tile0 + t;
-            // Views are C-chunk-relative: pass a shifted row base.
-            gemm_row_tile_into(
-                tile,
-                tile0 * MR,
-                n,
-                m,
-                k,
-                kc,
-                a,
-                a_layout,
-                panels,
-                &mut packed_a,
-                c_chunk,
-            );
-        }
+        PACKED_A.with_borrow_mut(|packed_a| {
+            let packed_a = zeroed(packed_a, pa_len);
+            let tile0 = task * TILES_PER_TASK;
+            let rows_here = c_chunk.len() / m;
+            let tiles_here = rows_here.div_ceil(MR);
+            for t in 0..tiles_here {
+                let tile = tile0 + t;
+                // Views are C-chunk-relative: pass a shifted row base.
+                gemm_row_tile_into(
+                    tile,
+                    tile0 * MR,
+                    n,
+                    m,
+                    k,
+                    kc,
+                    a,
+                    a_layout,
+                    panels,
+                    packed_a,
+                    c_chunk,
+                );
+            }
+        })
     });
+}
+
+/// `buf` as `len` zeros, reusing its capacity.
+fn zeroed(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    buf.clear();
+    buf.resize(len, 0.0);
+    buf
 }
 
 /// A `B` operand packed once into [`NR`]-wide column panels, held by the
@@ -290,11 +314,9 @@ pub struct PackedB {
 impl PackedB {
     /// Packs `B'` (`k×m` after applying `layout`) into column panels.
     pub fn pack(m: usize, k: usize, b: &[f32], layout: Layout) -> Self {
-        Self {
-            m,
-            k,
-            panels: pack_b(m, k, b, layout),
-        }
+        let mut panels = Vec::new();
+        pack_b(m, k, b, layout, &mut panels);
+        Self { m, k, panels }
     }
 
     /// Output width `m` of products against this operand.
@@ -332,10 +354,10 @@ pub fn gemm_prepacked_with_kc(
 }
 
 /// Packs `B'` (`k×m` after layout) into [`NR`]-wide column panels,
-/// zero-padded.
-fn pack_b(m: usize, k: usize, b: &[f32], layout: Layout) -> Vec<f32> {
+/// zero-padded, replacing the contents of `out`.
+fn pack_b(m: usize, k: usize, b: &[f32], layout: Layout, out: &mut Vec<f32>) {
     let m_pad = m.div_ceil(NR) * NR;
-    let mut out = vec![0.0f32; k * m_pad];
+    let out = zeroed(out, k * m_pad);
     match layout {
         Layout::Normal => {
             // B'[p][j] = b[p * m + j]; copy row slices panel by panel.
@@ -362,7 +384,6 @@ fn pack_b(m: usize, k: usize, b: &[f32], layout: Layout) -> Vec<f32> {
             }
         }
     }
-    out
 }
 
 /// Packs the `p ∈ [p0, p0 + pc)` slice of row tile `tile` (height [`MR`])
@@ -873,7 +894,9 @@ mod tests {
                     let mut naive = vec![f32::NAN; n * m];
                     gemm_naive(n, m, k, &a, la, &b, lb, &mut naive);
                     let mut lane = vec![f32::NAN; n * m];
-                    gemm_blocked(n, m, k, &a, la, &pack_b(m, k, &b, lb), KC, &mut lane);
+                    let mut panels = Vec::new();
+                    pack_b(m, k, &b, lb, &mut panels);
+                    gemm_blocked(n, m, k, &a, la, &panels, KC, &mut lane);
                     let ctx = format!("({n},{m},{k}) {la:?}/{lb:?} threads={threads}");
                     assert_eq!(bits(&naive), bits(&lane), "naive vs lane {ctx}");
                     if k == 0 {

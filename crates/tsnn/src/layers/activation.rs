@@ -2,11 +2,14 @@
 
 use crate::param::{Layer, Param};
 use crate::tensor::Tensor;
+use crate::workspace::Dims;
 
-/// Rectified linear unit.
+/// Rectified linear unit. Runs in place in a layer graph; its backward
+/// reads only the output (`y > 0` exactly where the training forward kept
+/// its input).
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    mask: Option<Vec<bool>>,
+    output: Option<Tensor>,
 }
 
 impl Relu {
@@ -22,34 +25,29 @@ impl Layer for Relu {
             return self.infer(x);
         }
         let mut y = x.clone();
-        let mask: Vec<bool> = x.data().iter().map(|&v| v > 0.0).collect();
-        for (v, &keep) in y.data_mut().iter_mut().zip(&mask) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
-        self.mask = Some(mask);
+        self.forward_in_place(y.data_mut());
+        self.output = Some(y.clone());
         y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
         let mut y = x.clone();
-        for v in y.data_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
+        self.infer_in_place(y.data_mut());
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self.mask.take().expect("backward without forward(train)");
-        let mut g = grad_out.clone();
-        for (v, keep) in g.data_mut().iter_mut().zip(mask) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
+        let y = self.output.take().expect("backward without forward(train)");
+        let mut g = Tensor::zeros(grad_out.shape());
+        let d = Dims::new(y.shape());
+        self.backward_ws(
+            y.data(),
+            d,
+            y.data(),
+            grad_out.data(),
+            g.data_mut(),
+            (&mut [], &mut []),
+        );
         g
     }
 
@@ -59,6 +57,61 @@ impl Layer for Relu {
 
     fn params(&self) -> Vec<&Param> {
         Vec::new()
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        x
+    }
+
+    fn forward_ws(&mut self, x: &[f32], _xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        y.copy_from_slice(x);
+        self.forward_in_place(y);
+    }
+
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        _x: &[f32],
+        _xd: Dims,
+        y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        _ws: (&mut [f32], &mut [f32]),
+    ) {
+        for ((o, &g), &v) in gx.iter_mut().zip(gy).zip(y) {
+            *o = if v > 0.0 { g } else { 0.0 };
+        }
+    }
+
+    fn infer_ws(&self, x: &[f32], _xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        y.copy_from_slice(x);
+        self.infer_in_place(y);
+    }
+
+    fn in_place(&self) -> bool {
+        true
+    }
+
+    /// Training keeps exactly the positive inputs: NaN and -0.0 become
+    /// +0.0 (the mask is `v > 0`).
+    // kdprof: hot
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn forward_in_place(&mut self, y: &mut [f32]) {
+        for v in y {
+            if !(*v > 0.0) {
+                *v = 0.0;
+            }
+        }
+    }
+
+    /// Inference clears exactly the negative inputs: NaN and -0.0 pass.
+    // kdprof: hot
+    fn infer_in_place(&self, y: &mut [f32]) {
+        for v in y {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
     }
 }
 
@@ -125,6 +178,10 @@ impl Layer for Gelu {
 
     fn params(&self) -> Vec<&Param> {
         Vec::new()
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        x
     }
 }
 

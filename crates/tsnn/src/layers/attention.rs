@@ -3,6 +3,7 @@
 use crate::layers::Linear;
 use crate::param::{Layer, Param};
 use crate::tensor::Tensor;
+use crate::workspace::Dims;
 use rand::rngs::StdRng;
 
 /// Multi-head self-attention on `(N, T, D) → (N, T, D)`.
@@ -301,6 +302,10 @@ impl Layer for MultiHeadSelfAttention {
         params.extend(self.wv.params());
         params.extend(self.wo.params());
         params
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        x
     }
 }
 

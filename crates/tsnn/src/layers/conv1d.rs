@@ -4,6 +4,7 @@ use crate::init::kaiming_uniform;
 use crate::param::{Layer, Param};
 use crate::simd::{self, F32x16, F32x8, F32_LANES};
 use crate::tensor::Tensor;
+use crate::workspace::Dims;
 use rand::rngs::StdRng;
 use std::cell::RefCell;
 
@@ -57,6 +58,20 @@ impl Conv1d {
     }
 }
 
+impl Conv1d {
+    /// Rebuilds `plan` for this layer's forward (or, `transposed`, its
+    /// input-gradient) convolution at length `l`.
+    fn plan(&self, plan: &mut TapPlan, transposed: bool, l: usize) {
+        let w = self.weight.value.data();
+        let (c_in, c_out, kernel) = (self.in_channels, self.out_channels, self.kernel);
+        if transposed {
+            plan.transposed(w, c_in, c_out, kernel, l);
+        } else {
+            plan.forward(w, c_in, c_out, kernel, l);
+        }
+    }
+}
+
 impl Layer for Conv1d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         if train {
@@ -67,17 +82,9 @@ impl Layer for Conv1d {
 
     fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 3, "Conv1d expects (N, C, L)");
-        assert_eq!(x.dim(1), self.in_channels, "channel mismatch");
-        let (n, l) = (x.dim(0), x.dim(2));
-        let mut y = Tensor::zeros(&[n, self.out_channels, l]);
-        let plan = TapPlan::forward(
-            self.weight.value.data(),
-            self.in_channels,
-            self.out_channels,
-            self.kernel,
-            l,
-        );
-        plan.run(x.data(), Some(self.bias.value.data()), y.data_mut());
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(self.out_dims(xd).as_slice());
+        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
         y
     }
 
@@ -86,32 +93,17 @@ impl Layer for Conv1d {
             .cached_input
             .take()
             .expect("backward without forward(train)");
-        let (n, l) = (x.dim(0), x.dim(2));
-        assert_eq!(grad_out.shape(), &[n, self.out_channels, l]);
-        // Bias gradient: sum over time (striped canonical order), added in
-        // batch order.
-        let gb = self.bias.grad.data_mut();
-        for ni in 0..n {
-            let g = grad_out.batch(ni);
-            for (co, acc) in gb.iter_mut().enumerate() {
-                *acc += simd::sum(&g[co * l..(co + 1) * l]);
-            }
-        }
-        weight_grad(&x, grad_out, self.kernel, self.weight.grad.data_mut());
-        // dX: gx[ci][t+k-pad] += w[co][ci][k] · g[co][t], a transposed
-        // convolution on the forward kernel. Each input-gradient slab
-        // belongs to one batch element, so the batch loop is the task
-        // split here; the weight gradient above splits over output
-        // channels instead, because each of its elements sums the batch.
-        let mut gx = Tensor::zeros(&[n, self.in_channels, l]);
-        let plan = TapPlan::transposed(
-            self.weight.value.data(),
-            self.in_channels,
-            self.out_channels,
-            self.kernel,
-            l,
+        let xd = Dims::new(x.shape());
+        assert_eq!(grad_out.shape(), self.out_dims(xd).as_slice());
+        let mut gx = Tensor::zeros(x.shape());
+        self.backward_ws(
+            x.data(),
+            xd,
+            &[],
+            grad_out.data(),
+            gx.data_mut(),
+            (&mut [], &mut []),
         );
-        plan.run(grad_out.data(), None, gx.data_mut());
         gx
     }
 
@@ -121,6 +113,67 @@ impl Layer for Conv1d {
 
     fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
+    }
+
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        assert_eq!(x.rank(), 3, "Conv1d expects (N, C, L)");
+        assert_eq!(x.dim(1), self.in_channels, "channel mismatch");
+        Dims::new(&[x.dim(0), self.out_channels, x.dim(2)])
+    }
+
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.infer_ws(x, xd, y, ws);
+    }
+
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        x: &[f32],
+        xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        _ws: (&mut [f32], &mut [f32]),
+    ) {
+        let (n, l) = (xd.dim(0), xd.dim(2));
+        // Bias gradient: sum over time (striped canonical order), added in
+        // batch order.
+        let gb = self.bias.grad.data_mut();
+        for g in gy.chunks_exact(self.out_channels * l) {
+            for (co, acc) in gb.iter_mut().enumerate() {
+                *acc += simd::sum(&g[co * l..(co + 1) * l]);
+            }
+        }
+        weight_grad(
+            x,
+            gy,
+            (n, self.in_channels, self.out_channels, l),
+            self.kernel,
+            self.weight.grad.data_mut(),
+        );
+        // dX: gx[ci][t+k-pad] += w[co][ci][k] · g[co][t], a transposed
+        // convolution on the forward kernel. Each input-gradient slab
+        // belongs to one batch element, so the batch loop is the task
+        // split here; the weight gradient above splits over output
+        // channels instead, because each of its elements sums the batch.
+        PLAN.with_borrow_mut(|plan| {
+            self.plan(plan, true, l);
+            plan.run(gy, None, gx);
+        });
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        let l = self.out_dims(xd).dim(2);
+        PLAN.with_borrow_mut(|plan| {
+            self.plan(plan, false, l);
+            plan.run(x, Some(self.bias.value.data()), y);
+        });
     }
 }
 
@@ -134,6 +187,9 @@ thread_local! {
     /// elements and calls so steady-state convolution allocates nothing
     /// per element.
     static STAGE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread tap plan, rebuilt in place for every call (the weights
+    /// change every training step) so its lists keep their capacity.
+    static PLAN: RefCell<TapPlan> = RefCell::new(TapPlan::default());
 }
 
 /// One tap shared by a tile's rows: input row `row` read at kernel offset
@@ -180,6 +236,7 @@ struct Block {
 /// and ±inf inputs). One case lies outside any float chain's contract,
 /// the old loops' too: when two *different* NaNs meet in one add, which
 /// of them propagates depends on the operand order the compiler picks.
+#[derive(Default)]
 struct TapPlan {
     /// Taps of every tile, tile after tile, each tile in chain order.
     taps: Vec<Tap>,
@@ -199,36 +256,48 @@ struct TapPlan {
 impl TapPlan {
     /// `y[co] = bias[co] + Σ_(ci, k) w[co][ci][k] · x[ci][t + k − pad]`,
     /// taps in ascending `(ci, k)` order.
-    fn forward(w: &[f32], c_in: usize, c_out: usize, kernel: usize, l: usize) -> Self {
-        Self::build(c_out, c_in, kernel, l, |co, ci, k| {
+    fn forward(&mut self, w: &[f32], c_in: usize, c_out: usize, kernel: usize, l: usize) {
+        self.build(c_out, c_in, kernel, l, |co, ci, k| {
             (k, w[(co * c_in + ci) * kernel + k])
-        })
+        });
     }
 
     /// The input gradient `gx[ci][s] = Σ_(co, k) w[co][ci][k] ·
     /// g[co][s − k + pad]`, taps in ascending `(co, k)` order. In forward
     /// form tap `k` reads at offset `2·pad − k`.
-    fn transposed(w: &[f32], c_in: usize, c_out: usize, kernel: usize, l: usize) -> Self {
+    fn transposed(&mut self, w: &[f32], c_in: usize, c_out: usize, kernel: usize, l: usize) {
         let last = kernel - 1;
-        Self::build(c_in, c_out, kernel, l, |ci, co, k| {
+        self.build(c_in, c_out, kernel, l, |ci, co, k| {
             (last - k, w[(co * c_in + ci) * kernel + k])
-        })
+        });
     }
 
+    /// Rebuilds the plan in place (its lists keep their capacity):
     /// `tap(r, row, j)` gives output row `r`'s `j`-th tap on input row
     /// `row` as `(read offset k, weight)`; chain order is ascending
     /// `(row, j)`.
+    // kdprof: hot
     fn build(
+        &mut self,
         rows_out: usize,
         rows_in: usize,
         kernel: usize,
         l: usize,
         tap: impl Fn(usize, usize, usize) -> (usize, f32),
-    ) -> Self {
+    ) {
         let pad = kernel / 2;
         let lp = l + 2 * pad;
-        let mut taps = Vec::with_capacity(rows_out.div_ceil(TILE_ROWS) * rows_in * kernel);
-        let mut tiles = Vec::with_capacity(rows_out.div_ceil(TILE_ROWS));
+        let Self {
+            taps,
+            tiles,
+            blocks,
+            masks,
+            ..
+        } = self;
+        taps.clear();
+        tiles.clear();
+        blocks.clear();
+        masks.clear();
         for r0 in (0..rows_out).step_by(TILE_ROWS) {
             let rows = TILE_ROWS.min(rows_out - r0);
             let start = taps.len();
@@ -252,8 +321,6 @@ impl TapPlan {
             }
             tiles.push(start..taps.len());
         }
-        let mut blocks = Vec::new();
-        let mut masks = Vec::new();
         if l >= LANES {
             let mut tb = 0;
             loop {
@@ -280,17 +347,11 @@ impl TapPlan {
                 tb = (tb + LANES).min(l - LANES);
             }
         }
-        Self {
-            taps,
-            tiles,
-            blocks,
-            masks,
-            rows_in,
-            rows_out,
-            kernel,
-            pad,
-            l,
-        }
+        self.rows_in = rows_in;
+        self.rows_out = rows_out;
+        self.kernel = kernel;
+        self.pad = pad;
+        self.l = l;
     }
 
     /// Runs the plan over a `(n, rows_in, l)` input into `(n, rows_out,
@@ -462,9 +523,13 @@ const GRAD_ROWS: usize = 8;
 /// independent chains hide each other's add latency. Layers with at most
 /// [`GRAD_ROWS`] output channels take half-height tiles, so the
 /// ResNet's 8-channel layers still split into two tasks.
-fn weight_grad(x: &Tensor, g: &Tensor, kernel: usize, gw: &mut [f32]) {
-    let (n, c_in, c_out, l) = (x.dim(0), x.dim(1), g.dim(1), x.dim(2));
-    let (x, g) = (x.data(), g.data());
+fn weight_grad(
+    x: &[f32],
+    g: &[f32],
+    (n, c_in, c_out, l): (usize, usize, usize, usize),
+    kernel: usize,
+    gw: &mut [f32],
+) {
     let per_row = c_in * kernel;
     let tile = if c_out <= GRAD_ROWS {
         GRAD_ROWS / 2

@@ -2,6 +2,7 @@
 
 use crate::param::{Layer, Param};
 use crate::tensor::Tensor;
+use crate::workspace::Dims;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -75,6 +76,10 @@ impl Layer for Dropout {
 
     fn params(&self) -> Vec<&Param> {
         Vec::new()
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        x
     }
 }
 

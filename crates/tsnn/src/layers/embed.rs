@@ -3,6 +3,7 @@
 use crate::init;
 use crate::param::{Layer, Param};
 use crate::tensor::Tensor;
+use crate::workspace::Dims;
 use rand::rngs::StdRng;
 
 /// Adds a learned `(T, D)` table to every `(T, D)` token block of an
@@ -64,6 +65,10 @@ impl Layer for PositionalEmbedding {
 
     fn params(&self) -> Vec<&Param> {
         vec![&self.table]
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        x
     }
 }
 

@@ -7,11 +7,28 @@
 //! is declaration order — depth first, a residual's main path before its
 //! shortcut, concat branches left to right — which is the positional order
 //! persistence relies on.
+//!
+//! # Workspace
+//!
+//! The combinators run on the workspace protocol (see [`Layer`]): a graph
+//! sizes one buffer for an input shape and carves it per layer into
+//! output, tape and gradient slots, so a training step or an inference
+//! call allocates nothing once the buffer has grown. Training keeps one
+//! output slot per layer (what backward reads back) and alternates input
+//! gradients between two slots per chain; inference alternates
+//! activations between (at most) two slots per chain. An
+//! elementwise layer ([`Layer::in_place`], the ReLU) overwrites its
+//! predecessor's output unless that layer's backward reads it. The tensor
+//! methods of a graph drive the same path: a root graph keeps its tape
+//! (input, output, workspace) for `forward` → `backward`, and the shared
+//! `infer` sizes a workspace for the call.
 
 use crate::param::{Layer, Param};
 use crate::tensor::Tensor;
+use crate::workspace::{carve, Cursor, Dims, Workspace};
 use rand::rngs::StdRng;
 use std::fmt::Debug;
+use std::ops::Range;
 
 /// A layer a graph can own: thread-safe (a trained graph serves from many
 /// threads through [`Layer::infer`]) and cloneable behind a box (training
@@ -33,10 +50,114 @@ impl Clone for Box<dyn Node> {
     }
 }
 
+/// What a root graph's tensor API keeps between `forward(train)` and
+/// `backward`: the workspace protocol's tape. A copy starts empty.
+#[derive(Debug, Default)]
+struct Tape {
+    x: Vec<f32>,
+    y: Vec<f32>,
+    xd: Option<Dims>,
+    ws: Workspace,
+}
+
+impl Clone for Tape {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl Tape {
+    fn forward(&mut self, layer: &mut dyn Layer, x: &Tensor) -> Tensor {
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(layer.out_dims(xd).as_slice());
+        self.x.clear();
+        self.x.extend_from_slice(x.data());
+        let ws = self.ws.get(layer.ws_len(xd, true));
+        layer.forward_ws(&self.x, xd, y.data_mut(), ws);
+        self.y.clear();
+        self.y.extend_from_slice(y.data());
+        self.xd = Some(xd);
+        y
+    }
+
+    fn backward(&mut self, layer: &mut dyn Layer, gy: &Tensor) -> Tensor {
+        let xd = self.xd.take().expect("backward without forward(train)");
+        let mut gx = Tensor::zeros(xd.as_slice());
+        let tape = layer.ws_len(xd, true);
+        let ws = self.ws.get(tape + layer.grad_len(xd));
+        let ws = ws.split_at_mut(tape);
+        layer.backward_ws(&self.x, xd, &self.y, gy.data(), gx.data_mut(), ws);
+        gx
+    }
+
+    /// Inference on `ws`: the graph's own tape workspace for
+    /// `forward(x, false)`, a temporary one for the shared `infer`.
+    fn infer(layer: &dyn Layer, x: &Tensor, ws: &mut Workspace) -> Tensor {
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(layer.out_dims(xd).as_slice());
+        layer.infer_ws(x.data(), xd, y.data_mut(), ws.get(layer.ws_len(xd, false)));
+        y
+    }
+}
+
+/// Where one activation of a chain lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Buf {
+    /// The caller's input.
+    Input,
+    /// The caller's output slot.
+    Output,
+    /// The workspace slot at this offset.
+    Slot(usize),
+}
+
+impl Buf {
+    fn range(self, len: usize) -> Range<usize> {
+        match self {
+            Buf::Slot(at) => at..at + len,
+            _ => 0..0,
+        }
+    }
+}
+
+/// One layer's place in a chain's training workspace.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    din: Dims,
+    dout: Dims,
+    input: Buf,
+    /// Equals `input` when the layer runs in place.
+    output: Buf,
+    /// ∂loss/∂input slot in the backward scratch; the first layer
+    /// writes the caller's.
+    grad_in: Span,
+    /// The layer's tape.
+    ws: Span,
+}
+
+/// A workspace range that is `Copy`.
+#[derive(Debug, Clone, Copy)]
+struct Span(usize, usize);
+
+impl Span {
+    fn range(self) -> Range<usize> {
+        self.0..self.1
+    }
+}
+
+impl From<Range<usize>> for Span {
+    fn from(r: Range<usize>) -> Self {
+        Self(r.start, r.end)
+    }
+}
+
 /// Layers applied in order; an empty chain is the identity.
 #[derive(Debug, Clone, Default)]
 pub struct Seq {
     layers: Vec<Box<dyn Node>>,
+    /// The training layout of the last `forward_ws`, read by `backward_ws`.
+    steps: Vec<Step>,
+    tape: Tape,
 }
 
 impl Seq {
@@ -59,40 +180,117 @@ impl Seq {
             .then(super::Relu::new())
             .then(super::Linear::new(hidden, output, rng))
     }
+
+    /// Whether layer `i` overwrites its predecessor's output: it is
+    /// elementwise, has a predecessor in this chain, and (in training)
+    /// that predecessor's backward does not read the output.
+    fn runs_in_place(&self, i: usize, train: bool) -> bool {
+        i > 0 && self.layers[i].in_place() && !(train && self.layers[i - 1].reads_output())
+    }
+
+    /// The first layer from which every later one runs in place: it writes
+    /// the caller's output slot.
+    fn last_writer(&self, train: bool) -> usize {
+        (0..self.layers.len())
+            .rev()
+            .find(|&i| !self.runs_in_place(i, train))
+            .unwrap_or(0)
+    }
+
+    /// The backward scratch for input `xd`: `(gradient slot length, slot
+    /// count, the layers' shared scratch)`. Input gradients alternate
+    /// between the slots — layer `i ≥ 1` writes slot `(i − 1) % 2` while
+    /// reading its output gradient from the other — and the scratch
+    /// follows them.
+    fn grad_layout(&self, xd: Dims) -> (usize, usize, usize) {
+        let (mut slot, mut child, mut d) = (0, 0, xd);
+        for (i, layer) in self.layers.iter().enumerate() {
+            if i > 0 {
+                slot = slot.max(d.numel());
+            }
+            child = child.max(layer.grad_len(d));
+            d = layer.out_dims(d);
+        }
+        let slots = self.layers.len().saturating_sub(1).min(2);
+        (slot, slots, child)
+    }
+
+    /// Walks the training layout for input `xd`, handing each step to
+    /// `visit`; returns the tape length.
+    fn train_layout(&self, xd: Dims, mut visit: impl FnMut(Step)) -> usize {
+        let last = self.last_writer(true);
+        let (slot, _, _) = self.grad_layout(xd);
+        let mut at = Cursor::default();
+        let (mut din, mut input) = (xd, Buf::Input);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let dout = layer.out_dims(din);
+            let output = if self.runs_in_place(i, true) {
+                input
+            } else if i >= last {
+                Buf::Output
+            } else {
+                Buf::Slot(at.take(dout.numel()).start)
+            };
+            let grad_in = if i == 0 {
+                0..0
+            } else {
+                let g = (i - 1) % 2 * slot;
+                g..g + din.numel()
+            };
+            let ws = at.take(layer.ws_len(din, true));
+            visit(Step {
+                din,
+                dout,
+                input,
+                output,
+                grad_in: grad_in.into(),
+                ws: ws.into(),
+            });
+            (din, input) = (dout, output);
+        }
+        at.end()
+    }
+
+    /// The inference layout for input `xd`: `(activation slot length,
+    /// slot count, layer workspace length)`; the workspace is the
+    /// activation slots (two, or one when a single intermediate output
+    /// needs one), then the layers' shared scratch.
+    fn infer_layout(&self, xd: Dims) -> (usize, usize, usize) {
+        let last = self.last_writer(false);
+        let (mut act, mut slots, mut scratch, mut din) = (0, 0, 0, xd);
+        for (i, layer) in self.layers.iter().enumerate() {
+            scratch = scratch.max(layer.ws_len(din, false));
+            din = layer.out_dims(din);
+            if i < last && !self.runs_in_place(i, false) {
+                act = act.max(din.numel());
+                slots = (slots + 1).min(2);
+            }
+        }
+        (act, slots, scratch)
+    }
 }
 
 impl Layer for Seq {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return x.clone();
+        let mut tape = std::mem::take(&mut self.tape);
+        let y = if train {
+            tape.forward(self, x)
+        } else {
+            Tape::infer(self, x, &mut tape.ws)
         };
-        let mut y = first.forward(x, train);
-        for layer in rest {
-            y = layer.forward(&y, train);
-        }
+        self.tape = tape;
         y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        let Some((first, rest)) = self.layers.split_first() else {
-            return x.clone();
-        };
-        let mut y = first.infer(x);
-        for layer in rest {
-            y = layer.infer(&y);
-        }
-        y
+        Tape::infer(self, x, &mut Workspace::new())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let Some((last, rest)) = self.layers.split_last_mut() else {
-            return grad_out.clone();
-        };
-        let mut g = last.backward(grad_out);
-        for layer in rest.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        let mut tape = std::mem::take(&mut self.tape);
+        let gx = tape.backward(self, grad_out);
+        self.tape = tape;
+        gx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -106,6 +304,12 @@ impl Layer for Seq {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for l in &mut self.layers {
+            l.for_each_param_mut(f);
+        }
+    }
+
     fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
         self.layers
             .iter_mut()
@@ -116,6 +320,182 @@ impl Layer for Seq {
     fn buffers(&self) -> Vec<&Vec<f32>> {
         self.layers.iter().flat_map(|l| l.buffers()).collect()
     }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        self.layers.iter().fold(x, |d, l| l.out_dims(d))
+    }
+
+    fn ws_len(&self, x: Dims, train: bool) -> usize {
+        if train {
+            self.train_layout(x, |_| {})
+        } else {
+            let (act, slots, scratch) = self.infer_layout(x);
+            slots * act + scratch
+        }
+    }
+
+    fn grad_len(&self, x: Dims) -> usize {
+        let (slot, slots, child) = self.grad_layout(x);
+        slots * slot + child
+    }
+
+    // kdprof: hot
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        if self.layers.is_empty() {
+            y.copy_from_slice(x);
+            return;
+        }
+        let mut steps = std::mem::take(&mut self.steps);
+        steps.clear();
+        self.train_layout(xd, |s| steps.push(s));
+        for (layer, st) in self.layers.iter_mut().zip(&steps) {
+            if st.input == st.output {
+                let buf = match st.output {
+                    Buf::Output => &mut *y,
+                    b => &mut ws[b.range(st.dout.numel())],
+                };
+                layer.forward_in_place(buf);
+                continue;
+            }
+            let [xs, ys, w] = carve(
+                ws,
+                [
+                    st.input.range(st.din.numel()),
+                    st.output.range(st.dout.numel()),
+                    st.ws.range(),
+                ],
+            );
+            let xv: &[f32] = if st.input == Buf::Input { x } else { xs };
+            let yv = if st.output == Buf::Output {
+                &mut *y
+            } else {
+                ys
+            };
+            layer.forward_ws(xv, st.din, yv, w);
+        }
+        self.steps = steps;
+    }
+
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        x: &[f32],
+        xd: Dims,
+        y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        (tape, scratch): (&mut [f32], &mut [f32]),
+    ) {
+        let n = self.layers.len();
+        if n == 0 {
+            gx.copy_from_slice(gy);
+            return;
+        }
+        let (slot, slots, child) = self.grad_layout(xd);
+        let (grads, child) = scratch[..slots * slot + child].split_at_mut(slots * slot);
+        for i in (0..n).rev() {
+            let st = self.steps[i];
+            let same = st.input == st.output;
+            let [xs, ys, w] = carve(
+                tape,
+                [
+                    st.input.range(st.din.numel()),
+                    if same {
+                        0..0
+                    } else {
+                        st.output.range(st.dout.numel())
+                    },
+                    st.ws.range(),
+                ],
+            );
+            let next_grad = match self.steps.get(i + 1) {
+                Some(next) => next.grad_in.range(),
+                None => 0..0,
+            };
+            let [gys, gxs] = carve(grads, [next_grad, st.grad_in.range()]);
+            let xv: &[f32] = match st.input {
+                Buf::Input => x,
+                Buf::Output => y,
+                Buf::Slot(_) => xs,
+            };
+            let yv: &[f32] = if same {
+                xv
+            } else {
+                match st.output {
+                    Buf::Output => y,
+                    _ => ys,
+                }
+            };
+            let gyv: &[f32] = if i + 1 == n { gy } else { gys };
+            let gxv = if i == 0 { &mut *gx } else { gxs };
+            self.layers[i].backward_ws(xv, st.din, yv, gyv, gxv, (w, &mut *child));
+        }
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        if self.layers.is_empty() {
+            y.copy_from_slice(x);
+            return;
+        }
+        let last = self.last_writer(false);
+        let (act, slots, scratch) = self.infer_layout(xd);
+        let (slots, w) = ws[..slots * act + scratch].split_at_mut(slots * act);
+        let (p, q) = slots.split_at_mut(act.min(slots.len()));
+        // Where the current activation lives: the input, the output slot,
+        // or slot 0/1.
+        let mut cur = Buf::Input;
+        let mut din = xd;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let dout = layer.out_dims(din);
+            let len = dout.numel();
+            if self.runs_in_place(i, false) {
+                match cur {
+                    Buf::Output => layer.infer_in_place(y),
+                    Buf::Slot(0) => layer.infer_in_place(&mut p[..len]),
+                    _ => layer.infer_in_place(&mut q[..len]),
+                }
+            } else {
+                let w = &mut w[..layer.ws_len(din, false)];
+                let next = if i >= last {
+                    Buf::Output
+                } else if cur == Buf::Slot(0) {
+                    Buf::Slot(1)
+                } else {
+                    Buf::Slot(0)
+                };
+                let n_in = din.numel();
+                match (cur, next) {
+                    (Buf::Input, Buf::Output) => layer.infer_ws(x, din, y, w),
+                    (Buf::Input, Buf::Slot(0)) => layer.infer_ws(x, din, &mut p[..len], w),
+                    (Buf::Slot(0), Buf::Output) => layer.infer_ws(&p[..n_in], din, y, w),
+                    (Buf::Slot(0), _) => layer.infer_ws(&p[..n_in], din, &mut q[..len], w),
+                    (_, Buf::Output) => layer.infer_ws(&q[..n_in], din, y, w),
+                    _ => layer.infer_ws(&q[..n_in], din, &mut p[..len], w),
+                }
+                cur = next;
+            }
+            din = dout;
+        }
+    }
+
+    fn reads_output(&self) -> bool {
+        self.layers.last().is_some_and(|l| l.reads_output())
+    }
+}
+
+/// `dst[i] = a[i] + b[i]`.
+fn add_into(dst: &mut [f32], a: &[f32], b: &[f32]) {
+    for (d, (&u, &v)) in dst.iter_mut().zip(a.iter().zip(b)) {
+        *d = u + v;
+    }
+}
+
+/// `dst[i] += src[i]`.
+fn add_assign(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
 }
 
 /// `main(x) + shortcut(x)`, where a missing shortcut is the identity. The
@@ -124,42 +504,85 @@ impl Layer for Seq {
 pub struct Residual {
     main: Seq,
     shortcut: Option<Seq>,
+    tape: Tape,
+}
+
+/// A residual block's training tape: the main path's tape, the main
+/// path's own output when its backward reads it, then the shortcut's tape
+/// and output.
+struct ResidualLayout {
+    len: usize,
+    main: Range<usize>,
+    main_out: Range<usize>,
+    short: Range<usize>,
+    short_out: Range<usize>,
 }
 
 impl Residual {
     /// Residual block over `main`, with a projected `shortcut` or (`None`)
     /// the identity.
     pub fn new(main: Seq, shortcut: Option<Seq>) -> Self {
-        Self { main, shortcut }
+        Self {
+            main,
+            shortcut,
+            tape: Tape::default(),
+        }
+    }
+
+    fn train_layout(&self, xd: Dims) -> ResidualLayout {
+        let mut at = Cursor::default();
+        let dout = self.out_dims(xd);
+        let main = at.take(self.main.ws_len(xd, true));
+        let main_out = at.take(if self.main.reads_output() {
+            dout.numel()
+        } else {
+            0
+        });
+        let (short, short_out) = match &self.shortcut {
+            Some(s) => (at.take(s.ws_len(xd, true)), at.take(dout.numel())),
+            None => (0..0, 0..0),
+        };
+        ResidualLayout {
+            len: at.end(),
+            main,
+            main_out,
+            short,
+            short_out,
+        }
+    }
+
+    /// The backward scratch: the shortcut's input gradient, then the
+    /// paths' shared scratch.
+    fn grad_layout(&self, xd: Dims) -> (usize, usize) {
+        let child = self.main.grad_len(xd);
+        match &self.shortcut {
+            Some(s) => (xd.numel(), child.max(s.grad_len(xd))),
+            None => (0, child),
+        }
     }
 }
 
 impl Layer for Residual {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut y = self.main.forward(x, train);
-        match &mut self.shortcut {
-            Some(s) => y.add_assign(&s.forward(x, train)),
-            None => y.add_assign(x),
-        }
+        let mut tape = std::mem::take(&mut self.tape);
+        let y = if train {
+            tape.forward(self, x)
+        } else {
+            Tape::infer(self, x, &mut tape.ws)
+        };
+        self.tape = tape;
         y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        let mut y = self.main.infer(x);
-        match &self.shortcut {
-            Some(s) => y.add_assign(&s.infer(x)),
-            None => y.add_assign(x),
-        }
-        y
+        Tape::infer(self, x, &mut Workspace::new())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = self.main.backward(grad_out);
-        match &mut self.shortcut {
-            Some(s) => g.add_assign(&s.backward(grad_out)),
-            None => g.add_assign(grad_out),
-        }
-        g
+        let mut tape = std::mem::take(&mut self.tape);
+        let gx = tape.backward(self, grad_out);
+        self.tape = tape;
+        gx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -174,6 +597,13 @@ impl Layer for Residual {
         p
     }
 
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.main.for_each_param_mut(f);
+        if let Some(s) = &mut self.shortcut {
+            s.for_each_param_mut(f);
+        }
+    }
+
     fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
         let mut b = self.main.buffers_mut();
         b.extend(self.shortcut.iter_mut().flat_map(|s| s.buffers_mut()));
@@ -185,6 +615,93 @@ impl Layer for Residual {
         b.extend(self.shortcut.iter().flat_map(|s| s.buffers()));
         b
     }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        self.main.out_dims(x)
+    }
+
+    fn ws_len(&self, x: Dims, train: bool) -> usize {
+        if train {
+            return self.train_layout(x).len;
+        }
+        match &self.shortcut {
+            Some(s) => {
+                self.out_dims(x).numel() + self.main.ws_len(x, false).max(s.ws_len(x, false))
+            }
+            None => self.main.ws_len(x, false),
+        }
+    }
+
+    fn grad_len(&self, x: Dims) -> usize {
+        let (short_grad, child) = self.grad_layout(x);
+        short_grad + child
+    }
+
+    // kdprof: hot
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        let lay = self.train_layout(xd);
+        let [wm, m, wsh, s_out] = carve(ws, [lay.main, lay.main_out, lay.short, lay.short_out]);
+        let keep_main = !m.is_empty();
+        if keep_main {
+            self.main.forward_ws(x, xd, m, wm);
+        } else {
+            self.main.forward_ws(x, xd, y, wm);
+        }
+        let other: &[f32] = match &mut self.shortcut {
+            Some(s) => {
+                s.forward_ws(x, xd, s_out, wsh);
+                s_out
+            }
+            None => x,
+        };
+        if keep_main {
+            add_into(y, m, other);
+        } else {
+            add_assign(y, other);
+        }
+    }
+
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        x: &[f32],
+        xd: Dims,
+        y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        (tape, scratch): (&mut [f32], &mut [f32]),
+    ) {
+        let lay = self.train_layout(xd);
+        let [wm, m, wsh, s_out] = carve(tape, [lay.main, lay.main_out, lay.short, lay.short_out]);
+        let (short_grad, child) = self.grad_layout(xd);
+        let (gs, child) = scratch[..short_grad + child].split_at_mut(short_grad);
+        let main_y: &[f32] = if m.is_empty() { y } else { m };
+        self.main
+            .backward_ws(x, xd, main_y, gy, gx, (wm, &mut *child));
+        match &mut self.shortcut {
+            Some(s) => {
+                s.backward_ws(x, xd, s_out, gy, gs, (wsh, child));
+                add_assign(gx, gs);
+            }
+            None => add_assign(gx, gy),
+        }
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        match &self.shortcut {
+            Some(s) => {
+                let (s_out, w) = ws.split_at_mut(self.out_dims(xd).numel());
+                self.main.infer_ws(x, xd, y, w);
+                s.infer_ws(x, xd, s_out, w);
+                add_assign(y, s_out);
+            }
+            None => {
+                self.main.infer_ws(x, xd, y, ws);
+                add_assign(y, x);
+            }
+        }
+    }
 }
 
 /// Branches applied to the same `(N, C, L)` input, outputs concatenated
@@ -193,7 +710,7 @@ impl Layer for Residual {
 #[derive(Debug, Clone)]
 pub struct Concat {
     branches: Vec<Seq>,
-    widths: Option<Vec<usize>>,
+    tape: Tape,
 }
 
 impl Concat {
@@ -205,41 +722,99 @@ impl Concat {
         assert!(!branches.is_empty(), "Concat needs at least one branch");
         Self {
             branches,
-            widths: None,
+            tape: Tape::default(),
         }
+    }
+
+    /// Branch `j`'s output slot and workspace. Training lays out output
+    /// and tape branch after branch; inference the branches' outputs,
+    /// then one scratch all of them share.
+    fn slots(&self, xd: Dims, train: bool, j: usize) -> (Range<usize>, Range<usize>) {
+        let mut at = Cursor::default();
+        let mut mine = (0..0, 0..0);
+        for (i, b) in self.branches.iter().enumerate() {
+            let out = at.take(b.out_dims(xd).numel());
+            let tape = at.take(if train { b.ws_len(xd, true) } else { 0 });
+            if i == j {
+                mine = (out, tape);
+            }
+        }
+        if !train {
+            let scratch = self.branches.iter().map(|b| b.ws_len(xd, false)).max();
+            mine.1 = at.take(scratch.unwrap_or(0));
+        }
+        mine
+    }
+
+    /// Total workspace length.
+    fn ws_end(&self, xd: Dims, train: bool) -> usize {
+        self.slots(xd, train, self.branches.len() - 1).1.end
+    }
+
+    /// The backward scratch: branch `j`'s output-gradient slot (branch
+    /// after branch), then the input gradient of the branches after the
+    /// first, then the branches' shared scratch. Returns branch `j`'s slot
+    /// and the two regions after the slots.
+    fn grad_slots(&self, xd: Dims, j: usize) -> (Range<usize>, Range<usize>, Range<usize>) {
+        let mut at = Cursor::default();
+        let mut mine = 0..0;
+        for (i, b) in self.branches.iter().enumerate() {
+            let slot = at.take(b.out_dims(xd).numel());
+            if i == j {
+                mine = slot;
+            }
+        }
+        let sum = at.take(xd.numel());
+        let child = self.branches.iter().map(|b| b.grad_len(xd)).max();
+        (mine, sum, at.take(child.unwrap_or(0)))
+    }
+
+    /// Walks the branches' channel ranges of a concatenated `(N, C, L)`
+    /// tensor: `f(j, c_j, offset)` per branch, left to right.
+    fn channel_ranges(&self, xd: Dims, mut f: impl FnMut(usize, usize, usize)) {
+        let mut offset = 0;
+        for (j, b) in self.branches.iter().enumerate() {
+            let c = b.out_dims(xd).dim(1);
+            f(j, c, offset);
+            offset += c;
+        }
+    }
+
+    /// Copies each branch's `(N, C_j, L)` output slot into its channel
+    /// range of `y`.
+    fn concat_into(&self, xd: Dims, train: bool, y: &mut [f32], ws: &[f32]) {
+        let (n, l) = (xd.dim(0), xd.dim(2));
+        let c_total = y.len() / (n * l);
+        self.channel_ranges(xd, |j, c, offset| {
+            let part = &ws[self.slots(xd, train, j).0];
+            for ni in 0..n {
+                let at = (ni * c_total + offset) * l;
+                y[at..at + c * l].copy_from_slice(&part[ni * c * l..(ni + 1) * c * l]);
+            }
+        });
     }
 }
 
 impl Layer for Concat {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let parts: Vec<Tensor> = self
-            .branches
-            .iter_mut()
-            .map(|b| b.forward(x, train))
-            .collect();
-        if train {
-            self.widths = Some(parts.iter().map(|p| p.dim(1)).collect());
-        }
-        concat_channels(&parts)
+        let mut tape = std::mem::take(&mut self.tape);
+        let y = if train {
+            tape.forward(self, x)
+        } else {
+            Tape::infer(self, x, &mut tape.ws)
+        };
+        self.tape = tape;
+        y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        let parts: Vec<Tensor> = self.branches.iter().map(|b| b.infer(x)).collect();
-        concat_channels(&parts)
+        Tape::infer(self, x, &mut Workspace::new())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let widths = self.widths.take().expect("backward without forward(train)");
-        let parts = split_channels(grad_out, &widths);
-        let mut grads = self
-            .branches
-            .iter_mut()
-            .zip(&parts)
-            .map(|(b, g)| b.backward(g));
-        let mut gx = grads.next().expect("at least one branch");
-        for g in grads {
-            gx.add_assign(&g);
-        }
+        let mut tape = std::mem::take(&mut self.tape);
+        let gx = tape.backward(self, grad_out);
+        self.tape = tape;
         gx
     }
 
@@ -254,6 +829,12 @@ impl Layer for Concat {
         self.branches.iter().flat_map(|b| b.params()).collect()
     }
 
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for b in &mut self.branches {
+            b.for_each_param_mut(f);
+        }
+    }
+
     fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
         self.branches
             .iter_mut()
@@ -264,41 +845,74 @@ impl Layer for Concat {
     fn buffers(&self) -> Vec<&Vec<f32>> {
         self.branches.iter().flat_map(|b| b.buffers()).collect()
     }
-}
 
-/// Concatenates rank-3 tensors along the channel axis.
-fn concat_channels(parts: &[Tensor]) -> Tensor {
-    let n = parts[0].dim(0);
-    let l = parts[0].dim(2);
-    let c_total: usize = parts.iter().map(|p| p.dim(1)).sum();
-    let mut out = Tensor::zeros(&[n, c_total, l]);
-    for ni in 0..n {
-        let ob = out.batch_mut(ni);
-        let mut offset = 0;
-        for p in parts {
-            let c = p.dim(1);
-            ob[offset * l..(offset + c) * l].copy_from_slice(p.batch(ni));
-            offset += c;
+    fn out_dims(&self, x: Dims) -> Dims {
+        let c = self.branches.iter().map(|b| b.out_dims(x).dim(1)).sum();
+        Dims::new(&[x.dim(0), c, x.dim(2)])
+    }
+
+    fn ws_len(&self, x: Dims, train: bool) -> usize {
+        self.ws_end(x, train)
+    }
+
+    fn grad_len(&self, x: Dims) -> usize {
+        self.grad_slots(x, 0).2.end
+    }
+
+    // kdprof: hot
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        for j in 0..self.branches.len() {
+            let (out, w) = self.slots(xd, true, j);
+            let [o, w] = carve(ws, [out, w]);
+            self.branches[j].forward_ws(x, xd, o, w);
+        }
+        self.concat_into(xd, true, y, ws);
+    }
+
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        x: &[f32],
+        xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        (tape, scratch): (&mut [f32], &mut [f32]),
+    ) {
+        // Split the gradient into the branches' output-gradient slots.
+        let (n, l) = (xd.dim(0), xd.dim(2));
+        let c_total = gy.len() / (n * l);
+        self.channel_ranges(xd, |j, c, offset| {
+            let part = &mut scratch[self.grad_slots(xd, j).0];
+            for ni in 0..n {
+                let at = (ni * c_total + offset) * l;
+                part[ni * c * l..(ni + 1) * c * l].copy_from_slice(&gy[at..at + c * l]);
+            }
+        });
+        for j in 0..self.branches.len() {
+            let (out, w) = self.slots(xd, true, j);
+            let [o, w] = carve(tape, [out, w]);
+            let (grad, sum, child) = self.grad_slots(xd, j);
+            let [g, s, child] = carve(scratch, [grad, sum, child]);
+            if j == 0 {
+                self.branches[j].backward_ws(x, xd, o, g, gx, (w, child));
+            } else {
+                self.branches[j].backward_ws(x, xd, o, g, s, (w, child));
+                add_assign(gx, s);
+            }
         }
     }
-    out
-}
 
-/// Splits a channel-concatenated gradient back into per-part gradients.
-fn split_channels(grad: &Tensor, widths: &[usize]) -> Vec<Tensor> {
-    let n = grad.dim(0);
-    let l = grad.dim(2);
-    let mut outs: Vec<Tensor> = widths.iter().map(|&c| Tensor::zeros(&[n, c, l])).collect();
-    for ni in 0..n {
-        let gb = grad.batch(ni);
-        let mut offset = 0;
-        for (o, &c) in outs.iter_mut().zip(widths) {
-            o.batch_mut(ni)
-                .copy_from_slice(&gb[offset * l..(offset + c) * l]);
-            offset += c;
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        for (j, b) in self.branches.iter().enumerate() {
+            let (out, w) = self.slots(xd, false, j);
+            let w = w.start..w.start + b.ws_len(xd, false);
+            let [o, w] = carve(ws, [out, w]);
+            b.infer_ws(x, xd, o, w);
         }
+        self.concat_into(xd, false, y, ws);
     }
-    outs
 }
 
 #[cfg(test)]
@@ -319,14 +933,17 @@ mod tests {
     }
 
     #[test]
-    fn concat_split_roundtrip() {
-        let a = Tensor::from_vec(&[1, 2, 3], (0..6).map(|i| i as f32).collect());
-        let b = Tensor::from_vec(&[1, 1, 3], vec![10., 11., 12.]);
-        let cat = concat_channels(&[a.clone(), b.clone()]);
-        assert_eq!(cat.shape(), &[1, 3, 3]);
-        let parts = split_channels(&cat, &[2, 1]);
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
+    fn concat_stacks_channels_and_sums_gradients() {
+        // Two identity branches: the output repeats the channels, and the
+        // input gradient is the sum of the two halves.
+        let mut c = Concat::new(vec![Seq::new(), Seq::new()]);
+        let x = Tensor::from_vec(&[2, 1, 3], (0..6).map(|i| i as f32).collect());
+        let y = c.forward(&x, true);
+        assert_eq!(y.shape(), &[2, 2, 3]);
+        assert_eq!(y.data(), &[0., 1., 2., 0., 1., 2., 3., 4., 5., 3., 4., 5.]);
+        let g = Tensor::from_vec(&[2, 2, 3], (0..12).map(|i| i as f32).collect());
+        let gx = c.backward(&g);
+        assert_eq!(gx.data(), &[3., 5., 7., 15., 17., 19.]);
     }
 
     #[test]

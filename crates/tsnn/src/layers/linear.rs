@@ -1,8 +1,10 @@
 //! Fully connected layer.
 
+use crate::gemm::{self, Layout};
 use crate::init::kaiming_uniform;
 use crate::param::{Layer, Param};
 use crate::tensor::Tensor;
+use crate::workspace::Dims;
 use rand::rngs::StdRng;
 
 /// `y = x W + b` on `(N, in) → (N, out)`.
@@ -50,16 +52,9 @@ impl Layer for Linear {
 
     fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 2, "Linear expects (N, in)");
-        assert_eq!(x.dim(1), self.in_features(), "feature mismatch");
-        let mut y = x.matmul(&self.weight.value);
-        let out = self.out_features();
-        let bias = self.bias.value.data();
-        for i in 0..y.dim(0) {
-            let row = &mut y.data_mut()[i * out..(i + 1) * out];
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(self.out_dims(xd).as_slice());
+        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
         y
     }
 
@@ -68,18 +63,18 @@ impl Layer for Linear {
             .cached_input
             .take()
             .expect("backward without forward(train)");
-        // dW += xᵀ · g
-        let dw = x.t_matmul(grad_out);
-        self.weight.grad.add_assign(&dw);
-        // db += column sums of g
-        for i in 0..grad_out.dim(0) {
-            let row = grad_out.row(i);
-            for (b, &g) in self.bias.grad.data_mut().iter_mut().zip(row) {
-                *b += g;
-            }
-        }
-        // dx = g · Wᵀ
-        grad_out.matmul_t(&self.weight.value)
+        let xd = Dims::new(x.shape());
+        let mut gx = Tensor::zeros(x.shape());
+        let mut scratch = vec![0.0; self.grad_len(xd)];
+        self.backward_ws(
+            x.data(),
+            xd,
+            &[],
+            grad_out.data(),
+            gx.data_mut(),
+            (&mut [], &mut scratch),
+        );
+        gx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -88,6 +83,92 @@ impl Layer for Linear {
 
     fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
+    }
+
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        assert_eq!(x.rank(), 2, "Linear expects (N, in)");
+        assert_eq!(x.dim(1), self.in_features(), "feature mismatch");
+        Dims::new(&[x.dim(0), self.out_features()])
+    }
+
+    /// Backward holds one batch's weight gradient here before adding it
+    /// to the accumulated one.
+    fn grad_len(&self, _x: Dims) -> usize {
+        self.weight.numel()
+    }
+
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.infer_ws(x, xd, y, ws);
+    }
+
+    /// `dW += xᵀ·g` (the product first, then one add per element), `db +=`
+    /// the rows of `g` in order, `dx = g·Wᵀ`.
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        x: &[f32],
+        xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        (_, scratch): (&mut [f32], &mut [f32]),
+    ) {
+        let (n, d_in, d_out) = (xd.dim(0), self.in_features(), self.out_features());
+        let dw = &mut scratch[..d_in * d_out];
+        gemm::gemm(
+            d_in,
+            d_out,
+            n,
+            x,
+            Layout::Transposed,
+            gy,
+            Layout::Normal,
+            dw,
+        );
+        for (a, &b) in self.weight.grad.data_mut().iter_mut().zip(dw.iter()) {
+            *a += b;
+        }
+        for row in gy.chunks_exact(d_out) {
+            for (b, &g) in self.bias.grad.data_mut().iter_mut().zip(row) {
+                *b += g;
+            }
+        }
+        gemm::gemm(
+            n,
+            d_in,
+            d_out,
+            gy,
+            Layout::Normal,
+            self.weight.value.data(),
+            Layout::Transposed,
+            gx,
+        );
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        let (n, d_in, d_out) = (xd.dim(0), self.in_features(), self.out_features());
+        gemm::gemm(
+            n,
+            d_out,
+            d_in,
+            x,
+            Layout::Normal,
+            self.weight.value.data(),
+            Layout::Normal,
+            y,
+        );
+        let bias = self.bias.value.data();
+        for row in y.chunks_exact_mut(d_out) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v += b;
+            }
+        }
     }
 }
 

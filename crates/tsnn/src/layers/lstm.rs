@@ -38,6 +38,7 @@ use crate::init::xavier_uniform;
 use crate::param::{Layer, Param};
 use crate::simd::{self, F32x16};
 use crate::tensor::Tensor;
+use crate::workspace::Dims;
 use rand::rngs::StdRng;
 
 /// Sequences per lane block.
@@ -510,18 +511,17 @@ fn tiles(m: usize, h4p: usize) -> impl Iterator<Item = ([usize; 4], (usize, usiz
     })
 }
 
-/// The inference forward: final hidden state into `out` (`N × H`), on
-/// scratch at the start of `buf`.
-fn infer_into(w: Weights, x: &Tensor, buf: &mut Vec<f32>, out: &mut [f32]) {
-    let (n, t) = (x.dim(0), x.dim(1));
-    let s = Scratch::split(grown(buf, Scratch::len(w)), w);
+/// The inference forward of an `(n, t, I)` input: final hidden state
+/// into `out` (`N × H`), on `scratch` (at least [`Scratch::len`]).
+fn infer_into(w: Weights, x: &[f32], (n, t): (usize, usize), scratch: &mut [f32], out: &mut [f32]) {
+    let s = Scratch::split(scratch, w);
     let [c0, h0, c1, h1] = s.state;
     for n0 in (0..n).step_by(LANES) {
         let (mut prev, mut next) = ((&mut *c0, &mut *h0), (&mut *c1, &mut *h1));
         prev.0.fill(0.0);
         prev.1.fill(0.0);
         for ti in 0..t {
-            gather_x(s.xs, x.data(), n0, n, t, ti, w.i_dim);
+            gather_x(s.xs, x, n0, n, t, ti, w.i_dim);
             step_forward(w, s.xs, prev.0, prev.1, s.gates, s.tanh_c, next.0, next.1);
             std::mem::swap(&mut prev, &mut next);
         }
@@ -566,25 +566,26 @@ impl Lstm {
         self.hidden
     }
 
-    fn check_input(&self, x: &Tensor) {
-        assert_eq!(x.shape().len(), 3, "Lstm expects (N, T, I)");
+    /// `(n, t)` of an `(N, T, I)` input.
+    fn check_input(&self, x: Dims) -> (usize, usize) {
+        assert_eq!(x.rank(), 3, "Lstm expects (N, T, I)");
         assert_eq!(x.dim(2), self.input_dim, "input width mismatch");
+        (x.dim(0), x.dim(1))
     }
 
     /// The training forward: runs every block through the sequence,
-    /// keeping each step's gates and state on the workspace tape.
-    fn forward_train(&mut self, x: &Tensor) -> Tensor {
-        let (n, t) = (x.dim(0), x.dim(1));
+    /// keeping each step's gates and state on the workspace tape, and
+    /// writes the final hidden states into `out`.
+    fn forward_train(&mut self, x: &[f32], (n, t): (usize, usize), out: &mut [f32]) {
         let w = weights!(self);
         let (h4l, hl) = (w.h4() * LANES, w.h * LANES);
         let ws = Tape::carve(&mut self.ws.buf, w, n, t);
-        ws.x.copy_from_slice(x.data());
+        ws.x.copy_from_slice(x);
         let s = Scratch::split(ws.scratch, w);
-        let mut out = Tensor::zeros(&[n, w.h]);
         for (b, n0) in (0..n).step_by(LANES).enumerate() {
             for ti in 0..t {
                 let slab = b * t + ti;
-                gather_x(s.xs, x.data(), n0, n, t, ti, w.i_dim);
+                gather_x(s.xs, x, n0, n, t, ti, w.i_dim);
                 let (c_done, c_next) = ws.cells.split_at_mut(slab * hl);
                 let (h_done, h_next) = ws.hiddens.split_at_mut(slab * hl);
                 let (c_prev, h_prev): (&[f32], &[f32]) = if ti == 0 {
@@ -608,39 +609,105 @@ impl Lstm {
             } else {
                 &ws.hiddens[(b * t + t - 1) * hl..][..hl]
             };
-            scatter_hidden(last, n0, n, w.h, out.data_mut());
+            scatter_hidden(last, n0, n, w.h, out);
         }
         self.ws.taped = Some((n, t));
-        out
     }
 }
 
 impl Layer for Lstm {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.check_input(x);
+        let xd = Dims::new(x.shape());
+        let nt = self.check_input(xd);
+        let mut out = Tensor::zeros(&[nt.0, self.hidden]);
         if train {
-            return self.forward_train(x);
+            self.forward_train(x.data(), nt, out.data_mut());
+        } else {
+            let w = weights!(self);
+            let scratch = grown(&mut self.ws.buf, Scratch::len(w));
+            infer_into(w, x.data(), nt, scratch, out.data_mut());
         }
-        let mut out = Tensor::zeros(&[x.dim(0), self.hidden]);
-        let w = weights!(self);
-        infer_into(w, x, &mut self.ws.buf, out.data_mut());
         out
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        self.check_input(x);
-        let mut out = Tensor::zeros(&[x.dim(0), self.hidden]);
-        infer_into(weights!(self), x, &mut Vec::new(), out.data_mut());
+        let xd = Dims::new(x.shape());
+        let mut out = Tensor::zeros(&[xd.dim(0), self.hidden]);
+        let mut scratch = vec![0.0; self.ws_len(xd, false)];
+        self.infer_ws(x.data(), xd, out.data_mut(), &mut scratch);
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let (n, t) = self.ws.taped.expect("backward without forward(train)");
+        let mut dx = Tensor::zeros(&[n, t, self.input_dim]);
+        let xd = Dims::new(dx.shape());
+        self.backward_ws(
+            &[],
+            xd,
+            &[],
+            grad_out.data(),
+            dx.data_mut(),
+            (&mut [], &mut []),
+        );
+        dx
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        vec![&mut self.w_x, &mut self.w_h, &mut self.bias]
+    }
+
+    fn params(&self) -> Vec<&Param> {
+        vec![&self.w_x, &self.w_h, &self.bias]
+    }
+
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.w_x);
+        f(&mut self.w_h);
+        f(&mut self.bias);
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        Dims::new(&[self.check_input(x).0, self.hidden])
+    }
+
+    /// Inference runs on the caller's scratch; training keeps its tape in
+    /// the layer's own workspace.
+    fn ws_len(&self, _x: Dims, train: bool) -> usize {
+        if train {
+            0
+        } else {
+            Scratch::len(weights!(self))
+        }
+    }
+
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        let nt = self.check_input(xd);
+        self.forward_train(x, nt, y);
+    }
+
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        let nt = self.check_input(xd);
+        infer_into(weights!(self), x, nt, ws, y);
+    }
+
+    /// Backward of the last training forward, from the layer's own tape
+    /// (the taped input included), into `gx`.
+    fn backward_ws(
+        &mut self,
+        _x: &[f32],
+        _xd: Dims,
+        _y: &[f32],
+        grad_out: &[f32],
+        dx: &mut [f32],
+        _ws: (&mut [f32], &mut [f32]),
+    ) {
         let (n, t) = self
             .ws
             .taped
             .take()
             .expect("backward without forward(train)");
-        assert_eq!(grad_out.shape(), [n, self.hidden], "grad shape mismatch");
+        assert_eq!(grad_out.len(), n * self.hidden, "grad shape mismatch");
         let w = weights!(self);
         let (h, h4, i_dim, h4p) = (w.h, w.h4(), w.i_dim, w.h4p());
         let hl = h * LANES;
@@ -657,12 +724,11 @@ impl Layer for Lstm {
                 .enumerate()
             {
                 for (lane, v) in row.iter_mut().enumerate().take(n - n0) {
-                    *v = grad_out.data()[(n0 + lane) * h + p];
+                    *v = grad_out[(n0 + lane) * h + p];
                 }
             }
         }
         let s = Scratch::split(ws.scratch, w);
-        let mut dx = Tensor::zeros(&[n, t, i_dim]);
         let (gb, gwh) = (self.bias.grad.data_mut(), self.w_h.grad.data_mut());
         for ti in (0..t).rev() {
             for b in 0..nb {
@@ -691,7 +757,7 @@ impl Layer for Lstm {
                     for (v, d) in dst.iter_mut().zip(s.dpre.chunks_exact(LANES)) {
                         *v = d[lane];
                     }
-                    let dst = &mut dx.data_mut()[r * i_dim..(r + 1) * i_dim];
+                    let dst = &mut dx[r * i_dim..(r + 1) * i_dim];
                     for (v, d) in dst.iter_mut().zip(s.dx.chunks_exact(LANES)) {
                         *v = d[lane];
                     }
@@ -747,15 +813,6 @@ impl Layer for Lstm {
             }
             tile.add_to(gwx, (i_dim, h4), (i0, jc));
         }
-        dx
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.w_x, &mut self.w_h, &mut self.bias]
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.w_x, &self.w_h, &self.bias]
     }
 }
 

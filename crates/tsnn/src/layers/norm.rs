@@ -2,12 +2,24 @@
 
 use crate::param::{Layer, Param};
 use crate::tensor::Tensor;
+use crate::workspace::Dims;
 
 const EPS: f32 = 1e-5;
 
 /// Batch norm over `(N, C, L)`: statistics per channel across `N · L`.
 ///
 /// Running statistics (momentum 0.1) are used in inference mode.
+///
+/// # The chain
+///
+/// Each `(n, c)` row's sum is one left-to-right chain from `-0.0` (what
+/// `Iterator::sum` computes), folded into its channel's total in batch
+/// order; the passes keep several rows' chains in flight at once, which
+/// changes only the schedule. Normalisation is `x̂ = (v − m)·s` then
+/// `γ·x̂ + β`, mul and add rounded separately. The training tape is the
+/// input and the per-channel mean and `1/σ`; backward recomputes `x̂`
+/// from them with the same two operations, so it reads the bits forward
+/// produced without storing them.
 #[derive(Debug, Clone)]
 pub struct BatchNorm1d {
     /// Scale γ, shape `(C,)`.
@@ -20,13 +32,72 @@ pub struct BatchNorm1d {
     pub running_var: Vec<f32>,
     momentum: f32,
     channels: usize,
-    cache: Option<BnCache>,
+    /// Tensor-API training tape: the input and the per-channel statistics.
+    cache: Option<(Tensor, Vec<f32>)>,
 }
 
-#[derive(Debug, Clone)]
-struct BnCache {
-    x_hat: Tensor,
-    inv_std: Vec<f32>,
+/// Rows (channels of one batch element) whose chains run together.
+const CHAINS: usize = 8;
+
+/// For every row `(ni, ci)` of a `(n, c, l)` input `x`, with `R` rows in
+/// flight at a time, runs one chain per row over its elements `v` and
+/// hands the chain's step to `step(ci, t, v, acc) -> acc`; `fold(ci,
+/// acc)` then folds each finished chain into its channel, rows in batch
+/// order per channel.
+#[inline(always)]
+fn channel_chains<A: Copy>(
+    x: &[f32],
+    (c, l): (usize, usize),
+    init: A,
+    step: impl Fn(usize, usize, f32, A) -> A,
+    mut fold: impl FnMut(usize, A),
+) {
+    for xb in x.chunks_exact(c * l) {
+        let mut c0 = 0;
+        while c0 < c {
+            let base = c0;
+            let rows = &xb[base * l..];
+            let r = match c - base {
+                CHAINS.. => CHAINS,
+                4.. => 4,
+                _ => 1,
+            };
+            let mut run = |accs: &[A]| {
+                for (j, &a) in accs.iter().enumerate() {
+                    fold(base + j, a);
+                }
+            };
+            match r {
+                CHAINS => run(&chain_rows::<CHAINS, A>(rows, l, base, init, &step)),
+                4 => run(&chain_rows::<4, A>(rows, l, base, init, &step)),
+                _ => run(&chain_rows::<1, A>(rows, l, base, init, &step)),
+            }
+            c0 += r;
+        }
+    }
+}
+
+/// `R` independent chains over rows `0..R` of `rows` (rows of `l`, row
+/// `j` belonging to channel `c0 + j`), interleaved by time step.
+// One time step across `R` rows per iteration is the point: the chains
+// interleave, so a range over `t` indexes every row.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn chain_rows<const R: usize, A: Copy>(
+    rows: &[f32],
+    l: usize,
+    c0: usize,
+    init: A,
+    step: &impl Fn(usize, usize, f32, A) -> A,
+) -> [A; R] {
+    let rows: [&[f32]; R] = std::array::from_fn(|j| &rows[j * l..j * l + l]);
+    let mut acc = [init; R];
+    for t in 0..l {
+        for j in 0..R {
+            acc[j] = step(c0 + j, t, rows[j][t], acc[j]);
+        }
+    }
+    acc
 }
 
 impl BatchNorm1d {
@@ -43,68 +114,21 @@ impl BatchNorm1d {
         }
     }
 
-    /// Normalises with the given statistics: returns `γ·x̂ + β`, plus `x̂`
-    /// itself when `keep_x_hat` (the training path caches it for backward;
-    /// the serving path skips the input-sized allocation). Both branches
-    /// run the identical per-element arithmetic — `x̂ = (v − m)·s` then
-    /// `y = γ·x̂ + β` — so train-eval and infer outputs match bit-for-bit.
-    fn normalise(
-        &self,
-        x: &Tensor,
-        mean: &[f32],
-        inv_std: &[f32],
-        keep_x_hat: bool,
-    ) -> (Tensor, Option<Tensor>) {
-        let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
-        let mut y = Tensor::zeros(&[n, c, l]);
+    /// `y = γ·((v − m)·s) + β` per channel, `stats(ci) = (m, s)`.
+    #[inline(always)]
+    fn normalise(&self, x: &[f32], l: usize, y: &mut [f32], stats: impl Fn(usize) -> (f32, f32)) {
+        let c = self.channels;
         let gamma = self.gamma.value.data();
         let beta = self.beta.value.data();
-        if !keep_x_hat {
-            for ni in 0..n {
-                let xb = x.batch(ni);
-                let yb = y.batch_mut(ni);
-                for ci in 0..c {
-                    let (m, s) = (mean[ci], inv_std[ci]);
-                    let (g, b) = (gamma[ci], beta[ci]);
-                    for (yv, &v) in yb[ci * l..(ci + 1) * l]
-                        .iter_mut()
-                        .zip(&xb[ci * l..(ci + 1) * l])
-                    {
-                        let h = (v - m) * s;
-                        *yv = g * h + b;
-                    }
-                }
-            }
-            return (y, None);
-        }
-        let mut x_hat = Tensor::zeros(&[n, c, l]);
-        for ni in 0..n {
-            let xb = x.batch(ni);
-            let hb = x_hat.batch_mut(ni);
-            for ci in 0..c {
-                let (m, s) = (mean[ci], inv_std[ci]);
-                for (h, &v) in hb[ci * l..(ci + 1) * l]
-                    .iter_mut()
-                    .zip(&xb[ci * l..(ci + 1) * l])
-                {
-                    *h = (v - m) * s;
-                }
+        for (i, (y_row, x_row)) in y.chunks_exact_mut(l).zip(x.chunks_exact(l)).enumerate() {
+            let ci = i % c;
+            let (m, s) = stats(ci);
+            let (g, b) = (gamma[ci], beta[ci]);
+            for (yv, &v) in y_row.iter_mut().zip(x_row) {
+                let h = (v - m) * s;
+                *yv = g * h + b;
             }
         }
-        for ni in 0..n {
-            let hb = x_hat.batch(ni);
-            let yb = y.batch_mut(ni);
-            for ci in 0..c {
-                let (g, b) = (gamma[ci], beta[ci]);
-                for (yv, &h) in yb[ci * l..(ci + 1) * l]
-                    .iter_mut()
-                    .zip(&hb[ci * l..(ci + 1) * l])
-                {
-                    *yv = g * h + b;
-                }
-            }
-        }
-        (y, Some(x_hat))
     }
 }
 
@@ -114,102 +138,35 @@ impl Layer for BatchNorm1d {
             return self.infer(x);
         }
         assert_eq!(x.shape().len(), 3, "BatchNorm1d expects (N, C, L)");
-        assert_eq!(x.dim(1), self.channels, "channel mismatch");
-        let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
-        let count = (n * l) as f32;
-
-        let mut mean = vec![0.0f32; c];
-        let mut var = vec![0.0f32; c];
-        for ni in 0..n {
-            let xb = x.batch(ni);
-            for ci in 0..c {
-                mean[ci] += xb[ci * l..(ci + 1) * l].iter().sum::<f32>();
-            }
-        }
-        for m in &mut mean {
-            *m /= count;
-        }
-        for ni in 0..n {
-            let xb = x.batch(ni);
-            for ci in 0..c {
-                let m = mean[ci];
-                var[ci] += xb[ci * l..(ci + 1) * l]
-                    .iter()
-                    .map(|&v| (v - m) * (v - m))
-                    .sum::<f32>();
-            }
-        }
-        for v in &mut var {
-            *v /= count;
-        }
-        for ci in 0..c {
-            self.running_mean[ci] =
-                (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean[ci];
-            self.running_var[ci] =
-                (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var[ci];
-        }
-
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
-        let (y, x_hat) = self.normalise(x, &mean, &inv_std, true);
-        self.cache = Some(BnCache {
-            x_hat: x_hat.expect("requested cache"),
-            inv_std,
-        });
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(x.shape());
+        let mut tape = vec![0.0; self.ws_len(xd, true)];
+        self.forward_ws(x.data(), xd, y.data_mut(), &mut tape);
+        self.cache = Some((x.clone(), tape));
         y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 3, "BatchNorm1d expects (N, C, L)");
-        assert_eq!(x.dim(1), self.channels, "channel mismatch");
-        let inv_std: Vec<f32> = self
-            .running_var
-            .iter()
-            .map(|&v| 1.0 / (v + EPS).sqrt())
-            .collect();
-        self.normalise(x, &self.running_mean, &inv_std, false).0
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(x.shape());
+        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.take().expect("backward without forward(train)");
-        let (n, c, l) = (grad_out.dim(0), grad_out.dim(1), grad_out.dim(2));
-        let count = (n * l) as f32;
-        let gamma = self.gamma.value.data().to_vec();
-
-        // Per-channel reductions: Σg and Σ g·x̂.
-        let mut sum_g = vec![0.0f32; c];
-        let mut sum_gx = vec![0.0f32; c];
-        for ni in 0..n {
-            let gb = grad_out.batch(ni);
-            let hb = cache.x_hat.batch(ni);
-            for ci in 0..c {
-                let g_row = &gb[ci * l..(ci + 1) * l];
-                let h_row = &hb[ci * l..(ci + 1) * l];
-                sum_g[ci] += g_row.iter().sum::<f32>();
-                sum_gx[ci] += g_row.iter().zip(h_row).map(|(&g, &h)| g * h).sum::<f32>();
-            }
-        }
-        for ci in 0..c {
-            self.gamma.grad.data_mut()[ci] += sum_gx[ci];
-            self.beta.grad.data_mut()[ci] += sum_g[ci];
-        }
-
-        // dx = (γ·inv_std / count) · (count·g − Σg − x̂·Σ(g·x̂))
-        let mut gx = Tensor::zeros(&[n, c, l]);
-        for ni in 0..n {
-            let gb = grad_out.batch(ni);
-            let hb = cache.x_hat.batch(ni);
-            let ob = gx.batch_mut(ni);
-            for ci in 0..c {
-                let scale = gamma[ci] * cache.inv_std[ci] / count;
-                let (sg, sgx) = (sum_g[ci], sum_gx[ci]);
-                let g_row = &gb[ci * l..(ci + 1) * l];
-                let h_row = &hb[ci * l..(ci + 1) * l];
-                let o_row = &mut ob[ci * l..(ci + 1) * l];
-                for ((o, &g), &h) in o_row.iter_mut().zip(g_row).zip(h_row) {
-                    *o = scale * (count * g - sg - h * sgx);
-                }
-            }
-        }
+        let (x, mut tape) = self.cache.take().expect("backward without forward(train)");
+        let xd = Dims::new(x.shape());
+        let mut gx = Tensor::zeros(x.shape());
+        let mut sums = vec![0.0; self.grad_len(xd)];
+        self.backward_ws(
+            x.data(),
+            xd,
+            &[],
+            grad_out.data(),
+            gx.data_mut(),
+            (&mut tape, &mut sums),
+        );
         gx
     }
 
@@ -221,12 +178,143 @@ impl Layer for BatchNorm1d {
         vec![&self.gamma, &self.beta]
     }
 
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.gamma);
+        f(&mut self.beta);
+    }
+
     fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
         vec![&mut self.running_mean, &mut self.running_var]
     }
 
     fn buffers(&self) -> Vec<&Vec<f32>> {
         vec![&self.running_mean, &self.running_var]
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        assert_eq!(x.rank(), 3, "BatchNorm1d expects (N, C, L)");
+        assert_eq!(x.dim(1), self.channels, "channel mismatch");
+        x
+    }
+
+    /// The tape: per-channel mean, then `1/σ`.
+    fn ws_len(&self, _x: Dims, train: bool) -> usize {
+        if train {
+            2 * self.channels
+        } else {
+            0
+        }
+    }
+
+    /// Backward's two per-channel sums.
+    fn grad_len(&self, _x: Dims) -> usize {
+        2 * self.channels
+    }
+
+    /// Three passes: the mean's row chains, the variance's row chains
+    /// (`(v − m)·(v − m)`), then normalisation.
+    // kdprof: hot
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        let (n, c, l) = (xd.dim(0), xd.dim(1), xd.dim(2));
+        let count = (n * l) as f32;
+        let (mean, inv_std) = ws[..2 * c].split_at_mut(c);
+        mean.fill(0.0);
+        channel_chains(x, (c, l), -0.0, |_, _, v, a| a + v, |ci, a| mean[ci] += a);
+        for m in mean.iter_mut() {
+            *m /= count;
+        }
+        // The variance accumulates in the `1/σ` slot, then becomes it.
+        let var = inv_std;
+        var.fill(0.0);
+        let mean = &*mean;
+        channel_chains(
+            x,
+            (c, l),
+            -0.0,
+            |ci, _, v, a| a + (v - mean[ci]) * (v - mean[ci]),
+            |ci, a| var[ci] += a,
+        );
+        for v in var.iter_mut() {
+            *v /= count;
+        }
+        let mom = self.momentum;
+        for ci in 0..c {
+            self.running_mean[ci] = (1.0 - mom) * self.running_mean[ci] + mom * mean[ci];
+            self.running_var[ci] = (1.0 - mom) * self.running_var[ci] + mom * var[ci];
+        }
+        for v in var.iter_mut() {
+            *v = 1.0 / (*v + EPS).sqrt();
+        }
+        let inv_std = &*var;
+        self.normalise(x, l, y, |ci| (mean[ci], inv_std[ci]));
+    }
+
+    /// Two passes: the row chains of `Σg` and `Σ g·x̂` (two per row), then
+    /// `dx = (γ·s / count) · (count·g − Σg − x̂·Σ(g·x̂))`.
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        x: &[f32],
+        xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        (tape, scratch): (&mut [f32], &mut [f32]),
+    ) {
+        let (n, c, l) = (xd.dim(0), xd.dim(1), xd.dim(2));
+        let count = (n * l) as f32;
+        let (mean, inv_std) = tape[..2 * c].split_at(c);
+        let (sum_g, sum_gx) = scratch[..2 * c].split_at_mut(c);
+        sum_g.fill(0.0);
+        sum_gx.fill(0.0);
+        // Σg and Σ g·x̂ per row, two chains each; the gradient rows line up
+        // with the input rows, so one pass walks both.
+        let stride = c * l;
+        for (ni, gb) in gy.chunks_exact(stride).enumerate() {
+            let xb = &x[ni * stride..(ni + 1) * stride];
+            channel_chains(
+                gb,
+                (c, l),
+                (-0.0f32, -0.0f32),
+                |ci, t, g, (ag, agx)| {
+                    let h = (xb[ci * l + t] - mean[ci]) * inv_std[ci];
+                    (ag + g, agx + g * h)
+                },
+                |ci, (ag, agx)| {
+                    sum_g[ci] += ag;
+                    sum_gx[ci] += agx;
+                },
+            );
+        }
+        for ci in 0..c {
+            self.gamma.grad.data_mut()[ci] += sum_gx[ci];
+            self.beta.grad.data_mut()[ci] += sum_g[ci];
+        }
+        let gamma = self.gamma.value.data();
+        for (i, (o_row, (x_row, g_row))) in gx
+            .chunks_exact_mut(l)
+            .zip(x.chunks_exact(l).zip(gy.chunks_exact(l)))
+            .enumerate()
+        {
+            let ci = i % c;
+            let (m, s) = (mean[ci], inv_std[ci]);
+            let scale = gamma[ci] * s / count;
+            let (sg, sgx) = (sum_g[ci], sum_gx[ci]);
+            for ((o, &g), &v) in o_row.iter_mut().zip(g_row).zip(x_row) {
+                let h = (v - m) * s;
+                *o = scale * (count * g - sg - h * sgx);
+            }
+        }
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        self.normalise(x, xd.dim(2), y, |ci| {
+            (
+                self.running_mean[ci],
+                1.0 / (self.running_var[ci] + EPS).sqrt(),
+            )
+        });
     }
 }
 
@@ -351,6 +439,10 @@ impl Layer for LayerNorm {
 
     fn params(&self) -> Vec<&Param> {
         vec![&self.gamma, &self.beta]
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        x
     }
 }
 

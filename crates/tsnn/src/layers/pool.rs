@@ -2,13 +2,30 @@
 
 use crate::param::{Layer, Param};
 use crate::tensor::Tensor;
+use crate::workspace::Dims;
+
+/// The first maximum of `row[lo..hi]` (strictly greater wins, so ties
+/// and NaNs keep the earlier index) and its index; `-inf` at `lo` when
+/// nothing beats it.
+#[inline]
+fn window_max(row: &[f32], lo: usize, hi: usize) -> (f32, usize) {
+    let mut best = f32::NEG_INFINITY;
+    let mut best_i = lo;
+    for (i, &v) in row[lo..hi].iter().enumerate() {
+        if v > best {
+            best = v;
+            best_i = lo + i;
+        }
+    }
+    (best, best_i)
+}
 
 /// Max pooling on `(N, C, L) → (N, C, L/k)` (non-overlapping, floor).
+/// Backward re-finds each window's maximum in the taped input.
 #[derive(Debug, Clone)]
 pub struct MaxPool1d {
     kernel: usize,
-    argmax: Option<Vec<usize>>,
-    in_shape: Option<Vec<usize>>,
+    input: Option<Tensor>,
 }
 
 impl MaxPool1d {
@@ -20,94 +37,40 @@ impl MaxPool1d {
         assert!(kernel > 0, "kernel must be positive");
         Self {
             kernel,
-            argmax: None,
-            in_shape: None,
+            input: None,
         }
     }
 }
 
 impl Layer for MaxPool1d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.shape().len(), 3, "MaxPool1d expects (N, C, L)");
-        let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
-        let lo = l / self.kernel;
-        assert!(lo > 0, "sequence shorter than pooling kernel");
-        let mut y = Tensor::zeros(&[n, c, lo]);
-        let mut argmax = vec![0usize; n * c * lo];
-        for ni in 0..n {
-            let xb = x.batch(ni);
-            let yb = y.batch_mut(ni);
-            for ci in 0..c {
-                let x_row = &xb[ci * l..(ci + 1) * l];
-                let y_row = &mut yb[ci * lo..(ci + 1) * lo];
-                for (t, yv) in y_row.iter_mut().enumerate() {
-                    let base = t * self.kernel;
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_i = base;
-                    for (i, &v) in x_row[base..base + self.kernel].iter().enumerate() {
-                        if v > best {
-                            best = v;
-                            best_i = base + i;
-                        }
-                    }
-                    *yv = best;
-                    argmax[(ni * c + ci) * lo + t] = best_i;
-                }
-            }
-        }
+        let y = self.infer(x);
         if train {
-            self.argmax = Some(argmax);
-            self.in_shape = Some(x.shape().to_vec());
+            self.input = Some(x.clone());
         }
         y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 3, "MaxPool1d expects (N, C, L)");
-        let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
-        let lo = l / self.kernel;
-        assert!(lo > 0, "sequence shorter than pooling kernel");
-        let mut y = Tensor::zeros(&[n, c, lo]);
-        for ni in 0..n {
-            let xb = x.batch(ni);
-            let yb = y.batch_mut(ni);
-            for ci in 0..c {
-                let x_row = &xb[ci * l..(ci + 1) * l];
-                let y_row = &mut yb[ci * lo..(ci + 1) * lo];
-                for (t, yv) in y_row.iter_mut().enumerate() {
-                    let base = t * self.kernel;
-                    let mut best = f32::NEG_INFINITY;
-                    for &v in &x_row[base..base + self.kernel] {
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                    *yv = best;
-                }
-            }
-        }
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(self.out_dims(xd).as_slice());
+        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let argmax = self.argmax.take().expect("backward without forward(train)");
-        let in_shape = self
-            .in_shape
-            .take()
-            .expect("backward without forward(train)");
-        let (n, c, lo) = (grad_out.dim(0), grad_out.dim(1), grad_out.dim(2));
-        let l = in_shape[2];
-        let mut gx = Tensor::zeros(&in_shape);
-        for ni in 0..n {
-            let gb = grad_out.batch(ni);
-            let ob = gx.batch_mut(ni);
-            for ci in 0..c {
-                for t in 0..lo {
-                    let src = argmax[(ni * c + ci) * lo + t];
-                    ob[ci * l + src] += gb[ci * lo + t];
-                }
-            }
-        }
+        let x = self.input.take().expect("backward without forward(train)");
+        let xd = Dims::new(x.shape());
+        let mut gx = Tensor::zeros(x.shape());
+        self.backward_ws(
+            x.data(),
+            xd,
+            &[],
+            grad_out.data(),
+            gx.data_mut(),
+            (&mut [], &mut []),
+        );
         gx
     }
 
@@ -118,12 +81,58 @@ impl Layer for MaxPool1d {
     fn params(&self) -> Vec<&Param> {
         Vec::new()
     }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        let lo = x.dim(2) / self.kernel;
+        assert!(lo > 0, "sequence shorter than pooling kernel");
+        Dims::new(&[x.dim(0), x.dim(1), lo])
+    }
+
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.infer_ws(x, xd, y, ws);
+    }
+
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        x: &[f32],
+        xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        _ws: (&mut [f32], &mut [f32]),
+    ) {
+        let (l, k) = (xd.dim(2), self.kernel);
+        let lo = l / k;
+        gx.fill(0.0);
+        for ((x_row, g_row), o_row) in x
+            .chunks_exact(l)
+            .zip(gy.chunks_exact(lo))
+            .zip(gx.chunks_exact_mut(l))
+        {
+            for (t, &g) in g_row.iter().enumerate() {
+                let (_, src) = window_max(x_row, t * k, t * k + k);
+                o_row[src] += g;
+            }
+        }
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        let (l, k) = (xd.dim(2), self.kernel);
+        let lo = self.out_dims(xd).dim(2);
+        for (x_row, y_row) in x.chunks_exact(l).zip(y.chunks_exact_mut(lo)) {
+            for (t, v) in y_row.iter_mut().enumerate() {
+                *v = window_max(x_row, t * k, t * k + k).0;
+            }
+        }
+    }
 }
 
 /// Global average pooling `(N, C, L) → (N, C)`.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool1d {
-    in_shape: Option<Vec<usize>>,
+    in_dims: Option<Dims>,
 }
 
 impl GlobalAvgPool1d {
@@ -136,42 +145,33 @@ impl GlobalAvgPool1d {
 impl Layer for GlobalAvgPool1d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         if train {
-            self.in_shape = Some(x.shape().to_vec());
+            self.in_dims = Some(Dims::new(x.shape()));
         }
         self.infer(x)
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 3, "GlobalAvgPool1d expects (N, C, L)");
-        let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
-        let mut y = Tensor::zeros(&[n, c]);
-        for ni in 0..n {
-            let xb = x.batch(ni);
-            let y_row = y.row_mut(ni);
-            for ci in 0..c {
-                y_row[ci] = xb[ci * l..(ci + 1) * l].iter().sum::<f32>() / l as f32;
-            }
-        }
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(self.out_dims(xd).as_slice());
+        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let in_shape = self
-            .in_shape
+        let xd = self
+            .in_dims
             .take()
             .expect("backward without forward(train)");
-        let (n, c, l) = (in_shape[0], in_shape[1], in_shape[2]);
-        let mut gx = Tensor::zeros(&in_shape);
-        for ni in 0..n {
-            let g_row = grad_out.row(ni);
-            let ob = gx.batch_mut(ni);
-            for ci in 0..c {
-                let g = g_row[ci] / l as f32;
-                for v in &mut ob[ci * l..(ci + 1) * l] {
-                    *v = g;
-                }
-            }
-        }
+        let mut gx = Tensor::zeros(xd.as_slice());
+        self.backward_ws(
+            &[],
+            xd,
+            &[],
+            grad_out.data(),
+            gx.data_mut(),
+            (&mut [], &mut []),
+        );
         gx
     }
 
@@ -182,16 +182,48 @@ impl Layer for GlobalAvgPool1d {
     fn params(&self) -> Vec<&Param> {
         Vec::new()
     }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        Dims::new(&[x.dim(0), x.dim(1)])
+    }
+
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.infer_ws(x, xd, y, ws);
+    }
+
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        _x: &[f32],
+        xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        _ws: (&mut [f32], &mut [f32]),
+    ) {
+        let l = xd.dim(2);
+        for (o_row, &g) in gx.chunks_exact_mut(l).zip(gy) {
+            o_row.fill(g / l as f32);
+        }
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        let l = xd.dim(2);
+        for (v, row) in y.iter_mut().zip(x.chunks_exact(l)) {
+            *v = row.iter().sum::<f32>() / l as f32;
+        }
+    }
 }
 
 /// Stride-1 max pooling with a centred odd window, `(N, C, L) → (N, C, L)`:
 /// output `t` is the maximum over `[t − k/2, t + k/2]` clipped to the
-/// sequence (the inception pool path).
+/// sequence (the inception pool path). Backward re-finds each window's
+/// maximum in the taped input.
 #[derive(Debug, Clone)]
 pub struct SameMaxPool1d {
     kernel: usize,
-    argmax: Option<Vec<usize>>,
-    in_shape: Option<Vec<usize>>,
+    input: Option<Tensor>,
 }
 
 impl SameMaxPool1d {
@@ -203,77 +235,47 @@ impl SameMaxPool1d {
         assert!(kernel % 2 == 1, "same pooling needs an odd kernel");
         Self {
             kernel,
-            argmax: None,
-            in_shape: None,
+            input: None,
         }
     }
 
-    /// Pools `x`, recording each output's source index when asked.
-    fn pool(&self, x: &Tensor, mut argmax: Option<&mut [usize]>) -> Tensor {
-        assert_eq!(x.shape().len(), 3, "SameMaxPool1d expects (N, C, L)");
-        let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
+    /// The clipped window `[lo, hi)` of output `t` in a row of `l`.
+    #[inline]
+    fn window(&self, t: usize, l: usize) -> (usize, usize) {
         let half = self.kernel / 2;
-        let mut y = Tensor::zeros(&[n, c, l]);
-        for ni in 0..n {
-            let xb = x.batch(ni);
-            let yb = y.batch_mut(ni);
-            for ci in 0..c {
-                let row = &xb[ci * l..(ci + 1) * l];
-                for t in 0..l {
-                    let lo = t.saturating_sub(half);
-                    let hi = (t + half + 1).min(l);
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_i = lo;
-                    for (i, &v) in row[lo..hi].iter().enumerate() {
-                        if v > best {
-                            best = v;
-                            best_i = lo + i;
-                        }
-                    }
-                    yb[ci * l + t] = best;
-                    if let Some(a) = argmax.as_deref_mut() {
-                        a[(ni * c + ci) * l + t] = best_i;
-                    }
-                }
-            }
-        }
-        y
+        (t.saturating_sub(half), (t + half + 1).min(l))
     }
 }
 
 impl Layer for SameMaxPool1d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if !train {
-            return self.infer(x);
+        let y = self.infer(x);
+        if train {
+            self.input = Some(x.clone());
         }
-        let mut argmax = vec![0usize; x.numel()];
-        let y = self.pool(x, Some(&mut argmax));
-        self.argmax = Some(argmax);
-        self.in_shape = Some(x.shape().to_vec());
         y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        self.pool(x, None)
+        assert_eq!(x.shape().len(), 3, "SameMaxPool1d expects (N, C, L)");
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(x.shape());
+        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let argmax = self.argmax.take().expect("backward without forward(train)");
-        let shape = self
-            .in_shape
-            .take()
-            .expect("backward without forward(train)");
-        let (n, c, l) = (shape[0], shape[1], shape[2]);
-        let mut gx = Tensor::zeros(&shape);
-        for ni in 0..n {
-            let gb = grad_out.batch(ni);
-            let ob = gx.batch_mut(ni);
-            for ci in 0..c {
-                for t in 0..l {
-                    ob[ci * l + argmax[(ni * c + ci) * l + t]] += gb[ci * l + t];
-                }
-            }
-        }
+        let x = self.input.take().expect("backward without forward(train)");
+        let mut gx = Tensor::zeros(x.shape());
+        let xd = Dims::new(x.shape());
+        self.backward_ws(
+            x.data(),
+            xd,
+            &[],
+            grad_out.data(),
+            gx.data_mut(),
+            (&mut [], &mut []),
+        );
         gx
     }
 
@@ -283,6 +285,49 @@ impl Layer for SameMaxPool1d {
 
     fn params(&self) -> Vec<&Param> {
         Vec::new()
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        x
+    }
+
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.infer_ws(x, xd, y, ws);
+    }
+
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        x: &[f32],
+        xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        _ws: (&mut [f32], &mut [f32]),
+    ) {
+        let l = xd.dim(2);
+        gx.fill(0.0);
+        for ((x_row, g_row), o_row) in x
+            .chunks_exact(l)
+            .zip(gy.chunks_exact(l))
+            .zip(gx.chunks_exact_mut(l))
+        {
+            for (t, &g) in g_row.iter().enumerate() {
+                let (lo, hi) = self.window(t, l);
+                o_row[window_max(x_row, lo, hi).1] += g;
+            }
+        }
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        let l = xd.dim(2);
+        for (x_row, y_row) in x.chunks_exact(l).zip(y.chunks_exact_mut(l)) {
+            for (t, v) in y_row.iter_mut().enumerate() {
+                let (lo, hi) = self.window(t, l);
+                *v = window_max(x_row, lo, hi).0;
+            }
+        }
     }
 }
 
@@ -349,6 +394,10 @@ impl Layer for TokenMeanPool {
 
     fn params(&self) -> Vec<&Param> {
         Vec::new()
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        Dims::new(&[x.dim(0), x.dim(2)])
     }
 }
 

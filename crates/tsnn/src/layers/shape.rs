@@ -2,6 +2,7 @@
 
 use crate::param::{Layer, Param};
 use crate::tensor::Tensor;
+use crate::workspace::Dims;
 
 /// Swaps the last two axes of a rank-3 tensor, `(N, C, L) ↔ (N, L, C)` —
 /// channels-first feature maps to token rows and back. Its own inverse, so
@@ -52,6 +53,10 @@ impl Layer for Transpose {
 
     fn params(&self) -> Vec<&Param> {
         Vec::new()
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        Dims::new(&[x.dim(0), x.dim(2), x.dim(1)])
     }
 }
 
@@ -104,6 +109,13 @@ impl Layer for Reshape {
 
     fn params(&self) -> Vec<&Param> {
         Vec::new()
+    }
+
+    fn out_dims(&self, x: Dims) -> Dims {
+        let row: usize = self.tail.iter().product();
+        let mut shape = [x.numel() / row, 0, 0];
+        shape[1..=self.tail.len()].copy_from_slice(&self.tail);
+        Dims::new(&shape[..=self.tail.len()])
     }
 }
 

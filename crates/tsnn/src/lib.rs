@@ -36,6 +36,8 @@ pub mod param;
 pub mod serialize;
 pub mod simd;
 pub mod tensor;
+pub mod workspace;
 
 pub use param::Param;
 pub use tensor::Tensor;
+pub use workspace::{Dims, Workspace};

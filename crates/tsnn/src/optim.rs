@@ -6,13 +6,20 @@ use crate::param::Param;
 ///
 /// This enforces the bounded-gradient assumption of the paper's §A.1.
 pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f64) -> f64 {
-    let total: f64 = params.iter().map(|p| p.grad.sq_norm()).sum();
+    clip_grad_norm_with(|f| params.iter_mut().for_each(|p| f(p)), max_norm)
+}
+
+/// [`clip_grad_norm`] over a parameter walk: `walk(f)` calls `f` on every
+/// parameter in order (e.g. [`crate::layers::Layer::for_each_param_mut`]),
+/// so nothing is collected. Walks twice: the norm, then the rescale.
+pub fn clip_grad_norm_with(mut walk: impl FnMut(&mut dyn FnMut(&mut Param)), max_norm: f64) -> f64 {
+    // `-0.0`: the start `Iterator::sum` uses.
+    let mut total = -0.0f64;
+    walk(&mut |p| total += p.grad.sq_norm());
     let norm = total.sqrt();
     if norm > max_norm && norm > 0.0 {
         let scale = (max_norm / norm) as f32;
-        for p in params.iter_mut() {
-            p.grad.scale_(scale);
-        }
+        walk(&mut |p| p.grad.scale_(scale));
     }
     norm
 }
@@ -118,32 +125,49 @@ impl Adam {
     /// Applies one update step. The parameter list must be stable across
     /// calls.
     pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.m.is_empty() {
-            self.m = params.iter().map(|p| vec![0.0; p.value.numel()]).collect();
-            self.v = params.iter().map(|p| vec![0.0; p.value.numel()]).collect();
-        }
-        assert_eq!(self.m.len(), params.len(), "parameter list changed");
+        self.step_with(|f| params.iter_mut().for_each(|p| f(p)));
+    }
+
+    /// [`Adam::step`] over a parameter walk: `walk(f)` calls `f` on every
+    /// parameter in the stable order, so nothing is collected (the moments
+    /// are sized on the first step).
+    ///
+    /// # Panics
+    /// Panics if the walk visits a different number of parameters than the
+    /// first step did.
+    pub fn step_with(&mut self, walk: impl FnOnce(&mut dyn FnMut(&mut Param))) {
+        let first = self.m.is_empty();
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t);
         let bc2 = 1.0 - self.beta2.powi(self.t);
-        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            let wd = self.weight_decay;
+        let (lr, beta1, beta2, eps, wd) =
+            (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let (ms, vs) = (&mut self.m, &mut self.v);
+        let mut i = 0;
+        walk(&mut |p| {
+            if first {
+                ms.push(vec![0.0; p.value.numel()]);
+                vs.push(vec![0.0; p.value.numel()]);
+            }
+            assert!(i < ms.len(), "parameter list changed");
             for (((w, &g), mi), vi) in p
                 .value
                 .data_mut()
                 .iter_mut()
                 .zip(p.grad.data())
-                .zip(m.iter_mut())
-                .zip(v.iter_mut())
+                .zip(ms[i].iter_mut())
+                .zip(vs[i].iter_mut())
             {
                 let g = g + wd * *w;
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
+                *mi = beta1 * *mi + (1.0 - beta1) * g;
+                *vi = beta2 * *vi + (1.0 - beta2) * g * g;
                 let m_hat = *mi / bc1;
                 let v_hat = *vi / bc2;
-                *w -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
             }
-        }
+            i += 1;
+        });
+        assert_eq!(i, ms.len(), "parameter list changed");
     }
 
     /// Current learning rate.

@@ -93,6 +93,16 @@ impl Tensor {
         self
     }
 
+    /// Gives the tensor `shape`, reusing both buffers (no allocation once
+    /// they have grown): a reused staging tensor whose contents the caller
+    /// overwrites. Elements kept from before are left as they were, new
+    /// ones are zero.
+    pub fn set_shape(&mut self, shape: &[usize]) {
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.data.resize(shape.iter().product(), 0.0);
+    }
+
     /// Row `i` of a rank-2 tensor.
     #[inline]
     pub fn row(&self, i: usize) -> &[f32] {

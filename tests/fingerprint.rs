@@ -95,10 +95,15 @@ fn pattern(shape: &[usize], mul: usize, modulus: usize) -> Tensor {
 }
 
 /// `[params, buffers, infer, train forward, running stats after it, input
-/// grad, param grads]` for one architecture.
+/// grad, param grads]` for one architecture at batch size 4.
 fn arch_fingerprint(arch: Architecture) -> [u64; 7] {
+    arch_fingerprint_at(arch, 4)
+}
+
+/// [`arch_fingerprint`] on a `(batch, 1, 64)` input.
+fn arch_fingerprint_at(arch: Architecture, batch: usize) -> [u64; 7] {
     let mut enc = arch.build(64, 8, 0x5EED);
-    let x = pattern(&[4, 1, 64], 13, 29);
+    let x = pattern(&[batch, 1, 64], 13, 29);
     let params = {
         let mut h = Fnv::new();
         for t in save_params(&enc.params()).tensors {
@@ -189,6 +194,25 @@ const ARCH_PINS: [(Architecture, [u64; 7]); 4] = [
 fn selector_architectures_match_pinned_bits() {
     let got = ARCH_PINS.map(|(arch, _)| (arch, arch_fingerprint(arch)));
     assert_eq!(got, ARCH_PINS, "got {got:#x?}");
+}
+
+/// The served ResNet at the training batch size (64 windows), where every
+/// batch-norm row chain and weight-gradient sum runs at full length.
+/// Pinned before the layer graph moved onto one workspace.
+const RESNET_BATCH64_PINS: [u64; 7] = [
+    0x69ec7a7ae66a8b56,
+    0x9e7bb11686c8ca65,
+    0xd098dfc5398418ff,
+    0x8215f4f0082b5c76,
+    0xff048e309ffae164,
+    0x180088b2b59a2949,
+    0x1d83987cb46256b7,
+];
+
+#[test]
+fn resnet_at_the_training_batch_matches_pinned_bits() {
+    let got = arch_fingerprint_at(Architecture::ResNet, 64);
+    assert_eq!(got, RESNET_BATCH64_PINS, "got {got:#x?}");
 }
 
 /// One fixed series: two periods, a noise-like stretch and a level shift.

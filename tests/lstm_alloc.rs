@@ -3,9 +3,9 @@
 //! calling thread makes during one training step (forward, MSE, backward,
 //! Adam) and one inference chunk, after a warm-up step at the largest
 //! shapes. The `Lstm` layer keeps its tape, gradients and scratch in a
-//! workspace sized on the first call, so what remains is the fixed set of
-//! returned tensors and parameter lists, the same number at every batch
-//! size and sequence length.
+//! workspace sized on the first call and the `Seq` carves the rest from
+//! its own, so what remains is the fixed set of returned tensors, the
+//! same number at every batch size and sequence length.
 //!
 //! Lives in its own integration binary because the allocator is
 //! process-global.
@@ -80,15 +80,15 @@ fn allocations_in(f: impl FnOnce()) -> usize {
 /// Allocations of one `Lstm` call: each returns one tensor, whose shape and
 /// data are one buffer each.
 const LSTM_CALL: usize = 2;
-/// Allocations of one LSTM-AD training step, none of them the LSTM's
-/// working memory: the LSTM's output and input gradient (2 each); the
-/// linear head's cached input, output, weight gradient and input gradient
-/// (2 each); the loss gradient (2) and per-sample losses (1); and the two
-/// parameter lists (4 each: one list per layer, the `Seq`'s collected
-/// list and its one growth).
-const TRAIN_STEP: usize = 2 + 2 + 4 * 2 + 2 + 1 + 2 * 4;
-/// Allocations of one inference chunk: the LSTM's and the head's outputs.
-const INFER_CHUNK: usize = 2 * 2;
+/// Allocations of one LSTM-AD training step, none of them working memory
+/// (the LSTM's tape is its own workspace, the head's activations and
+/// weight gradient live on the `Seq`'s, and zeroing, clipping and Adam
+/// walk the parameters without collecting them): the network's returned
+/// output and input gradient (2 each), and the loss gradient (2) and
+/// per-sample losses (1).
+const TRAIN_STEP: usize = 2 + 2 + 2 + 1;
+/// Allocations of one inference chunk: the network's returned output.
+const INFER_CHUNK: usize = 2;
 
 fn lstm_ad_net() -> Seq {
     let mut rng = StdRng::seed_from_u64(0x1A57);
@@ -110,11 +110,9 @@ fn batch(n: usize, t: usize) -> (Tensor, Tensor) {
 fn train_step(net: &mut Seq, opt: &mut Adam, x: &Tensor, y: &Tensor) {
     let pred = net.forward(x, true);
     let out = mse(&pred, y, None);
-    for p in net.params_mut() {
-        p.zero_grad();
-    }
+    net.for_each_param_mut(&mut |p| p.zero_grad());
     let _ = net.backward(&out.grad);
-    opt.step(&mut net.params_mut());
+    opt.step_with(|f| net.for_each_param_mut(f));
 }
 
 #[test]

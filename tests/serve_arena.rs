@@ -13,19 +13,71 @@
 //! 3. **Steady state is allocation-free.** After one warm-up pass,
 //!    re-serving the same request shapes grows no arena buffer:
 //!    `kdprof::Counter::ArenaGrowth` stays zero while `ArenaReuse`
-//!    advances.
+//!    advances. A counting allocator checks the scoring kernel directly: a
+//!    warm `predict_logits_rows` call allocates exactly the rows it
+//!    returns and the list holding them, whatever its chunking — the
+//!    input staging, the encoder's activations and the logits all come
+//!    from the arena.
 //!
 //! Lives in its own integration binary because it flips the
-//! process-global `tspar` thread policy and resets the `kdprof` counters
-//! (one test fn so the mutations never interleave with other tests).
+//! process-global `tspar` thread policy, resets the `kdprof` counters and
+//! installs a counting global allocator (one test fn so the mutations
+//! never interleave with other tests).
 
 use kdselector::core::selector::NnSelector;
 use kdselector::core::serve::{QueueConfig, SelectRequest, Selection, SelectorEngine, ServeQueue};
 use kdselector::core::train::TrainedSelector;
 use kdselector::core::Architecture;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
 use tsdata::{TimeSeries, WindowConfig};
 use tspar::Parallelism;
+
+/// Counts the allocations (reallocations included) of each thread.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; the counter is a
+// const-initialised thread-local cell that never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: the trait's `alloc` contract binds the caller, and the
+    // body forwards to `System` under the same contract.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the trait's `realloc` contract binds the caller, and the
+    // body forwards to `System` under the same contract.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    // SAFETY: the trait's `dealloc` contract binds the caller, and the
+    // body forwards to `System` under the same contract.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations the calling thread makes while running `f`.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (ALLOCS.with(Cell::get) - before, r)
+}
 
 const KD_SWEEP: [usize; 2] = [1, 4];
 
@@ -179,4 +231,19 @@ fn arena_pooling_is_invisible_and_allocation_free_after_warmup() {
         reuse > 0,
         "the steady-state pass must actually route scratch through the arena"
     );
+
+    // ---- A warm scoring call allocates only what it returns. ------------
+    // The served ResNet, warmed at the largest chunk, then scored at
+    // full, partial and single-row chunks and across a chunk boundary.
+    let served = TrainedSelector::build(Architecture::ResNet, 64, 8, 61);
+    let windows: Vec<Vec<f32>> = (0..300)
+        .map(|i| (0..64).map(|t| ((i * 7 + t) as f32 * 0.13).sin()).collect())
+        .collect();
+    let rows: Vec<&[f32]> = windows.iter().map(Vec::as_slice).collect();
+    served.predict_logits_rows(&rows);
+    for n in [64, 17, 1, 300] {
+        let (got, scores) = allocations_in(|| served.predict_logits_rows(&rows[..n]));
+        assert_eq!(scores.len(), n);
+        assert_eq!(got, 1 + n, "{n} rows: the list plus one allocation per row");
+    }
 }
