@@ -9,7 +9,9 @@
 //! cache publishing, plus the daemon's drift → retrain → deploy latency)
 //! and a `Conv1d` record (inference and backward cost at the served
 //! ResNet's conv shapes, backward also at the training batch, with a
-//! bitwise 1-vs-N-thread weight-gradient guard) and a `detectors` record
+//! bitwise 1-vs-N-thread weight-gradient guard), a `substrate` record
+//! (attention, InfoNCE, SimHash, MiniRocket and the PA plan, ns per call)
+//! and a `detectors` record
 //! (label cost: ms per series of each of the 12 detectors at three series
 //! lengths, single threaded, plus the LSTM gate math's ns per element
 //! against libm).
@@ -185,10 +187,10 @@ fn large_k_benchmark() -> serde_json::Value {
 /// `Conv1d` cost at the served ResNet's eleven conv shapes — `(c_in,
 /// c_out, k)` of its three residual blocks (k = 7/5/3 stages plus the
 /// 1×1 projection shortcuts) at width 8 — on a 256-window batch of 64
-/// samples. `infer_ns` times `Layer::infer`; `backward_ns` times
-/// `Layer::backward` alone (its `forward(train)` runs untimed), which
-/// computes both the weight and the input gradient, so its FLOP count is
-/// twice the forward's. `backward_train_ns` times the same call at the
+/// samples. `infer_ns` times `Layer::infer_ws` into a reused output;
+/// `backward_ns` times `Layer::backward_ws` alone (its training
+/// `forward_ws` runs untimed), which computes both the weight and the
+/// input gradient, so its FLOP count is twice the forward's. `backward_train_ns` times the same call at the
 /// training batch (64 windows).
 ///
 /// Each case also asserts that the weight and bias gradients of one
@@ -198,6 +200,7 @@ fn large_k_benchmark() -> serde_json::Value {
 fn conv_benchmark(threads: usize) -> serde_json::Value {
     use rand::SeedableRng;
     use tsnn::layers::{Conv1d, Layer};
+    use tsnn::Dims;
 
     const BATCH: usize = 256;
     const TRAIN_BATCH: usize = 64;
@@ -216,16 +219,19 @@ fn conv_benchmark(threads: usize) -> serde_json::Value {
         (16, 16, 5),
         (16, 16, 3),
     ];
-    // Median seconds of one `backward` call, each after an untimed
-    // `forward(train)`.
+    // Median seconds of one `backward_ws` call, each after an untimed
+    // training `forward_ws` (a conv tapes nothing beyond its input).
     let backward_secs = |conv: &mut Conv1d, x: &Tensor, g: &Tensor| {
+        let xd = Dims::new(x.shape());
+        let (mut y, mut gx) = (vec![0.0; g.numel()], vec![0.0; x.numel()]);
         let mut samples = Vec::with_capacity(7);
         for _ in 0..7 {
             let mut spent = 0.0;
             for _ in 0..4 {
-                conv.forward(x, true);
+                conv.forward_ws(x.data(), xd, &mut y, &mut []);
                 let t = Instant::now();
-                std::hint::black_box(conv.backward(g));
+                conv.backward_ws(x.data(), xd, &y, g.data(), &mut gx, (&mut [], &mut []));
+                std::hint::black_box(&gx);
                 spent += t.elapsed().as_secs_f64();
             }
             samples.push(spent / 4.0);
@@ -239,8 +245,10 @@ fn conv_benchmark(threads: usize) -> serde_json::Value {
         let mut conv = conv.clone();
         conv.weight.zero_grad();
         conv.bias.zero_grad();
-        conv.forward(x, true);
-        conv.backward(g);
+        let xd = Dims::new(x.shape());
+        let (mut y, mut gx) = (vec![0.0; g.numel()], vec![0.0; x.numel()]);
+        conv.forward_ws(x.data(), xd, &mut y, &mut []);
+        conv.backward_ws(x.data(), xd, &y, g.data(), &mut gx, (&mut [], &mut []));
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         (bits(&conv.weight.grad), bits(&conv.bias.grad))
     };
@@ -264,7 +272,9 @@ fn conv_benchmark(threads: usize) -> serde_json::Value {
             "{case}: conv weight gradient diverged across thread counts"
         );
         tspar::set_parallelism(tspar::Parallelism::Auto);
-        let infer_ns = time_ns(|| conv.infer(&x));
+        let mut y = vec![0.0; BATCH * c_out * LEN];
+        let xd = Dims::new(x.shape());
+        let infer_ns = time_ns(|| conv.infer_ws(x.data(), xd, &mut y, &mut []));
         let backward_ns = backward_secs(&mut conv, &x, &g) * 1e9;
         let backward_train_ns = backward_secs(&mut conv, &x_train, &g_train) * 1e9;
         let flop = 2.0 * (BATCH * c_in * c_out * k * LEN) as f64;
@@ -310,6 +320,86 @@ fn conv_benchmark(threads: usize) -> serde_json::Value {
         "infer_per_window_ns": infer_us_per_window * 1e3,
         "backward_per_window_ns": backward_total / BATCH as f64,
         "cases": rows,
+    })
+}
+
+/// The substrate kernels outside the GEMM and conv records, one entry
+/// each, in ns per call: multi-head self-attention inference on the
+/// workspace path (`(8, 16, 32)`, 4 heads, warm workspace), InfoNCE over
+/// a 64 × 64 batch, a 14-bit SimHash of a 320-d vector, MiniRocket on one
+/// 64-point window, and one PA epoch plan over 4000 samples.
+fn substrate_benchmark() -> serde_json::Value {
+    use kdselector_core::prune::{PruneState, PruningStrategy};
+    use rand::SeedableRng;
+    use tsnn::layers::{Layer, MultiHeadSelfAttention};
+    use tsnn::{Dims, Workspace};
+
+    let attention_ns = {
+        let attn = MultiHeadSelfAttention::new(32, 4, &mut rand::rngs::StdRng::seed_from_u64(2));
+        let xd = Dims::new(&[8, 16, 32]);
+        let x = vec![0.05; xd.numel()];
+        let mut y = vec![0.0; xd.numel()];
+        let mut ws = Workspace::new();
+        time_ns(|| attn.infer_ws(&x, xd, &mut y, ws.get(attn.ws_len(xd, false))))
+    };
+    let info_nce_ns = {
+        let ramp = |mul: usize, m: usize| {
+            Tensor::from_vec(
+                &[64, 64],
+                (0..4096)
+                    .map(|i| ((i * mul % m) as f32 - (m / 2) as f32) * 0.01)
+                    .collect(),
+            )
+        };
+        let (zt, zk) = (ramp(7, 97), ramp(13, 89));
+        time_ns(|| tsnn::loss::info_nce(&zt, &zk, 0.1, None))
+    };
+    let simhash_ns = {
+        let hasher = tslsh::SimHash::new(320, 14, 3);
+        let v: Vec<f64> = (0..320).map(|i| (i as f64 * 0.37).sin()).collect();
+        time_ns(|| hasher.hash(&v))
+    };
+    let minirocket_ns = {
+        let windows: Vec<Vec<f64>> = (0..8)
+            .map(|s| (0..64).map(|t| ((t + s * 3) as f64 * 0.2).sin()).collect())
+            .collect();
+        let rocket = tsfeatures::MiniRocket::fit(&windows, 2, 0);
+        time_ns(|| rocket.transform(&windows[0]))
+    };
+    let pa_plan_ns = {
+        let n = 4000;
+        let inputs: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..64)
+                    .map(|j| ((i * 31 + j * 7) % 113) as f64 * 0.01)
+                    .collect()
+            })
+            .collect();
+        let idx: Vec<usize> = (0..n).collect();
+        let losses: Vec<f64> = (0..n).map(|i| (i % 100) as f64 * 0.01).collect();
+        time_ns(|| {
+            let strategy = PruningStrategy::Pa {
+                ratio: 0.8,
+                lsh_bits: 14,
+                bins: 8,
+                anneal: 0.125,
+            };
+            let mut st = PruneState::new(strategy, Some(&inputs), n, 7);
+            st.record_losses(&idx, &losses);
+            st.plan_epoch(1, 10)
+        })
+    };
+    println!(
+        "\nsubstrate: attention {attention_ns:.0} ns, info_nce {info_nce_ns:.0} ns, \
+         simhash {simhash_ns:.0} ns, minirocket {minirocket_ns:.0} ns, \
+         pa plan {pa_plan_ns:.0} ns"
+    );
+    serde_json::json!({
+        "attention_infer_8x16x32_ns": attention_ns,
+        "info_nce_64x64_ns": info_nce_ns,
+        "simhash_14bit_320d_ns": simhash_ns,
+        "minirocket_64pt_ns": minirocket_ns,
+        "pa_plan_4000_ns": pa_plan_ns,
     })
 }
 
@@ -1489,6 +1579,9 @@ fn main() {
     // --- Conv1d at the served ResNet's shapes. -----------------------------
     let conv = conv_benchmark(threads);
 
+    // --- Attention, InfoNCE, SimHash, MiniRocket, PA plan. ----------------
+    let substrate = substrate_benchmark();
+
     // --- Label cost: every detector, one thread; gate math vs libm. -------
     let detectors = detectors_benchmark();
 
@@ -1539,6 +1632,7 @@ fn main() {
         "cases": rows,
         "gemm_large_k": gemm_large_k,
         "conv": conv,
+        "substrate": substrate,
         "detectors": detectors,
         "serve": serve_record,
         "serve_queue": serve_queue,

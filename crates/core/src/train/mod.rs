@@ -330,7 +330,7 @@ impl TrainedSelector {
     /// Class logits for a batch of windows (inference mode, chunked).
     ///
     /// Immutable and thread-safe: the forward pass runs through the
-    /// encoder's [`Layer::infer`] path, so one trained selector can score
+    /// encoder's [`Layer::infer_ws`] path, so one trained selector can score
     /// concurrent batches from many threads.
     pub fn predict_logits(&self, windows: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let rows: Vec<&[f32]> = windows.iter().map(Vec::as_slice).collect();

@@ -178,6 +178,7 @@ fn hot_alloc_covers_every_marked_function_and_the_vec_macro() {
     for path in [
         "crates/tsnn/src/layers/lstm.rs",
         "crates/tsnn/src/layers/conv1d.rs",
+        "crates/tsnn/src/layers/attention.rs",
         "crates/core/src/selector.rs",
         "crates/core/src/train/mod.rs",
     ] {

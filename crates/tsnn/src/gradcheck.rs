@@ -1,12 +1,13 @@
 //! Finite-difference gradient verification.
 //!
-//! Every layer's hand-written backward pass is validated in its unit tests by
-//! comparing against central finite differences of a fixed scalar loss
+//! Every layer's hand-written backward pass is validated in its unit tests,
+//! run as a one-layer [`Seq`], by comparing against central finite
+//! differences of a fixed scalar loss
 //! `L = Σ_i c_i · y_i`, where the coefficients `c_i` are a deterministic
 //! pseudo-random pattern. This catches indexing errors, missed terms and
 //! transposition bugs that unit-output tests cannot.
 
-use crate::param::Layer;
+use crate::layers::{Layer, Seq};
 use crate::tensor::Tensor;
 
 /// Deterministic coefficient pattern in `[-1, 1]`.
@@ -37,15 +38,15 @@ fn close(analytic: f64, numeric: f64, tol: f64) -> bool {
     (analytic - numeric).abs() <= tol * (analytic.abs() + numeric.abs() + 0.5)
 }
 
-/// Verifies a layer's input and parameter gradients against central
-/// differences. Panics with a diagnostic on mismatch.
+/// Verifies a graph's input and parameter gradients against central
+/// differences (a single layer runs as `Seq::new().then(layer)`). Panics
+/// with a diagnostic on mismatch.
 ///
 /// * `eps` — perturbation size (1e-2 works well in f32).
 /// * `tol` — relative tolerance (2e-2 typical).
 ///
-/// The layer must be deterministic across repeated forward passes (no
-/// dropout with p > 0).
-pub fn check_layer_gradients<L: Layer>(layer: &mut L, x: &Tensor, eps: f32, tol: f32) {
+/// The graph must be deterministic across repeated forward passes.
+pub fn check_layer_gradients(layer: &mut Seq, x: &Tensor, eps: f32, tol: f32) {
     // Analytic pass.
     let y = layer.forward(x, true);
     let grad_out = probe_grad(y.shape());

@@ -1,56 +1,22 @@
 //! Elementwise activations.
 
 use crate::param::{Layer, Param};
-use crate::tensor::Tensor;
 use crate::workspace::Dims;
 
 /// Rectified linear unit. Runs in place in a layer graph; its backward
 /// reads only the output (`y > 0` exactly where the training forward kept
 /// its input).
-#[derive(Debug, Clone, Default)]
-pub struct Relu {
-    output: Option<Tensor>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Relu;
 
 impl Relu {
     /// New ReLU.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if !train {
-            return self.infer(x);
-        }
-        let mut y = x.clone();
-        self.forward_in_place(y.data_mut());
-        self.output = Some(y.clone());
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let mut y = x.clone();
-        self.infer_in_place(y.data_mut());
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self.output.take().expect("backward without forward(train)");
-        let mut g = Tensor::zeros(grad_out.shape());
-        let d = Dims::new(y.shape());
-        self.backward_ws(
-            y.data(),
-            d,
-            y.data(),
-            grad_out.data(),
-            g.data_mut(),
-            (&mut [], &mut []),
-        );
-        g
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
@@ -116,16 +82,14 @@ impl Layer for Relu {
 }
 
 /// Gaussian error linear unit (tanh approximation, as used by transformer
-/// feed-forward blocks).
-#[derive(Debug, Clone, Default)]
-pub struct Gelu {
-    cached_input: Option<Tensor>,
-}
+/// feed-forward blocks). Backward reads the taped input.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Gelu;
 
 impl Gelu {
     /// New GELU.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     #[inline]
@@ -145,33 +109,6 @@ impl Gelu {
 }
 
 impl Layer for Gelu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(x.clone());
-        }
-        self.infer(x)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let mut y = x.clone();
-        for v in y.data_mut() {
-            *v = Self::value(*v);
-        }
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("backward without forward(train)");
-        let mut g = grad_out.clone();
-        for (gv, &xv) in g.data_mut().iter_mut().zip(x.data()) {
-            *gv *= Self::derivative(xv);
-        }
-        g
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
@@ -183,24 +120,52 @@ impl Layer for Gelu {
     fn out_dims(&self, x: Dims) -> Dims {
         x
     }
+
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.infer_ws(x, xd, y, ws);
+    }
+
+    /// `gx = gy · GELU′(x)`.
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        x: &[f32],
+        _xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        _ws: (&mut [f32], &mut [f32]),
+    ) {
+        for ((o, &g), &v) in gx.iter_mut().zip(gy).zip(x) {
+            *o = g * Self::derivative(v);
+        }
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], _xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        for (o, &v) in y.iter_mut().zip(x) {
+            *o = Self::value(v);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::layers::Seq;
+    use crate::tensor::Tensor;
 
     #[test]
     fn relu_clamps_negatives() {
-        let mut r = Relu::new();
         let x = Tensor::from_vec(&[4], vec![-1.0, 0.0, 2.0, -3.0]);
-        let y = r.forward(&x, false);
+        let y = Seq::new().then(Relu::new()).infer(&x);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
     }
 
     #[test]
     fn relu_gradients() {
-        let mut r = Relu::new();
+        let mut r = Seq::new().then(Relu::new());
         let x = Tensor::from_vec(&[6], vec![-1.0, 0.5, 2.0, -3.0, 1.0, -0.2]);
         check_layer_gradients(&mut r, &x, 1e-3, 1e-2);
     }
@@ -215,7 +180,7 @@ mod tests {
 
     #[test]
     fn gelu_gradients() {
-        let mut g = Gelu::new();
+        let mut g = Seq::new().then(Gelu::new());
         let x = Tensor::from_vec(&[5], vec![-2.0, -0.5, 0.0, 0.5, 2.0]);
         check_layer_gradients(&mut g, &x, 1e-3, 2e-2);
     }

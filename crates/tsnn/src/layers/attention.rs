@@ -1,16 +1,29 @@
 //! Multi-head self-attention.
 
+use super::graph::add_assign;
 use crate::layers::Linear;
 use crate::param::{Layer, Param};
-use crate::tensor::Tensor;
-use crate::workspace::Dims;
+use crate::workspace::{carve, Cursor, Dims};
 use rand::rngs::StdRng;
+use std::ops::Range;
 
 /// Multi-head self-attention on `(N, T, D) → (N, T, D)`.
 ///
 /// Q/K/V/output projections are [`Linear`] layers applied to the flattened
 /// `(N·T, D)` view; the attention core (scaled dot-product + row softmax) is
 /// computed per batch element and head with an explicit backward pass.
+///
+/// # The chain
+///
+/// Per batch element, head and query row `i`: the scores are
+/// `(Σ q·k) · 1/√dh` (one `Iterator::sum` each), the softmax subtracts the
+/// row maximum, exponentiates and sums left to right from `+0.0`, then
+/// divides; the head output is `Σ a·v` over keys in order from `+0.0`,
+/// skipping exact-zero weights. Backward keeps the same per-element
+/// orders: `dA = Σ dO·v` from `+0.0`, `dS = A ⊙ (dA − Σ A·dA)`, and `dQ`,
+/// `dK`, `dV` accumulate from `+0.0` over keys (`dQ`) or queries (`dK`,
+/// `dV`) in order, skipping zero terms. The training tape is the
+/// projections Q, K, V, the softmax rows and the head-mixed output.
 #[derive(Debug, Clone)]
 pub struct MultiHeadSelfAttention {
     wq: Linear,
@@ -19,18 +32,31 @@ pub struct MultiHeadSelfAttention {
     wo: Linear,
     heads: usize,
     dim: usize,
-    cache: Option<AttnCache>,
 }
 
-#[derive(Debug, Clone)]
-struct AttnCache {
-    n: usize,
-    t: usize,
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    /// Softmax attention weights, one `(T, T)` matrix per `(batch, head)`.
-    attn: Vec<Vec<f32>>,
+/// Workspace regions of one call: the projections and the head-mixed
+/// output (`N·T·D` each), then the softmax rows — every `(batch, head)`'s
+/// `T × T` matrix on the training tape, one reused row in inference.
+struct Regions {
+    q: Range<usize>,
+    k: Range<usize>,
+    v: Range<usize>,
+    o: Range<usize>,
+    attn: Range<usize>,
+    len: usize,
+}
+
+/// Backward scratch: `∂/∂O` (reused for the K and V input gradients once
+/// the heads are done), `∂/∂Q`, `∂/∂K`, `∂/∂V`, one `∂S` row and the
+/// projections' weight-gradient scratch.
+struct GradRegions {
+    go: Range<usize>,
+    gq: Range<usize>,
+    gk: Range<usize>,
+    gv: Range<usize>,
+    row: Range<usize>,
+    proj: Range<usize>,
+    len: usize,
 }
 
 impl MultiHeadSelfAttention {
@@ -50,7 +76,6 @@ impl MultiHeadSelfAttention {
             wo: Linear::new(dim, dim, rng),
             heads,
             dim,
-            cache: None,
         }
     }
 
@@ -59,37 +84,78 @@ impl MultiHeadSelfAttention {
         self.dim / self.heads
     }
 
-    /// The attention core shared by training and inference: scaled
-    /// dot-product + row softmax + value mixing, per batch element and head.
-    /// Returns the concatenated head outputs and (when `keep_attn`) the
-    /// softmax matrices the backward pass needs.
-    fn attention_core(
+    fn regions(&self, x: Dims, train: bool) -> Regions {
+        let (n, t) = (x.dim(0), x.dim(1));
+        let mut at = Cursor::default();
+        let act = n * t * self.dim;
+        Regions {
+            q: at.take(act),
+            k: at.take(act),
+            v: at.take(act),
+            o: at.take(act),
+            attn: at.take(if train { n * self.heads * t * t } else { t }),
+            len: at.end(),
+        }
+    }
+
+    fn grad_regions(&self, x: Dims) -> GradRegions {
+        let act = x.numel();
+        let mut at = Cursor::default();
+        GradRegions {
+            go: at.take(act),
+            gq: at.take(act),
+            gk: at.take(act),
+            gv: at.take(act),
+            row: at.take(x.dim(1)),
+            proj: at.take(self.dim * self.dim),
+            len: at.end(),
+        }
+    }
+
+    /// The forward on `ws` (the tape when `keep`): Q, K, V projections,
+    /// the core, then the output projection into `y`.
+    // kdprof: hot
+    fn project(&self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32], keep: bool) {
+        let flat = Dims::new(&[xd.dim(0) * xd.dim(1), self.dim]);
+        let r = self.regions(xd, keep);
+        let [q, k, v, o, attn] = carve(ws, [r.q, r.k, r.v, r.o, r.attn]);
+        self.wq.infer_ws(x, flat, q, &mut []);
+        self.wk.infer_ws(x, flat, k, &mut []);
+        self.wv.infer_ws(x, flat, v, &mut []);
+        self.core((q, k, v), xd.dim(1), o, attn, keep);
+        self.wo.infer_ws(o, flat, y, &mut []);
+    }
+
+    /// The attention core shared by training and inference: per batch
+    /// element, head and query row, the score row, its softmax (into
+    /// `attn`: the `(batch, head)`'s matrix when `keep`, else one reused
+    /// row) and the value mix into that row's head slice of `o`.
+    // kdprof: hot
+    fn core(
         &self,
-        q: &Tensor,
-        k: &Tensor,
-        v: &Tensor,
-        n: usize,
+        (q, k, v): (&[f32], &[f32], &[f32]),
         t: usize,
-        keep_attn: bool,
-    ) -> (Tensor, Vec<Vec<f32>>) {
-        let d = self.dim;
-        let dh = self.head_dim();
+        o: &mut [f32],
+        attn: &mut [f32],
+        keep: bool,
+    ) {
+        let (d, dh) = (self.dim, self.head_dim());
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut o = Tensor::zeros(&[n * t, d]);
-        let mut attn_cache = Vec::with_capacity(if keep_attn { n * self.heads } else { 0 });
+        let at = |ni: usize, i: usize, h: usize| (ni * t + i) * d + h * dh;
+        let n = q.len() / (t * d);
         for ni in 0..n {
             for h in 0..self.heads {
-                let qa = head_block(q, ni, t, d, dh, h);
-                let ka = head_block(k, ni, t, d, dh, h);
-                let va = head_block(v, ni, t, d, dh, h);
-                // S = Q Kᵀ · scale, row softmax → A.
-                let mut attn = vec![0.0f32; t * t];
                 for i in 0..t {
-                    let qi = &qa[i * dh..(i + 1) * dh];
-                    let row = &mut attn[i * t..(i + 1) * t];
+                    let row = if keep {
+                        &mut attn[((ni * self.heads + h) * t + i) * t..][..t]
+                    } else {
+                        &mut attn[..t]
+                    };
+                    // S = Q Kᵀ · scale, row softmax → A.
+                    let qi = &q[at(ni, i, h)..][..dh];
                     let mut max = f32::NEG_INFINITY;
                     for (j, rv) in row.iter_mut().enumerate() {
-                        let kj = &ka[j * dh..(j + 1) * dh];
+                        let kj = &k[at(ni, j, h)..][..dh];
                         let s: f32 = qi.iter().zip(kj).map(|(&a, &b)| a * b).sum();
                         *rv = s * scale;
                         if *rv > max {
@@ -104,190 +170,25 @@ impl MultiHeadSelfAttention {
                     for rv in row.iter_mut() {
                         *rv /= sum;
                     }
-                }
-                // O = A · V  → write into head slice of o.
-                let mut oa = vec![0.0f32; t * dh];
-                for i in 0..t {
-                    let a_row = &attn[i * t..(i + 1) * t];
-                    let o_row = &mut oa[i * dh..(i + 1) * dh];
-                    for (j, &a) in a_row.iter().enumerate() {
+                    // O = A · V into the head slice (from +0.0, which no
+                    // sum of products can turn into -0.0).
+                    let o_row = &mut o[at(ni, i, h)..][..dh];
+                    o_row.fill(0.0);
+                    for (j, &a) in row.iter().enumerate() {
                         if a == 0.0 {
                             continue;
                         }
-                        let v_row = &va[j * dh..(j + 1) * dh];
-                        for (ov, &vv) in o_row.iter_mut().zip(v_row) {
+                        for (ov, &vv) in o_row.iter_mut().zip(&v[at(ni, j, h)..][..dh]) {
                             *ov += a * vv;
                         }
                     }
                 }
-                add_head_block(&mut o, &oa, ni, t, d, dh, h);
-                if keep_attn {
-                    attn_cache.push(attn);
-                }
             }
-        }
-        (o, attn_cache)
-    }
-}
-
-/// Copies head `h`'s `(T, dh)` block out of a flat `(N·T, D)` tensor.
-fn head_block(flat: &Tensor, n: usize, t: usize, dim: usize, dh: usize, h: usize) -> Vec<f32> {
-    let mut out = Vec::with_capacity(t * dh);
-    for ti in 0..t {
-        let row = &flat.data()[(n * t + ti) * dim..(n * t + ti) * dim + dim];
-        out.extend_from_slice(&row[h * dh..(h + 1) * dh]);
-    }
-    out
-}
-
-/// Adds a `(T, dh)` head block back into a flat `(N·T, D)` gradient tensor.
-fn add_head_block(
-    flat: &mut Tensor,
-    block: &[f32],
-    n: usize,
-    t: usize,
-    dim: usize,
-    dh: usize,
-    h: usize,
-) {
-    for ti in 0..t {
-        let dst = &mut flat.data_mut()[(n * t + ti) * dim..(n * t + ti) * dim + dim];
-        for (d, &s) in dst[h * dh..(h + 1) * dh]
-            .iter_mut()
-            .zip(&block[ti * dh..(ti + 1) * dh])
-        {
-            *d += s;
         }
     }
 }
 
 impl Layer for MultiHeadSelfAttention {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.shape().len(), 3, "attention expects (N, T, D)");
-        let (n, t, d) = (x.dim(0), x.dim(1), x.dim(2));
-        assert_eq!(d, self.dim, "model width mismatch");
-
-        let flat = x.clone().reshape(&[n * t, d]);
-        let q = self.wq.forward(&flat, train);
-        let k = self.wk.forward(&flat, train);
-        let v = self.wv.forward(&flat, train);
-
-        let (o, attn_cache) = self.attention_core(&q, &k, &v, n, t, train);
-
-        let y = self.wo.forward(&o, train);
-        if train {
-            self.cache = Some(AttnCache {
-                n,
-                t,
-                q,
-                k,
-                v,
-                attn: attn_cache,
-            });
-        }
-        y.reshape(&[n, t, d])
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape().len(), 3, "attention expects (N, T, D)");
-        let (n, t, d) = (x.dim(0), x.dim(1), x.dim(2));
-        assert_eq!(d, self.dim, "model width mismatch");
-        let flat = x.clone().reshape(&[n * t, d]);
-        let q = self.wq.infer(&flat);
-        let k = self.wk.infer(&flat);
-        let v = self.wv.infer(&flat);
-        let (o, _) = self.attention_core(&q, &k, &v, n, t, false);
-        self.wo.infer(&o).reshape(&[n, t, d])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.take().expect("backward without forward(train)");
-        let (n, t, d) = (cache.n, cache.t, self.dim);
-        let dh = self.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
-
-        let g_flat = grad_out.clone().reshape(&[n * t, d]);
-        let go = self.wo.backward(&g_flat); // grad wrt concatenated heads
-
-        let mut gq = Tensor::zeros(&[n * t, d]);
-        let mut gk = Tensor::zeros(&[n * t, d]);
-        let mut gv = Tensor::zeros(&[n * t, d]);
-
-        for ni in 0..n {
-            for h in 0..self.heads {
-                let attn = &cache.attn[ni * self.heads + h];
-                let qa = head_block(&cache.q, ni, t, d, dh, h);
-                let ka = head_block(&cache.k, ni, t, d, dh, h);
-                let va = head_block(&cache.v, ni, t, d, dh, h);
-                let goa = head_block(&go, ni, t, d, dh, h);
-
-                // dV = Aᵀ · dO ; dA = dO · Vᵀ
-                let mut dva = vec![0.0f32; t * dh];
-                let mut da = vec![0.0f32; t * t];
-                for i in 0..t {
-                    let a_row = &attn[i * t..(i + 1) * t];
-                    let go_row = &goa[i * dh..(i + 1) * dh];
-                    for j in 0..t {
-                        let a = a_row[j];
-                        let v_row = &va[j * dh..(j + 1) * dh];
-                        let mut dot = 0.0f32;
-                        for (&g, &vv) in go_row.iter().zip(v_row) {
-                            dot += g * vv;
-                        }
-                        da[i * t + j] = dot;
-                        if a != 0.0 {
-                            let dv_row = &mut dva[j * dh..(j + 1) * dh];
-                            for (dv, &g) in dv_row.iter_mut().zip(go_row) {
-                                *dv += a * g;
-                            }
-                        }
-                    }
-                }
-                // Softmax backward: dS = A ⊙ (dA − rowsum(dA ⊙ A)).
-                let mut ds = vec![0.0f32; t * t];
-                for i in 0..t {
-                    let a_row = &attn[i * t..(i + 1) * t];
-                    let da_row = &da[i * t..(i + 1) * t];
-                    let dot: f32 = a_row.iter().zip(da_row).map(|(&a, &g)| a * g).sum();
-                    let ds_row = &mut ds[i * t..(i + 1) * t];
-                    for j in 0..t {
-                        ds_row[j] = a_row[j] * (da_row[j] - dot);
-                    }
-                }
-                // dQ = dS · K · scale ; dK = dSᵀ · Q · scale.
-                let mut dqa = vec![0.0f32; t * dh];
-                let mut dka = vec![0.0f32; t * dh];
-                for i in 0..t {
-                    let ds_row = &ds[i * t..(i + 1) * t];
-                    let dq_row = &mut dqa[i * dh..(i + 1) * dh];
-                    for j in 0..t {
-                        let s = ds_row[j] * scale;
-                        if s == 0.0 {
-                            continue;
-                        }
-                        let k_row = &ka[j * dh..(j + 1) * dh];
-                        for (dq, &kv) in dq_row.iter_mut().zip(k_row) {
-                            *dq += s * kv;
-                        }
-                        let dk_row = &mut dka[j * dh..(j + 1) * dh];
-                        let q_row = &qa[i * dh..(i + 1) * dh];
-                        for (dk, &qv) in dk_row.iter_mut().zip(q_row) {
-                            *dk += s * qv;
-                        }
-                    }
-                }
-                add_head_block(&mut gq, &dqa, ni, t, d, dh, h);
-                add_head_block(&mut gk, &dka, ni, t, d, dh, h);
-                add_head_block(&mut gv, &dva, ni, t, d, dh, h);
-            }
-        }
-
-        let mut gx = self.wq.backward(&gq);
-        gx.add_assign(&self.wk.backward(&gk));
-        gx.add_assign(&self.wv.backward(&gv));
-        gx.reshape(&[n, t, d])
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut params = self.wq.params_mut();
         params.extend(self.wk.params_mut());
@@ -304,8 +205,110 @@ impl Layer for MultiHeadSelfAttention {
         params
     }
 
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for l in [&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo] {
+            l.for_each_param_mut(f);
+        }
+    }
+
     fn out_dims(&self, x: Dims) -> Dims {
+        assert_eq!(x.rank(), 3, "attention expects (N, T, D)");
+        assert_eq!(x.dim(2), self.dim, "model width mismatch");
         x
+    }
+
+    /// The tape (training) or scratch (inference); see `Regions`.
+    fn ws_len(&self, x: Dims, train: bool) -> usize {
+        self.regions(x, train).len
+    }
+
+    fn grad_len(&self, x: Dims) -> usize {
+        self.grad_regions(x).len
+    }
+
+    // kdprof: hot
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.project(x, xd, y, ws, true);
+    }
+
+    /// `∂O = Wo′(gy)`, the heads' `∂Q`, `∂K`, `∂V` from the taped softmax
+    /// rows, then `gx = (Wq′(∂Q) + Wk′(∂K)) + Wv′(∂V)`.
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        x: &[f32],
+        xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        (tape, scratch): (&mut [f32], &mut [f32]),
+    ) {
+        let (t, d, dh) = (xd.dim(1), self.dim, self.head_dim());
+        let n = xd.dim(0);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let flat = Dims::new(&[n * t, d]);
+        let r = self.regions(xd, true);
+        let [q, k, v, o, attn] = carve(tape, [r.q, r.k, r.v, r.o, r.attn]);
+        let g = self.grad_regions(xd);
+        let [go, gq, gk, gv, row, proj] = carve(scratch, [g.go, g.gq, g.gk, g.gv, g.row, g.proj]);
+        self.wo
+            .backward_ws(o, flat, &[], gy, go, (&mut [], &mut *proj));
+        gq.fill(0.0);
+        gk.fill(0.0);
+        gv.fill(0.0);
+        let at = |ni: usize, i: usize, h: usize| (ni * t + i) * d + h * dh;
+        for ni in 0..n {
+            for h in 0..self.heads {
+                for i in 0..t {
+                    let a_row = &attn[((ni * self.heads + h) * t + i) * t..][..t];
+                    let go_row = &go[at(ni, i, h)..][..dh];
+                    // dA = dO · Vᵀ ; dV += Aᵀ · dO.
+                    for (j, (da, &a)) in row.iter_mut().zip(a_row).enumerate() {
+                        let mut dot = 0.0f32;
+                        for (&g, &vv) in go_row.iter().zip(&v[at(ni, j, h)..][..dh]) {
+                            dot += g * vv;
+                        }
+                        *da = dot;
+                        if a != 0.0 {
+                            for (dv, &g) in gv[at(ni, j, h)..][..dh].iter_mut().zip(go_row) {
+                                *dv += a * g;
+                            }
+                        }
+                    }
+                    // Softmax backward: dS = A ⊙ (dA − rowsum(dA ⊙ A)).
+                    let dot: f32 = a_row.iter().zip(&*row).map(|(&a, &g)| a * g).sum();
+                    for (ds, &a) in row.iter_mut().zip(a_row) {
+                        *ds = a * (*ds - dot);
+                    }
+                    // dQ += dS · K · scale ; dK += dSᵀ · Q · scale.
+                    for (j, &ds) in row.iter().enumerate() {
+                        let s = ds * scale;
+                        if s == 0.0 {
+                            continue;
+                        }
+                        let (qi, kj) = (at(ni, i, h), at(ni, j, h));
+                        for (dq, &kv) in gq[qi..qi + dh].iter_mut().zip(&k[kj..kj + dh]) {
+                            *dq += s * kv;
+                        }
+                        for (dk, &qv) in gk[kj..kj + dh].iter_mut().zip(&q[qi..qi + dh]) {
+                            *dk += s * qv;
+                        }
+                    }
+                }
+            }
+        }
+        self.wq
+            .backward_ws(x, flat, &[], gq, gx, (&mut [], &mut *proj));
+        self.wk
+            .backward_ws(x, flat, &[], gk, go, (&mut [], &mut *proj));
+        add_assign(gx, go);
+        self.wv.backward_ws(x, flat, &[], gv, go, (&mut [], proj));
+        add_assign(gx, go);
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.project(x, xd, y, ws, false);
     }
 }
 
@@ -313,36 +316,41 @@ impl Layer for MultiHeadSelfAttention {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::layers::Seq;
+    use crate::tensor::Tensor;
     use rand::SeedableRng;
 
     #[test]
     fn output_shape_matches_input() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut attn = MultiHeadSelfAttention::new(8, 2, &mut rng);
+        let attn = Seq::new().then(MultiHeadSelfAttention::new(8, 2, &mut rng));
         let x = Tensor::zeros(&[3, 5, 8]);
-        let y = attn.forward(&x, false);
+        let y = attn.infer(&x);
         assert_eq!(y.shape(), &[3, 5, 8]);
     }
 
     #[test]
     fn attention_rows_sum_to_one() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut attn = MultiHeadSelfAttention::new(4, 1, &mut rng);
-        let x = Tensor::from_vec(&[1, 3, 4], (0..12).map(|i| i as f32 * 0.1).collect());
-        let _ = attn.forward(&x, true);
-        let cache = attn.cache.as_ref().unwrap();
-        for a in &cache.attn {
-            for i in 0..3 {
-                let sum: f32 = a[i * 3..(i + 1) * 3].iter().sum();
-                assert!((sum - 1.0).abs() < 1e-5);
-            }
+        let mut attn = MultiHeadSelfAttention::new(4, 2, &mut rng);
+        let xd = Dims::new(&[2, 3, 4]);
+        let x: Vec<f32> = (0..24).map(|i| i as f32 * 0.1).collect();
+        let mut y = vec![0.0; 24];
+        let mut tape = vec![0.0; attn.ws_len(xd, true)];
+        attn.forward_ws(&x, xd, &mut y, &mut tape);
+        // Every (batch, head) keeps a 3 × 3 softmax matrix on the tape.
+        let rows = &tape[attn.regions(xd, true).attn];
+        assert_eq!(rows.len(), 2 * 2 * 3 * 3);
+        for row in rows.chunks_exact(3) {
+            let sum: f32 = row.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-5, "{row:?}");
         }
     }
 
     #[test]
     fn gradients_match_finite_differences() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut attn = MultiHeadSelfAttention::new(4, 2, &mut rng);
+        let mut attn = Seq::new().then(MultiHeadSelfAttention::new(4, 2, &mut rng));
         let x = Tensor::from_vec(
             &[2, 3, 4],
             (0..24)

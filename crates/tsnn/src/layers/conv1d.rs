@@ -24,7 +24,6 @@ pub struct Conv1d {
     kernel: usize,
     in_channels: usize,
     out_channels: usize,
-    cached_input: Option<Tensor>,
 }
 
 impl Conv1d {
@@ -48,7 +47,6 @@ impl Conv1d {
             kernel,
             in_channels,
             out_channels,
-            cached_input: None,
         }
     }
 
@@ -67,46 +65,12 @@ impl Conv1d {
         if transposed {
             plan.transposed(w, c_in, c_out, kernel, l);
         } else {
-            plan.forward(w, c_in, c_out, kernel, l);
+            plan.direct(w, c_in, c_out, kernel, l);
         }
     }
 }
 
 impl Layer for Conv1d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(x.clone());
-        }
-        self.infer(x)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape().len(), 3, "Conv1d expects (N, C, L)");
-        let xd = Dims::new(x.shape());
-        let mut y = Tensor::zeros(self.out_dims(xd).as_slice());
-        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("backward without forward(train)");
-        let xd = Dims::new(x.shape());
-        assert_eq!(grad_out.shape(), self.out_dims(xd).as_slice());
-        let mut gx = Tensor::zeros(x.shape());
-        self.backward_ws(
-            x.data(),
-            xd,
-            &[],
-            grad_out.data(),
-            gx.data_mut(),
-            (&mut [], &mut []),
-        );
-        gx
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
@@ -256,7 +220,7 @@ struct TapPlan {
 impl TapPlan {
     /// `y[co] = bias[co] + Σ_(ci, k) w[co][ci][k] · x[ci][t + k − pad]`,
     /// taps in ascending `(ci, k)` order.
-    fn forward(&mut self, w: &[f32], c_in: usize, c_out: usize, kernel: usize, l: usize) {
+    fn direct(&mut self, w: &[f32], c_in: usize, c_out: usize, kernel: usize, l: usize) {
         self.build(c_out, c_in, kernel, l, |co, ci, k| {
             (k, w[(co * c_in + ci) * kernel + k])
         });
@@ -652,7 +616,23 @@ fn valid_range(l: usize, k: usize, pad: usize) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::layers::Seq;
     use rand::SeedableRng;
+
+    /// `c`'s inference, run as a one-layer graph.
+    fn infer(c: &Conv1d, x: &Tensor) -> Tensor {
+        Seq::new().then(c.clone()).infer(x)
+    }
+
+    /// A training forward of `x`, then the backward of `g`, on a copy of
+    /// `c`: the input gradient and the copy's weight and bias gradients.
+    fn train(c: &Conv1d, x: &Tensor, g: &Tensor) -> [Tensor; 3] {
+        let mut net = Seq::new().then(c.clone());
+        net.forward(x, true);
+        let gx = net.backward(g);
+        let p = net.params();
+        [gx, p[0].grad.clone(), p[1].grad.clone()]
+    }
 
     #[test]
     fn identity_kernel_reproduces_input() {
@@ -661,7 +641,7 @@ mod tests {
         c.weight.value.data_mut().copy_from_slice(&[0.0, 1.0, 0.0]);
         c.bias.value.data_mut()[0] = 0.0;
         let x = Tensor::from_vec(&[1, 1, 5], vec![1., 2., 3., 4., 5.]);
-        let y = c.forward(&x, false);
+        let y = infer(&c, &x);
         assert_eq!(y.data(), x.data());
     }
 
@@ -673,23 +653,23 @@ mod tests {
         c.weight.value.data_mut().copy_from_slice(&[1.0, 0.0, 0.0]);
         c.bias.value.data_mut()[0] = 0.0;
         let x = Tensor::from_vec(&[1, 1, 4], vec![1., 2., 3., 4.]);
-        let y = c.forward(&x, false);
+        let y = infer(&c, &x);
         assert_eq!(y.data(), &[0., 1., 2., 3.]);
     }
 
     #[test]
     fn multi_channel_shapes() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut c = Conv1d::new(3, 5, 7, &mut rng);
+        let c = Conv1d::new(3, 5, 7, &mut rng);
         let x = Tensor::zeros(&[2, 3, 16]);
-        let y = c.forward(&x, false);
+        let y = infer(&c, &x);
         assert_eq!(y.shape(), &[2, 5, 16]);
     }
 
     #[test]
     fn gradients_match_finite_differences() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut c = Conv1d::new(2, 3, 3, &mut rng);
+        let mut c = Seq::new().then(Conv1d::new(2, 3, 3, &mut rng));
         let x = Tensor::from_vec(
             &[2, 2, 6],
             (0..24).map(|i| ((i * 7 % 11) as f32 - 5.0) * 0.1).collect(),
@@ -913,14 +893,9 @@ mod tests {
             ];
             for (c, x, g) in &cases {
                 let at = format!("(cin={cin}, cout={cout}, k={k}, l={l})");
-                assert_same_bits(&c.infer(x), &infer_tap_major(c, x), &format!("y {at}"));
-                let mut trained = c.clone();
-                trained.forward(x, true);
-                assert_same_bits(
-                    &trained.backward(g),
-                    &backward_tap_major(c, g),
-                    &format!("dX {at}"),
-                );
+                assert_same_bits(&infer(c, x), &infer_tap_major(c, x), &format!("y {at}"));
+                let [gx, _, _] = train(c, x, g);
+                assert_same_bits(&gx, &backward_tap_major(c, g), &format!("dX {at}"));
             }
         }
     }
@@ -958,16 +933,14 @@ mod tests {
         (gw, gb)
     }
 
-    /// Runs `backward(g)` after `forward(x)` on a copy of `c` and asserts
-    /// its weight and bias gradients equal [`weight_grad_dot_major`]'s bit
-    /// for bit.
+    /// Runs the backward of `g` after a training forward of `x` on a copy
+    /// of `c` and asserts its weight and bias gradients equal
+    /// [`weight_grad_dot_major`]'s bit for bit.
     fn assert_weight_grad_matches(c: &Conv1d, x: &Tensor, g: &Tensor, at: &str) {
         let (gw, gb) = weight_grad_dot_major(c, x, g);
-        let mut trained = c.clone();
-        trained.forward(x, true);
-        trained.backward(g);
-        assert_same_bits(&trained.weight.grad, &gw, &format!("dW {at}"));
-        assert_same_bits(&trained.bias.grad, &gb, &format!("db {at}"));
+        let [_, got_w, got_b] = train(c, x, g);
+        assert_same_bits(&got_w, &gw, &format!("dW {at}"));
+        assert_same_bits(&got_b, &gb, &format!("db {at}"));
     }
 
     /// A layer whose gradients start at `-0.0`, so taps that never fit in
@@ -1042,7 +1015,7 @@ mod tests {
     #[test]
     fn rows_shorter_than_the_pad_run_forward_and_backward() {
         let mut rng = StdRng::seed_from_u64(12);
-        let mut c = Conv1d::new(1, 1, 7, &mut rng);
+        let mut c = Seq::new().then(Conv1d::new(1, 1, 7, &mut rng));
         let x = Tensor::from_vec(&[1, 1, 2], vec![0.3, -0.7]);
         let y = c.forward(&x, true);
         assert_eq!(y.shape(), &[1, 1, 2]);
@@ -1054,7 +1027,7 @@ mod tests {
     #[test]
     fn gradients_match_finite_differences_below_the_pad() {
         let mut rng = StdRng::seed_from_u64(13);
-        let mut c = Conv1d::new(2, 3, 7, &mut rng);
+        let mut c = Seq::new().then(Conv1d::new(2, 3, 7, &mut rng));
         let x = Tensor::from_vec(
             &[2, 2, 3],
             (0..12).map(|i| (i as f32 - 5.5) * 0.1).collect(),
@@ -1069,7 +1042,7 @@ mod tests {
         c.weight.value.zero_();
         c.bias.value.data_mut().copy_from_slice(&[0.5, -0.5]);
         let x = Tensor::zeros(&[1, 1, 4]);
-        let y = c.forward(&x, false);
+        let y = infer(&c, &x);
         assert_eq!(y.batch(0), &[0.5, 0.5, 0.5, 0.5, -0.5, -0.5, -0.5, -0.5]);
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::init;
 use crate::param::{Layer, Param};
-use crate::tensor::Tensor;
 use crate::workspace::Dims;
 use rand::rngs::StdRng;
 
@@ -25,40 +24,6 @@ impl PositionalEmbedding {
 }
 
 impl Layer for PositionalEmbedding {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.infer(x)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        assert_eq!(
-            &x.shape()[1..],
-            self.table.value.shape(),
-            "PositionalEmbedding expects (N, T, D)"
-        );
-        let mut y = x.clone();
-        for ni in 0..x.dim(0) {
-            for (v, &p) in y.batch_mut(ni).iter_mut().zip(self.table.value.data()) {
-                *v += p;
-            }
-        }
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        for ni in 0..grad_out.dim(0) {
-            for (pg, &g) in self
-                .table
-                .grad
-                .data_mut()
-                .iter_mut()
-                .zip(grad_out.batch(ni))
-            {
-                *pg += g;
-            }
-        }
-        grad_out.clone()
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.table]
     }
@@ -67,8 +32,53 @@ impl Layer for PositionalEmbedding {
         vec![&self.table]
     }
 
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.table);
+    }
+
     fn out_dims(&self, x: Dims) -> Dims {
+        assert_eq!(
+            &x.as_slice()[1..],
+            self.table.value.shape(),
+            "PositionalEmbedding expects (N, T, D)"
+        );
         x
+    }
+
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.infer_ws(x, xd, y, ws);
+    }
+
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        _x: &[f32],
+        _xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        _ws: (&mut [f32], &mut [f32]),
+    ) {
+        let table = self.table.grad.data_mut();
+        for gb in gy.chunks_exact(table.len()) {
+            for (pg, &g) in table.iter_mut().zip(gb) {
+                *pg += g;
+            }
+        }
+        gx.copy_from_slice(gy);
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], _xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        let table = self.table.value.data();
+        for (yb, xb) in y
+            .chunks_exact_mut(table.len())
+            .zip(x.chunks_exact(table.len()))
+        {
+            for ((o, &v), &p) in yb.iter_mut().zip(xb).zip(table) {
+                *o = v + p;
+            }
+        }
     }
 }
 
@@ -76,12 +86,14 @@ impl Layer for PositionalEmbedding {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::layers::Seq;
+    use crate::tensor::Tensor;
     use rand::SeedableRng;
 
     #[test]
     fn positional_embedding_gradients() {
         let mut rng = StdRng::seed_from_u64(6);
-        let mut pe = PositionalEmbedding::new(3, 4, &mut rng);
+        let mut pe = Seq::new().then(PositionalEmbedding::new(3, 4, &mut rng));
         let x = Tensor::from_vec(&[2, 3, 4], (0..24).map(|i| i as f32 * 0.1).collect());
         check_layer_gradients(&mut pe, &x, 1e-2, 1e-2);
     }

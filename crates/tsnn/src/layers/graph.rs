@@ -18,10 +18,12 @@
 //! gradients between two slots per chain; inference alternates
 //! activations between (at most) two slots per chain. An
 //! elementwise layer ([`Layer::in_place`], the ReLU) overwrites its
-//! predecessor's output unless that layer's backward reads it. The tensor
-//! methods of a graph drive the same path: a root graph keeps its tape
-//! (input, output, workspace) for `forward` → `backward`, and the shared
-//! `infer` sizes a workspace for the call.
+//! predecessor's output unless that layer's backward reads it.
+//!
+//! [`Seq`] is also the crate's one tensor front: its inherent
+//! [`Seq::forward`], [`Seq::backward`] and [`Seq::infer`] drive the same
+//! path on tensors, keeping the root tape (input, output, workspace)
+//! between a training forward and its backward.
 
 use crate::param::{Layer, Param};
 use crate::tensor::Tensor;
@@ -31,7 +33,7 @@ use std::fmt::Debug;
 use std::ops::Range;
 
 /// A layer a graph can own: thread-safe (a trained graph serves from many
-/// threads through [`Layer::infer`]) and cloneable behind a box (training
+/// threads through [`Layer::infer_ws`]) and cloneable behind a box (training
 /// replicas copy whole graphs). Every `Clone` layer is a node.
 pub trait Node: Layer + Debug + Send + Sync + 'static {
     /// Boxed deep copy.
@@ -50,7 +52,7 @@ impl Clone for Box<dyn Node> {
     }
 }
 
-/// What a root graph's tensor API keeps between `forward(train)` and
+/// What [`Seq`]'s tensor methods keep between `forward(train)` and
 /// `backward`: the workspace protocol's tape. A copy starts empty.
 #[derive(Debug, Default)]
 struct Tape {
@@ -63,40 +65,6 @@ struct Tape {
 impl Clone for Tape {
     fn clone(&self) -> Self {
         Self::default()
-    }
-}
-
-impl Tape {
-    fn forward(&mut self, layer: &mut dyn Layer, x: &Tensor) -> Tensor {
-        let xd = Dims::new(x.shape());
-        let mut y = Tensor::zeros(layer.out_dims(xd).as_slice());
-        self.x.clear();
-        self.x.extend_from_slice(x.data());
-        let ws = self.ws.get(layer.ws_len(xd, true));
-        layer.forward_ws(&self.x, xd, y.data_mut(), ws);
-        self.y.clear();
-        self.y.extend_from_slice(y.data());
-        self.xd = Some(xd);
-        y
-    }
-
-    fn backward(&mut self, layer: &mut dyn Layer, gy: &Tensor) -> Tensor {
-        let xd = self.xd.take().expect("backward without forward(train)");
-        let mut gx = Tensor::zeros(xd.as_slice());
-        let tape = layer.ws_len(xd, true);
-        let ws = self.ws.get(tape + layer.grad_len(xd));
-        let ws = ws.split_at_mut(tape);
-        layer.backward_ws(&self.x, xd, &self.y, gy.data(), gx.data_mut(), ws);
-        gx
-    }
-
-    /// Inference on `ws`: the graph's own tape workspace for
-    /// `forward(x, false)`, a temporary one for the shared `infer`.
-    fn infer(layer: &dyn Layer, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let xd = Dims::new(x.shape());
-        let mut y = Tensor::zeros(layer.out_dims(xd).as_slice());
-        layer.infer_ws(x.data(), xd, y.data_mut(), ws.get(layer.ws_len(xd, false)));
-        y
     }
 }
 
@@ -270,29 +238,60 @@ impl Seq {
     }
 }
 
-impl Layer for Seq {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+/// The tensor front: the workspace protocol on tensors, for callers that
+/// do not manage a workspace themselves.
+impl Seq {
+    /// Forward pass. With `train`, keeps the tape [`Seq::backward`]
+    /// consumes and updates running statistics; without, computes
+    /// [`Seq::infer`]'s bits on the graph's own workspace.
+    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(self.out_dims(xd).as_slice());
         let mut tape = std::mem::take(&mut self.tape);
-        let y = if train {
-            tape.forward(self, x)
+        if train {
+            tape.x.clear();
+            tape.x.extend_from_slice(x.data());
+            let ws = tape.ws.get(self.ws_len(xd, true));
+            self.forward_ws(&tape.x, xd, y.data_mut(), ws);
+            tape.y.clear();
+            tape.y.extend_from_slice(y.data());
+            tape.xd = Some(xd);
         } else {
-            Tape::infer(self, x, &mut tape.ws)
-        };
+            let ws = tape.ws.get(self.ws_len(xd, false));
+            self.infer_ws(x.data(), xd, y.data_mut(), ws);
+        }
         self.tape = tape;
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        Tape::infer(self, x, &mut Workspace::new())
+    /// Inference: `forward(x, false)`'s output from `&self`, on a
+    /// workspace sized for the call, so many threads can share one graph.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(self.out_dims(xd).as_slice());
+        let mut ws = Workspace::new();
+        self.infer_ws(x.data(), xd, y.data_mut(), ws.get(self.ws_len(xd, false)));
+        y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// Backward of the last `forward(x, true)`: accumulates parameter
+    /// gradients and returns ∂loss/∂x.
+    ///
+    /// # Panics
+    /// Panics without a training forward since the last backward.
+    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mut tape = std::mem::take(&mut self.tape);
-        let gx = tape.backward(self, grad_out);
+        let xd = tape.xd.take().expect("backward without forward(train)");
+        let mut gx = Tensor::zeros(xd.as_slice());
+        let len = self.ws_len(xd, true);
+        let ws = tape.ws.get(len + self.grad_len(xd)).split_at_mut(len);
+        self.backward_ws(&tape.x, xd, &tape.y, grad_out.data(), gx.data_mut(), ws);
         self.tape = tape;
         gx
     }
+}
 
+impl Layer for Seq {
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
             .iter_mut()
@@ -492,7 +491,7 @@ fn add_into(dst: &mut [f32], a: &[f32], b: &[f32]) {
 }
 
 /// `dst[i] += src[i]`.
-fn add_assign(dst: &mut [f32], src: &[f32]) {
+pub(super) fn add_assign(dst: &mut [f32], src: &[f32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += s;
     }
@@ -504,7 +503,6 @@ fn add_assign(dst: &mut [f32], src: &[f32]) {
 pub struct Residual {
     main: Seq,
     shortcut: Option<Seq>,
-    tape: Tape,
 }
 
 /// A residual block's training tape: the main path's tape, the main
@@ -522,11 +520,7 @@ impl Residual {
     /// Residual block over `main`, with a projected `shortcut` or (`None`)
     /// the identity.
     pub fn new(main: Seq, shortcut: Option<Seq>) -> Self {
-        Self {
-            main,
-            shortcut,
-            tape: Tape::default(),
-        }
+        Self { main, shortcut }
     }
 
     fn train_layout(&self, xd: Dims) -> ResidualLayout {
@@ -563,28 +557,6 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut tape = std::mem::take(&mut self.tape);
-        let y = if train {
-            tape.forward(self, x)
-        } else {
-            Tape::infer(self, x, &mut tape.ws)
-        };
-        self.tape = tape;
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        Tape::infer(self, x, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut tape = std::mem::take(&mut self.tape);
-        let gx = tape.backward(self, grad_out);
-        self.tape = tape;
-        gx
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut p = self.main.params_mut();
         p.extend(self.shortcut.iter_mut().flat_map(|s| s.params_mut()));
@@ -710,7 +682,6 @@ impl Layer for Residual {
 #[derive(Debug, Clone)]
 pub struct Concat {
     branches: Vec<Seq>,
-    tape: Tape,
 }
 
 impl Concat {
@@ -720,10 +691,7 @@ impl Concat {
     /// Panics if `branches` is empty.
     pub fn new(branches: Vec<Seq>) -> Self {
         assert!(!branches.is_empty(), "Concat needs at least one branch");
-        Self {
-            branches,
-            tape: Tape::default(),
-        }
+        Self { branches }
     }
 
     /// Branch `j`'s output slot and workspace. Training lays out output
@@ -796,28 +764,6 @@ impl Concat {
 }
 
 impl Layer for Concat {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut tape = std::mem::take(&mut self.tape);
-        let y = if train {
-            tape.forward(self, x)
-        } else {
-            Tape::infer(self, x, &mut tape.ws)
-        };
-        self.tape = tape;
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        Tape::infer(self, x, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut tape = std::mem::take(&mut self.tape);
-        let gx = tape.backward(self, grad_out);
-        self.tape = tape;
-        gx
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.branches
             .iter_mut()
@@ -936,7 +882,7 @@ mod tests {
     fn concat_stacks_channels_and_sums_gradients() {
         // Two identity branches: the output repeats the channels, and the
         // input gradient is the sum of the two halves.
-        let mut c = Concat::new(vec![Seq::new(), Seq::new()]);
+        let mut c = Seq::new().then(Concat::new(vec![Seq::new(), Seq::new()]));
         let x = Tensor::from_vec(&[2, 1, 3], (0..6).map(|i| i as f32).collect());
         let y = c.forward(&x, true);
         assert_eq!(y.shape(), &[2, 2, 3]);
@@ -977,7 +923,7 @@ mod tests {
         let shortcut = Seq::new()
             .then(Conv1d::new(2, 3, 1, &mut rng))
             .then(BatchNorm1d::new(3));
-        let mut r = Residual::new(main, Some(shortcut));
+        let mut r = Seq::new().then(Residual::new(main, Some(shortcut)));
         check_layer_gradients(&mut r, &ramp(&[2, 2, 6]), 1e-2, 3e-2);
     }
 
@@ -987,7 +933,7 @@ mod tests {
         let main = Seq::new()
             .then(Conv1d::new(3, 3, 3, &mut rng))
             .then(Gelu::new());
-        let mut r = Residual::new(main, None);
+        let mut r = Seq::new().then(Residual::new(main, None));
         check_layer_gradients(&mut r, &ramp(&[2, 3, 5]), 1e-2, 2e-2);
     }
 
@@ -998,12 +944,12 @@ mod tests {
             Seq::new().then(Conv1d::new(2, 1, 3, &mut rng)),
             Seq::new().then(Conv1d::new(2, 2, 5, &mut rng)),
         ]);
-        let mut c = Concat::new(vec![
+        let mut c = Seq::new().then(Concat::new(vec![
             Seq::new().then(Conv1d::new(2, 2, 1, &mut rng)).then(inner),
             Seq::new()
                 .then(SameMaxPool1d::new(3))
                 .then(Conv1d::new(2, 1, 1, &mut rng)),
-        ]);
+        ]));
         // Distinct neighbours keep the pooling argmax stable under ±eps.
         let x = ramp(&[2, 2, 8]);
         let y = c.forward(&x, false);

@@ -14,7 +14,6 @@ pub struct Linear {
     pub weight: Param,
     /// Bias, shape `(out,)`.
     pub bias: Param,
-    cached_input: Option<Tensor>,
 }
 
 impl Linear {
@@ -27,7 +26,6 @@ impl Linear {
                 rng,
             )),
             bias: Param::new(Tensor::zeros(&[out_features])),
-            cached_input: None,
         }
     }
 
@@ -43,40 +41,6 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(x.clone());
-        }
-        self.infer(x)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape().len(), 2, "Linear expects (N, in)");
-        let xd = Dims::new(x.shape());
-        let mut y = Tensor::zeros(self.out_dims(xd).as_slice());
-        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("backward without forward(train)");
-        let xd = Dims::new(x.shape());
-        let mut gx = Tensor::zeros(x.shape());
-        let mut scratch = vec![0.0; self.grad_len(xd)];
-        self.backward_ws(
-            x.data(),
-            xd,
-            &[],
-            grad_out.data(),
-            gx.data_mut(),
-            (&mut [], &mut scratch),
-        );
-        gx
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
@@ -176,6 +140,7 @@ impl Layer for Linear {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::layers::Seq;
     use rand::SeedableRng;
 
     #[test]
@@ -184,7 +149,7 @@ mod tests {
         let mut l = Linear::new(3, 2, &mut rng);
         l.bias.value.data_mut().copy_from_slice(&[1.0, -1.0]);
         let x = Tensor::zeros(&[4, 3]);
-        let y = l.forward(&x, false);
+        let y = Seq::new().then(l).infer(&x);
         assert_eq!(y.shape(), &[4, 2]);
         assert_eq!(y.row(2), &[1.0, -1.0]); // zero input → bias
     }
@@ -192,7 +157,7 @@ mod tests {
     #[test]
     fn gradients_match_finite_differences() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut l = Linear::new(4, 3, &mut rng);
+        let mut l = Seq::new().then(Linear::new(4, 3, &mut rng));
         let x = Tensor::from_vec(&[2, 4], (0..8).map(|i| 0.1 * i as f32 - 0.3).collect());
         check_layer_gradients(&mut l, &x, 1e-2, 2e-2);
     }

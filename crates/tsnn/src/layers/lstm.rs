@@ -60,8 +60,9 @@ pub struct Lstm {
     ws: Workspace,
 }
 
-/// The layer's reusable memory: one buffer, sized on the first call and
-/// regrown only by a larger shape, carved into a [`Tape`] per call.
+/// The layer's training memory: one buffer, sized on the first training
+/// call and regrown only by a larger shape, carved into a [`Tape`] per
+/// call. Inference runs on the caller's scratch instead.
 ///
 /// One buffer rather than one per region on purpose. glibc raises its
 /// mmap and trim thresholds to the largest mapped block a process frees,
@@ -81,8 +82,7 @@ struct Workspace {
 /// The workspace's regions for one `(N, T)`, in buffer order. Lane-major
 /// regions hold one slab per timestep of each block of [`LANES`]
 /// sequences, slab `b·T + t`, with element `(k, lane)` at `k·LANES +
-/// lane`. The per-block scratch comes first, so an inference call between
-/// a training forward and its backward leaves the tape intact.
+/// lane`.
 struct Tape<'a> {
     /// Per-block scratch (see [`Scratch`]).
     scratch: &'a mut [f32],
@@ -616,43 +616,6 @@ impl Lstm {
 }
 
 impl Layer for Lstm {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let xd = Dims::new(x.shape());
-        let nt = self.check_input(xd);
-        let mut out = Tensor::zeros(&[nt.0, self.hidden]);
-        if train {
-            self.forward_train(x.data(), nt, out.data_mut());
-        } else {
-            let w = weights!(self);
-            let scratch = grown(&mut self.ws.buf, Scratch::len(w));
-            infer_into(w, x.data(), nt, scratch, out.data_mut());
-        }
-        out
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let xd = Dims::new(x.shape());
-        let mut out = Tensor::zeros(&[xd.dim(0), self.hidden]);
-        let mut scratch = vec![0.0; self.ws_len(xd, false)];
-        self.infer_ws(x.data(), xd, out.data_mut(), &mut scratch);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (n, t) = self.ws.taped.expect("backward without forward(train)");
-        let mut dx = Tensor::zeros(&[n, t, self.input_dim]);
-        let xd = Dims::new(dx.shape());
-        self.backward_ws(
-            &[],
-            xd,
-            &[],
-            grad_out.data(),
-            dx.data_mut(),
-            (&mut [], &mut []),
-        );
-        dx
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.w_x, &mut self.w_h, &mut self.bias]
     }
@@ -820,26 +783,52 @@ impl Layer for Lstm {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::layers::Seq;
     use rand::SeedableRng;
+
+    /// `l`'s inference on a fresh scratch.
+    fn infer(l: &Lstm, x: &Tensor) -> Tensor {
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(l.out_dims(xd).as_slice());
+        let mut ws = vec![0.0; l.ws_len(xd, false)];
+        l.infer_ws(x.data(), xd, y.data_mut(), &mut ws);
+        y
+    }
+
+    /// `l`'s training forward (its tape is its own).
+    fn train(l: &mut Lstm, x: &Tensor) -> Tensor {
+        let xd = Dims::new(x.shape());
+        let mut y = Tensor::zeros(l.out_dims(xd).as_slice());
+        l.forward_ws(x.data(), xd, y.data_mut(), &mut []);
+        y
+    }
+
+    /// The backward of `l`'s last training forward, on input shape `x`.
+    fn backward(l: &mut Lstm, x: &Tensor, g: &Tensor) -> Tensor {
+        let mut gx = Tensor::zeros(x.shape());
+        let xd = Dims::new(x.shape());
+        l.backward_ws(&[], xd, &[], g.data(), gx.data_mut(), (&mut [], &mut []));
+        gx
+    }
 
     #[test]
     fn output_is_final_hidden_state_shape() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut lstm = Lstm::new(1, 6, &mut rng);
+        let lstm = Lstm::new(1, 6, &mut rng);
         let x = Tensor::zeros(&[4, 10, 1]);
-        let y = lstm.forward(&x, false);
+        let y = infer(&lstm, &x);
         assert_eq!(y.shape(), &[4, 6]);
     }
 
     #[test]
     fn hidden_state_is_bounded() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut lstm = Lstm::new(1, 4, &mut rng);
+        let lstm = Lstm::new(1, 4, &mut rng);
         let x = Tensor::from_vec(
             &[1, 20, 1],
             (0..20).map(|i| (i as f32).sin() * 5.0).collect(),
         );
-        let y = lstm.forward(&x, false);
+        let y = infer(&lstm, &x);
         // h = o ⊙ tanh(c) ∈ (-1, 1).
         assert!(y.data().iter().all(|&v| v.abs() < 1.0));
     }
@@ -847,7 +836,7 @@ mod tests {
     #[test]
     fn gradients_match_finite_differences() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut lstm = Lstm::new(2, 3, &mut rng);
+        let mut lstm = Seq::new().then(Lstm::new(2, 3, &mut rng));
         let x = Tensor::from_vec(
             &[2, 4, 2],
             (0..16).map(|i| ((i * 5 % 9) as f32 - 4.0) * 0.2).collect(),
@@ -867,14 +856,14 @@ mod tests {
     #[test]
     fn different_inputs_give_different_states() {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut lstm = Lstm::new(1, 4, &mut rng);
-        let a = lstm.forward(
+        let lstm = Lstm::new(1, 4, &mut rng);
+        let a = infer(
+            &lstm,
             &Tensor::from_vec(&[1, 5, 1], vec![1., 2., 3., 4., 5.]),
-            false,
         );
-        let b = lstm.forward(
+        let b = infer(
+            &lstm,
             &Tensor::from_vec(&[1, 5, 1], vec![5., 4., 3., 2., 1.]),
-            false,
         );
         assert_ne!(a.data(), b.data());
     }
@@ -1154,21 +1143,20 @@ mod tests {
         Tensor::from_vec(&[n, t, i_dim], v)
     }
 
-    /// Runs the fused layer (a training forward, inference both ways, then
-    /// the backward) against the references on `l`'s current state. With
+    /// Runs the fused layer (a training forward, inference, then the
+    /// backward) against the references on `l`'s current state. With
     /// `between`, an inference on that input runs between the training
     /// forward and the backward.
     fn assert_matches_reference(l: &mut Lstm, x: &Tensor, between: Option<&Tensor>, at: &str) {
         let (want_y, cache) = forward_reference(l, x);
         let g = Tensor::from_vec(want_y.shape(), ramp(want_y.numel(), 11, 1));
         let want = backward_reference(l, &cache, &g);
-        assert_same_bits(&l.infer(x), &want_y, &format!("infer {at}"));
-        assert_same_bits(&l.forward(x, false), &want_y, &format!("forward {at}"));
-        assert_same_bits(&l.forward(x, true), &want_y, &format!("train {at}"));
+        assert_same_bits(&infer(l, x), &want_y, &format!("infer {at}"));
+        assert_same_bits(&train(l, x), &want_y, &format!("train {at}"));
         if let Some(other) = between {
-            l.forward(other, false);
+            infer(l, other);
         }
-        let dx = l.backward(&g);
+        let dx = backward(l, x, &g);
         assert_same_bits(&dx, &want[0], &format!("dx {at}"));
         for (p, (want, name)) in l
             .params()
@@ -1219,9 +1207,9 @@ mod tests {
     fn backward_needs_a_training_forward() {
         let mut l = layer(1, 3, false, 1);
         let x = input(4, 5, 1, false);
-        l.forward(&x, true);
+        train(&mut l, &x);
         let g = Tensor::zeros(&[4, 3]);
-        l.backward(&g);
-        l.backward(&g);
+        backward(&mut l, &x, &g);
+        backward(&mut l, &x, &g);
     }
 }

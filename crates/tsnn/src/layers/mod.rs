@@ -1,10 +1,10 @@
-//! Neural-network layers with hand-written backward passes, and the graph
-//! combinators ([`Seq`], [`Residual`], [`Concat`]) that compose them.
+//! Neural-network layers with hand-written backward passes on the
+//! workspace protocol ([`Layer`]), and the graph combinators ([`Seq`],
+//! [`Residual`], [`Concat`]) that compose them.
 
 mod activation;
 mod attention;
 mod conv1d;
-mod dropout;
 mod embed;
 mod graph;
 mod linear;
@@ -16,7 +16,6 @@ mod shape;
 pub use activation::{Gelu, Relu};
 pub use attention::MultiHeadSelfAttention;
 pub use conv1d::Conv1d;
-pub use dropout::Dropout;
 pub use embed::PositionalEmbedding;
 pub use graph::{Concat, Node, Residual, Seq};
 pub use linear::Linear;

@@ -32,8 +32,6 @@ pub struct BatchNorm1d {
     pub running_var: Vec<f32>,
     momentum: f32,
     channels: usize,
-    /// Tensor-API training tape: the input and the per-channel statistics.
-    cache: Option<(Tensor, Vec<f32>)>,
 }
 
 /// Rows (channels of one batch element) whose chains run together.
@@ -110,7 +108,6 @@ impl BatchNorm1d {
             running_var: vec![1.0; channels],
             momentum: 0.1,
             channels,
-            cache: None,
         }
     }
 
@@ -133,43 +130,6 @@ impl BatchNorm1d {
 }
 
 impl Layer for BatchNorm1d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if !train {
-            return self.infer(x);
-        }
-        assert_eq!(x.shape().len(), 3, "BatchNorm1d expects (N, C, L)");
-        let xd = Dims::new(x.shape());
-        let mut y = Tensor::zeros(x.shape());
-        let mut tape = vec![0.0; self.ws_len(xd, true)];
-        self.forward_ws(x.data(), xd, y.data_mut(), &mut tape);
-        self.cache = Some((x.clone(), tape));
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape().len(), 3, "BatchNorm1d expects (N, C, L)");
-        let xd = Dims::new(x.shape());
-        let mut y = Tensor::zeros(x.shape());
-        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (x, mut tape) = self.cache.take().expect("backward without forward(train)");
-        let xd = Dims::new(x.shape());
-        let mut gx = Tensor::zeros(x.shape());
-        let mut sums = vec![0.0; self.grad_len(xd)];
-        self.backward_ws(
-            x.data(),
-            xd,
-            &[],
-            grad_out.data(),
-            gx.data_mut(),
-            (&mut tape, &mut sums),
-        );
-        gx
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.gamma, &mut self.beta]
     }
@@ -319,6 +279,14 @@ impl Layer for BatchNorm1d {
 }
 
 /// Layer norm over the last dimension of `(N, T, D)` or `(N, D)`.
+///
+/// # The chain
+///
+/// Per row: `mean = Σv / D` and `var = Σ(v − mean)² / D`, each one
+/// left-to-right `Iterator::sum`, `s = 1 / √(var + ε)`, then
+/// `x̂ = (v − mean)·s` and `γ·x̂ + β`, no `mul_add`. The training tape is
+/// each row's mean and `s`; backward recomputes `x̂` from them with the
+/// same two operations.
 #[derive(Debug, Clone)]
 pub struct LayerNorm {
     /// Scale γ, shape `(D,)`.
@@ -326,13 +294,6 @@ pub struct LayerNorm {
     /// Shift β, shape `(D,)`.
     pub beta: Param,
     dim: usize,
-    cache: Option<LnCache>,
-}
-
-#[derive(Debug, Clone)]
-struct LnCache {
-    x_hat: Tensor,
-    inv_std: Vec<f32>, // one per normalisation row
 }
 
 impl LayerNorm {
@@ -342,97 +303,30 @@ impl LayerNorm {
             gamma: Param::new(Tensor::from_vec(&[dim], vec![1.0; dim])),
             beta: Param::new(Tensor::zeros(&[dim])),
             dim,
-            cache: None,
         }
     }
 
-    /// Shared normalisation: `y`, plus `(x̂, inv_std per row)` when
-    /// `keep_cache` (training needs them for backward; serving skips the
-    /// input-sized x̂ allocation). Identical per-element arithmetic either
-    /// way, so both paths produce the same bits.
-    fn normalise(&self, x: &Tensor, keep_cache: bool) -> (Tensor, Option<(Tensor, Vec<f32>)>) {
-        let d = *x.shape().last().expect("non-scalar input");
-        assert_eq!(d, self.dim, "last-dim mismatch");
-        let rows = x.numel() / d;
-        let mut y = Tensor::zeros(x.shape());
+    /// Normalises `x` into `y` row by row, handing each row's `(mean, s)`
+    /// to `keep`.
+    #[inline(always)]
+    fn normalise(&self, x: &[f32], y: &mut [f32], mut keep: impl FnMut(usize, f32, f32)) {
+        let d = self.dim;
         let gamma = self.gamma.value.data();
         let beta = self.beta.value.data();
-        if !keep_cache {
-            for r in 0..rows {
-                let xs = &x.data()[r * d..(r + 1) * d];
-                let mean: f32 = xs.iter().sum::<f32>() / d as f32;
-                let var: f32 = xs.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-                let inv_std = 1.0 / (var + EPS).sqrt();
-                let yb = &mut y.data_mut()[r * d..(r + 1) * d];
-                for i in 0..d {
-                    let h = (xs[i] - mean) * inv_std;
-                    yb[i] = gamma[i] * h + beta[i];
-                }
-            }
-            return (y, None);
-        }
-        let mut x_hat = Tensor::zeros(x.shape());
-        let mut inv_stds = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let xs = &x.data()[r * d..(r + 1) * d];
+        for (r, (xs, yb)) in x.chunks_exact(d).zip(y.chunks_exact_mut(d)).enumerate() {
             let mean: f32 = xs.iter().sum::<f32>() / d as f32;
             let var: f32 = xs.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
             let inv_std = 1.0 / (var + EPS).sqrt();
-            inv_stds.push(inv_std);
-            let hb = &mut x_hat.data_mut()[r * d..(r + 1) * d];
-            for (h, &v) in hb.iter_mut().zip(xs) {
-                *h = (v - mean) * inv_std;
-            }
-            let yb = &mut y.data_mut()[r * d..(r + 1) * d];
+            keep(r, mean, inv_std);
             for i in 0..d {
-                yb[i] = gamma[i] * x_hat.data()[r * d + i] + beta[i];
+                let h = (xs[i] - mean) * inv_std;
+                yb[i] = gamma[i] * h + beta[i];
             }
         }
-        (y, Some((x_hat, inv_stds)))
     }
 }
 
 impl Layer for LayerNorm {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (y, cache) = self.normalise(x, train);
-        if train {
-            let (x_hat, inv_std) = cache.expect("requested cache");
-            self.cache = Some(LnCache { x_hat, inv_std });
-        }
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        self.normalise(x, false).0
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.take().expect("backward without forward(train)");
-        let d = self.dim;
-        let rows = grad_out.numel() / d;
-        let gamma = self.gamma.value.data().to_vec();
-        let mut gx = Tensor::zeros(grad_out.shape());
-        for r in 0..rows {
-            let g_row = &grad_out.data()[r * d..(r + 1) * d];
-            let h_row = &cache.x_hat.data()[r * d..(r + 1) * d];
-            // Param grads.
-            for i in 0..d {
-                self.gamma.grad.data_mut()[i] += g_row[i] * h_row[i];
-                self.beta.grad.data_mut()[i] += g_row[i];
-            }
-            // dx for this row.
-            let gg: Vec<f32> = (0..d).map(|i| g_row[i] * gamma[i]).collect();
-            let sum_gg: f32 = gg.iter().sum();
-            let sum_ggh: f32 = gg.iter().zip(h_row).map(|(&a, &h)| a * h).sum();
-            let inv_std = cache.inv_std[r];
-            let o_row = &mut gx.data_mut()[r * d..(r + 1) * d];
-            for i in 0..d {
-                o_row[i] = inv_std / d as f32 * (d as f32 * gg[i] - sum_gg - h_row[i] * sum_ggh);
-            }
-        }
-        gx
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.gamma, &mut self.beta]
     }
@@ -441,8 +335,77 @@ impl Layer for LayerNorm {
         vec![&self.gamma, &self.beta]
     }
 
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.gamma);
+        f(&mut self.beta);
+    }
+
     fn out_dims(&self, x: Dims) -> Dims {
+        assert_eq!(x.dim(x.rank() - 1), self.dim, "last-dim mismatch");
         x
+    }
+
+    /// The tape: each row's mean, then its `1/σ`.
+    fn ws_len(&self, x: Dims, train: bool) -> usize {
+        if train {
+            2 * (x.numel() / self.dim)
+        } else {
+            0
+        }
+    }
+
+    // kdprof: hot
+    fn forward_ws(&mut self, x: &[f32], _xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        let rows = x.len() / self.dim;
+        let (means, inv_stds) = ws[..2 * rows].split_at_mut(rows);
+        self.normalise(x, y, |r, m, s| {
+            means[r] = m;
+            inv_stds[r] = s;
+        });
+    }
+
+    /// Per row, in row order: `dγ += g·x̂`, `dβ += g`; then with `gg =
+    /// g·γ`, `dx = s / D · (D·gg − Σgg − x̂·Σ(gg·x̂))`.
+    // kdprof: hot
+    #[allow(clippy::needless_range_loop)] // `i` indexes five rows at once
+    fn backward_ws(
+        &mut self,
+        x: &[f32],
+        _xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        (tape, _): (&mut [f32], &mut [f32]),
+    ) {
+        let d = self.dim;
+        let rows = x.len() / d;
+        let (means, inv_stds) = tape[..2 * rows].split_at(rows);
+        let gamma = self.gamma.value.data();
+        let (g_gamma, g_beta) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
+        for (r, ((g_row, x_row), o_row)) in gy
+            .chunks_exact(d)
+            .zip(x.chunks_exact(d))
+            .zip(gx.chunks_exact_mut(d))
+            .enumerate()
+        {
+            let (mean, inv_std) = (means[r], inv_stds[r]);
+            let h = |i: usize| (x_row[i] - mean) * inv_std;
+            for i in 0..d {
+                g_gamma[i] += g_row[i] * h(i);
+                g_beta[i] += g_row[i];
+            }
+            let gg = |i: usize| g_row[i] * gamma[i];
+            let sum_gg: f32 = (0..d).map(gg).sum();
+            let sum_ggh: f32 = (0..d).map(|i| gg(i) * h(i)).sum();
+            for i in 0..d {
+                o_row[i] = inv_std / d as f32 * (d as f32 * gg(i) - sum_gg - h(i) * sum_ggh);
+            }
+        }
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], _xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        self.normalise(x, y, |_, _, _| {});
     }
 }
 
@@ -450,10 +413,11 @@ impl Layer for LayerNorm {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::layers::Seq;
 
     #[test]
     fn batchnorm_normalises_in_train_mode() {
-        let mut bn = BatchNorm1d::new(2);
+        let mut bn = Seq::new().then(BatchNorm1d::new(2));
         let x = Tensor::from_vec(
             &[2, 2, 4],
             vec![
@@ -472,7 +436,7 @@ mod tests {
 
     #[test]
     fn batchnorm_eval_uses_running_stats() {
-        let mut bn = BatchNorm1d::new(1);
+        let mut bn = Seq::new().then(BatchNorm1d::new(1));
         let x = Tensor::from_vec(&[1, 1, 4], vec![10., 10., 10., 10.]);
         // Warm up running stats with several train passes.
         for _ in 0..200 {
@@ -485,7 +449,7 @@ mod tests {
 
     #[test]
     fn batchnorm_gradients() {
-        let mut bn = BatchNorm1d::new(2);
+        let mut bn = Seq::new().then(BatchNorm1d::new(2));
         let x = Tensor::from_vec(
             &[2, 2, 3],
             (0..12).map(|i| ((i * 5 % 7) as f32 - 3.0) * 0.5).collect(),
@@ -495,7 +459,7 @@ mod tests {
 
     #[test]
     fn layernorm_normalises_each_row() {
-        let mut ln = LayerNorm::new(4);
+        let mut ln = Seq::new().then(LayerNorm::new(4));
         let x = Tensor::from_vec(&[2, 4], vec![1., 2., 3., 4., -10., 0., 10., 20.]);
         let y = ln.forward(&x, false);
         for r in 0..2 {
@@ -507,7 +471,7 @@ mod tests {
 
     #[test]
     fn layernorm_gradients() {
-        let mut ln = LayerNorm::new(5);
+        let mut ln = Seq::new().then(LayerNorm::new(5));
         let x = Tensor::from_vec(
             &[3, 5],
             (0..15).map(|i| ((i * 3 % 11) as f32 - 5.0) * 0.4).collect(),
@@ -517,7 +481,7 @@ mod tests {
 
     #[test]
     fn layernorm_works_on_rank3() {
-        let mut ln = LayerNorm::new(4);
+        let mut ln = Seq::new().then(LayerNorm::new(4));
         let x = Tensor::from_vec(&[2, 3, 4], (0..24).map(|i| i as f32 * 0.1).collect());
         let y = ln.forward(&x, false);
         assert_eq!(y.shape(), &[2, 3, 4]);

@@ -1,7 +1,6 @@
 //! Pooling layers.
 
 use crate::param::{Layer, Param};
-use crate::tensor::Tensor;
 use crate::workspace::Dims;
 
 /// The first maximum of `row[lo..hi]` (strictly greater wins, so ties
@@ -25,7 +24,6 @@ fn window_max(row: &[f32], lo: usize, hi: usize) -> (f32, usize) {
 #[derive(Debug, Clone)]
 pub struct MaxPool1d {
     kernel: usize,
-    input: Option<Tensor>,
 }
 
 impl MaxPool1d {
@@ -35,45 +33,11 @@ impl MaxPool1d {
     /// Panics if `kernel == 0`.
     pub fn new(kernel: usize) -> Self {
         assert!(kernel > 0, "kernel must be positive");
-        Self {
-            kernel,
-            input: None,
-        }
+        Self { kernel }
     }
 }
 
 impl Layer for MaxPool1d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.infer(x);
-        if train {
-            self.input = Some(x.clone());
-        }
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape().len(), 3, "MaxPool1d expects (N, C, L)");
-        let xd = Dims::new(x.shape());
-        let mut y = Tensor::zeros(self.out_dims(xd).as_slice());
-        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self.input.take().expect("backward without forward(train)");
-        let xd = Dims::new(x.shape());
-        let mut gx = Tensor::zeros(x.shape());
-        self.backward_ws(
-            x.data(),
-            xd,
-            &[],
-            grad_out.data(),
-            gx.data_mut(),
-            (&mut [], &mut []),
-        );
-        gx
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
@@ -83,6 +47,7 @@ impl Layer for MaxPool1d {
     }
 
     fn out_dims(&self, x: Dims) -> Dims {
+        assert_eq!(x.rank(), 3, "MaxPool1d expects (N, C, L)");
         let lo = x.dim(2) / self.kernel;
         assert!(lo > 0, "sequence shorter than pooling kernel");
         Dims::new(&[x.dim(0), x.dim(1), lo])
@@ -130,51 +95,17 @@ impl Layer for MaxPool1d {
 }
 
 /// Global average pooling `(N, C, L) → (N, C)`.
-#[derive(Debug, Clone, Default)]
-pub struct GlobalAvgPool1d {
-    in_dims: Option<Dims>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GlobalAvgPool1d;
 
 impl GlobalAvgPool1d {
     /// New pool.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl Layer for GlobalAvgPool1d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.in_dims = Some(Dims::new(x.shape()));
-        }
-        self.infer(x)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape().len(), 3, "GlobalAvgPool1d expects (N, C, L)");
-        let xd = Dims::new(x.shape());
-        let mut y = Tensor::zeros(self.out_dims(xd).as_slice());
-        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let xd = self
-            .in_dims
-            .take()
-            .expect("backward without forward(train)");
-        let mut gx = Tensor::zeros(xd.as_slice());
-        self.backward_ws(
-            &[],
-            xd,
-            &[],
-            grad_out.data(),
-            gx.data_mut(),
-            (&mut [], &mut []),
-        );
-        gx
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
@@ -184,6 +115,7 @@ impl Layer for GlobalAvgPool1d {
     }
 
     fn out_dims(&self, x: Dims) -> Dims {
+        assert_eq!(x.rank(), 3, "GlobalAvgPool1d expects (N, C, L)");
         Dims::new(&[x.dim(0), x.dim(1)])
     }
 
@@ -223,7 +155,6 @@ impl Layer for GlobalAvgPool1d {
 #[derive(Debug, Clone)]
 pub struct SameMaxPool1d {
     kernel: usize,
-    input: Option<Tensor>,
 }
 
 impl SameMaxPool1d {
@@ -233,10 +164,7 @@ impl SameMaxPool1d {
     /// Panics if `kernel` is even.
     pub fn new(kernel: usize) -> Self {
         assert!(kernel % 2 == 1, "same pooling needs an odd kernel");
-        Self {
-            kernel,
-            input: None,
-        }
+        Self { kernel }
     }
 
     /// The clipped window `[lo, hi)` of output `t` in a row of `l`.
@@ -248,37 +176,6 @@ impl SameMaxPool1d {
 }
 
 impl Layer for SameMaxPool1d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.infer(x);
-        if train {
-            self.input = Some(x.clone());
-        }
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape().len(), 3, "SameMaxPool1d expects (N, C, L)");
-        let xd = Dims::new(x.shape());
-        let mut y = Tensor::zeros(x.shape());
-        self.infer_ws(x.data(), xd, y.data_mut(), &mut []);
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self.input.take().expect("backward without forward(train)");
-        let mut gx = Tensor::zeros(x.shape());
-        let xd = Dims::new(x.shape());
-        self.backward_ws(
-            x.data(),
-            xd,
-            &[],
-            grad_out.data(),
-            gx.data_mut(),
-            (&mut [], &mut []),
-        );
-        gx
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
@@ -288,6 +185,7 @@ impl Layer for SameMaxPool1d {
     }
 
     fn out_dims(&self, x: Dims) -> Dims {
+        assert_eq!(x.rank(), 3, "SameMaxPool1d expects (N, C, L)");
         x
     }
 
@@ -332,62 +230,19 @@ impl Layer for SameMaxPool1d {
 }
 
 /// Mean over the token axis, `(N, T, D) → (N, D)`: each output accumulates
-/// `z[t] / T` in token order (the transformer's pooled readout).
-#[derive(Debug, Clone, Default)]
-pub struct TokenMeanPool {
-    in_shape: Option<Vec<usize>>,
-}
+/// `z[t] / T` in token order from `+0.0` (the transformer's pooled
+/// readout).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TokenMeanPool;
 
 impl TokenMeanPool {
     /// New pool.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl Layer for TokenMeanPool {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.in_shape = Some(x.shape().to_vec());
-        }
-        self.infer(x)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape().len(), 3, "TokenMeanPool expects (N, T, D)");
-        let (n, t, d) = (x.dim(0), x.dim(1), x.dim(2));
-        let mut y = Tensor::zeros(&[n, d]);
-        for ni in 0..n {
-            let xb = x.batch(ni);
-            let y_row = y.row_mut(ni);
-            for ti in 0..t {
-                for di in 0..d {
-                    y_row[di] += xb[ti * d + di] / t as f32;
-                }
-            }
-        }
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let in_shape = self
-            .in_shape
-            .take()
-            .expect("backward without forward(train)");
-        let (n, t, d) = (in_shape[0], in_shape[1], in_shape[2]);
-        let mut gx = Tensor::zeros(&in_shape);
-        for ni in 0..n {
-            let g_row = grad_out.row(ni);
-            let ob = gx.batch_mut(ni);
-            for ti in 0..t {
-                for di in 0..d {
-                    ob[ti * d + di] = g_row[di] / t as f32;
-                }
-            }
-        }
-        gx
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
@@ -397,7 +252,46 @@ impl Layer for TokenMeanPool {
     }
 
     fn out_dims(&self, x: Dims) -> Dims {
+        assert_eq!(x.rank(), 3, "TokenMeanPool expects (N, T, D)");
         Dims::new(&[x.dim(0), x.dim(2)])
+    }
+
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.infer_ws(x, xd, y, ws);
+    }
+
+    /// `gx[t] = g / T` for every token.
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        _x: &[f32],
+        xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        _ws: (&mut [f32], &mut [f32]),
+    ) {
+        let (t, d) = (xd.dim(1), xd.dim(2));
+        for (g_row, ob) in gy.chunks_exact(d).zip(gx.chunks_exact_mut(t * d)) {
+            for o_row in ob.chunks_exact_mut(d) {
+                for (o, &g) in o_row.iter_mut().zip(g_row) {
+                    *o = g / t as f32;
+                }
+            }
+        }
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        let (t, d) = (xd.dim(1), xd.dim(2));
+        y.fill(0.0);
+        for (xb, y_row) in x.chunks_exact(t * d).zip(y.chunks_exact_mut(d)) {
+            for x_row in xb.chunks_exact(d) {
+                for (o, &v) in y_row.iter_mut().zip(x_row) {
+                    *o += v / t as f32;
+                }
+            }
+        }
     }
 }
 
@@ -405,17 +299,19 @@ impl Layer for TokenMeanPool {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::layers::Seq;
+    use crate::tensor::Tensor;
 
     #[test]
     fn same_maxpool_keeps_length_and_clips_edges() {
-        let p = SameMaxPool1d::new(3);
+        let p = Seq::new().then(SameMaxPool1d::new(3));
         let x = Tensor::from_vec(&[1, 1, 5], vec![1., 5., 2., 0., 3.]);
         assert_eq!(p.infer(&x).data(), &[5., 5., 5., 3., 3.]);
     }
 
     #[test]
     fn same_maxpool_gradients() {
-        let mut p = SameMaxPool1d::new(3);
+        let mut p = Seq::new().then(SameMaxPool1d::new(3));
         // Distinct neighbours keep the argmax stable under ±eps.
         let x = Tensor::from_vec(&[2, 2, 5], (0..20).map(|i| (i * 13 % 17) as f32).collect());
         check_layer_gradients(&mut p, &x, 1e-3, 1e-2);
@@ -423,21 +319,21 @@ mod tests {
 
     #[test]
     fn token_mean_pool_averages_tokens() {
-        let p = TokenMeanPool::new();
+        let p = Seq::new().then(TokenMeanPool::new());
         let x = Tensor::from_vec(&[1, 2, 3], vec![1., 2., 3., 3., 4., 5.]);
         assert_eq!(p.infer(&x).data(), &[2., 3., 4.]);
     }
 
     #[test]
     fn token_mean_pool_gradients() {
-        let mut p = TokenMeanPool::new();
+        let mut p = Seq::new().then(TokenMeanPool::new());
         let x = Tensor::from_vec(&[2, 3, 4], (0..24).map(|i| i as f32 * 0.1).collect());
         check_layer_gradients(&mut p, &x, 1e-2, 1e-2);
     }
 
     #[test]
     fn maxpool_picks_maxima() {
-        let mut p = MaxPool1d::new(2);
+        let mut p = Seq::new().then(MaxPool1d::new(2));
         let x = Tensor::from_vec(&[1, 1, 6], vec![1., 3., 2., 2., 5., 4.]);
         let y = p.forward(&x, false);
         assert_eq!(y.data(), &[3., 2., 5.]);
@@ -445,7 +341,7 @@ mod tests {
 
     #[test]
     fn maxpool_floor_division() {
-        let mut p = MaxPool1d::new(4);
+        let mut p = Seq::new().then(MaxPool1d::new(4));
         let x = Tensor::from_vec(&[1, 1, 10], (0..10).map(|i| i as f32).collect());
         let y = p.forward(&x, false);
         assert_eq!(y.shape(), &[1, 1, 2]); // last 2 points dropped
@@ -454,7 +350,7 @@ mod tests {
 
     #[test]
     fn maxpool_gradients() {
-        let mut p = MaxPool1d::new(2);
+        let mut p = Seq::new().then(MaxPool1d::new(2));
         // Distinct values so argmax is stable under ±eps perturbations.
         let x = Tensor::from_vec(&[2, 2, 4], (0..16).map(|i| (i * 13 % 17) as f32).collect());
         check_layer_gradients(&mut p, &x, 1e-3, 1e-2);
@@ -462,7 +358,7 @@ mod tests {
 
     #[test]
     fn gap_averages() {
-        let mut p = GlobalAvgPool1d::new();
+        let mut p = Seq::new().then(GlobalAvgPool1d::new());
         let x = Tensor::from_vec(&[1, 2, 4], vec![1., 2., 3., 4., 10., 10., 10., 10.]);
         let y = p.forward(&x, false);
         assert_eq!(y.data(), &[2.5, 10.0]);
@@ -470,7 +366,7 @@ mod tests {
 
     #[test]
     fn gap_gradients() {
-        let mut p = GlobalAvgPool1d::new();
+        let mut p = Seq::new().then(GlobalAvgPool1d::new());
         let x = Tensor::from_vec(&[2, 3, 4], (0..24).map(|i| i as f32 * 0.1).collect());
         check_layer_gradients(&mut p, &x, 1e-2, 1e-2);
     }

@@ -1,7 +1,6 @@
 //! Shape-only layers: axis transposition and reshaping.
 
 use crate::param::{Layer, Param};
-use crate::tensor::Tensor;
 use crate::workspace::Dims;
 
 /// Swaps the last two axes of a rank-3 tensor, `(N, C, L) ↔ (N, L, C)` —
@@ -17,36 +16,19 @@ impl Transpose {
     }
 }
 
-/// `(N, A, B) → (N, B, A)`.
-fn transpose(x: &Tensor) -> Tensor {
-    assert_eq!(x.shape().len(), 3, "Transpose expects a rank-3 tensor");
-    let (n, c, l) = (x.dim(0), x.dim(1), x.dim(2));
-    let mut out = Tensor::zeros(&[n, l, c]);
-    for ni in 0..n {
-        let xb = x.batch(ni);
-        let ob = out.batch_mut(ni);
-        for ci in 0..c {
-            for t in 0..l {
-                ob[t * c + ci] = xb[ci * l + t];
+/// `(N, A, B) → (N, B, A)`: `dst[b·A + a] = src[a·B + b]` per batch
+/// element.
+fn transpose_into(src: &[f32], (a, b): (usize, usize), dst: &mut [f32]) {
+    for (sb, db) in src.chunks_exact(a * b).zip(dst.chunks_exact_mut(a * b)) {
+        for ai in 0..a {
+            for bi in 0..b {
+                db[bi * a + ai] = sb[ai * b + bi];
             }
         }
     }
-    out
 }
 
 impl Layer for Transpose {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        transpose(x)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        transpose(x)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        transpose(grad_out)
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
@@ -56,18 +38,40 @@ impl Layer for Transpose {
     }
 
     fn out_dims(&self, x: Dims) -> Dims {
+        assert_eq!(x.rank(), 3, "Transpose expects a rank-3 tensor");
         Dims::new(&[x.dim(0), x.dim(2), x.dim(1)])
+    }
+
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.infer_ws(x, xd, y, ws);
+    }
+
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        _x: &[f32],
+        xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        _ws: (&mut [f32], &mut [f32]),
+    ) {
+        transpose_into(gy, (xd.dim(2), xd.dim(1)), gx);
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        transpose_into(x, (xd.dim(1), xd.dim(2)), y);
     }
 }
 
 /// Reshapes to `(M, tail…)`, where the leading `M` absorbs whatever the
 /// tail does not cover: `[C·L]` flattens `(N, C, L)` to `(N, C·L)`, `[D]`
 /// folds `(N, T, D)` token rows into `(N·T, D)` and `[T, D]` unfolds them.
-/// Backward restores the input shape.
+/// Forward copies the input, backward the gradient.
 #[derive(Debug, Clone)]
 pub struct Reshape {
     tail: Vec<usize>,
-    in_shape: Option<Vec<usize>>,
 }
 
 impl Reshape {
@@ -75,34 +79,11 @@ impl Reshape {
     pub fn new(tail: &[usize]) -> Self {
         Self {
             tail: tail.to_vec(),
-            in_shape: None,
         }
     }
 }
 
 impl Layer for Reshape {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.in_shape = Some(x.shape().to_vec());
-        }
-        self.infer(x)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let row: usize = self.tail.iter().product();
-        let mut shape = vec![x.numel() / row];
-        shape.extend_from_slice(&self.tail);
-        x.clone().reshape(&shape)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let in_shape = self
-            .in_shape
-            .take()
-            .expect("backward without forward(train)");
-        grad_out.clone().reshape(&in_shape)
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
@@ -117,41 +98,66 @@ impl Layer for Reshape {
         shape[1..=self.tail.len()].copy_from_slice(&self.tail);
         Dims::new(&shape[..=self.tail.len()])
     }
+
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]) {
+        self.infer_ws(x, xd, y, ws);
+    }
+
+    // kdprof: hot
+    fn backward_ws(
+        &mut self,
+        _x: &[f32],
+        _xd: Dims,
+        _y: &[f32],
+        gy: &[f32],
+        gx: &mut [f32],
+        _ws: (&mut [f32], &mut [f32]),
+    ) {
+        gx.copy_from_slice(gy);
+    }
+
+    // kdprof: hot
+    fn infer_ws(&self, x: &[f32], _xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
+        y.copy_from_slice(x);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
+    use crate::layers::Seq;
+    use crate::tensor::Tensor;
 
     #[test]
     fn transpose_roundtrip() {
         let x = Tensor::from_vec(&[2, 3, 4], (0..24).map(|i| i as f32).collect());
-        let t = transpose(&x);
+        let t = Seq::new().then(Transpose::new()).infer(&x);
         assert_eq!(t.shape(), &[2, 4, 3]);
         assert_eq!(t.batch(0)[..3], [0., 4., 8.]);
-        assert_eq!(transpose(&t), x);
+        assert_eq!(Seq::new().then(Transpose::new()).infer(&t), x);
     }
 
     #[test]
     fn transpose_gradients() {
         let x = Tensor::from_vec(&[2, 3, 4], (0..24).map(|i| i as f32 * 0.1).collect());
-        check_layer_gradients(&mut Transpose::new(), &x, 1e-2, 1e-2);
+        check_layer_gradients(&mut Seq::new().then(Transpose::new()), &x, 1e-2, 1e-2);
     }
 
     #[test]
     fn reshape_folds_and_unfolds_tokens() {
+        let reshape = |tail: &[usize], x: &Tensor| Seq::new().then(Reshape::new(tail)).infer(x);
         let x = Tensor::from_vec(&[2, 3, 4], (0..24).map(|i| i as f32).collect());
-        let rows = Reshape::new(&[4]).infer(&x);
+        let rows = reshape(&[4], &x);
         assert_eq!(rows.shape(), &[6, 4]);
-        let back = Reshape::new(&[3, 4]).infer(&rows);
+        let back = reshape(&[3, 4], &rows);
         assert_eq!(back, x);
-        assert_eq!(Reshape::new(&[12]).infer(&x).shape(), &[2, 12]);
+        assert_eq!(reshape(&[12], &x).shape(), &[2, 12]);
     }
 
     #[test]
     fn reshape_gradients() {
         let x = Tensor::from_vec(&[2, 3, 4], (0..24).map(|i| i as f32 * 0.1).collect());
-        check_layer_gradients(&mut Reshape::new(&[12]), &x, 1e-2, 1e-2);
+        check_layer_gradients(&mut Seq::new().then(Reshape::new(&[12])), &x, 1e-2, 1e-2);
     }
 }

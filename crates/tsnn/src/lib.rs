@@ -4,10 +4,9 @@
 //! what the paper's selector architectures and NN-based detectors need:
 //!
 //! * [`Tensor`] — a dense row-major `f32` tensor (rank ≤ 3 in practice).
-//! * [`layers`] — conv1d, linear, batch/layer norm, pooling, dropout,
-//!   activations, multi-head self-attention, an LSTM cell and shape-only
-//!   leaves (transpose, reshape, positional embedding), each with
-//!   hand-written backward passes that cache what they need from the forward
+//! * [`layers`] — conv1d, linear, batch/layer norm, pooling, activations,
+//!   multi-head self-attention, an LSTM and shape-only leaves (transpose,
+//!   reshape, positional embedding), each with a hand-written backward
 //!   pass, plus the graph combinators `Seq`, `Residual` and `Concat` that
 //!   every network is declared with.
 //! * [`loss`] — hard cross-entropy, soft-label cross-entropy (PISL), InfoNCE
@@ -21,10 +20,17 @@
 //!   behind the GEMM micro-kernel and the other measured hot loops: one
 //!   code path each, whose bits do not depend on the target ISA.
 //!
-//! Design notes: layers are stateful (`forward` caches, `backward` consumes)
-//! and models are static trees of combinators — there is no taped autograd.
-//! That keeps the substrate small, fully deterministic, and easy to verify
-//! layer by layer.
+//! Design notes: every layer speaks one protocol, [`layers::Layer`]'s
+//! workspace methods. A forward pass writes into a caller-owned output
+//! slot and leaves its tape (whatever backward reads) in a caller-owned
+//! [`Workspace`] slice; backward reads that tape back. Layers hold their
+//! parameters and running statistics (the LSTM also its own training
+//! buffer), so a graph sized once for a shape trains and serves without
+//! allocating. [`layers::Seq`] is the one
+//! tensor front (`forward`/`backward`/`infer` on [`Tensor`]s). Models are
+//! static trees of combinators — there is no taped autograd. That keeps
+//! the substrate small, fully deterministic, and easy to verify layer by
+//! layer.
 
 pub mod gemm;
 pub mod gradcheck;

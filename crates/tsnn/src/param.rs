@@ -30,46 +30,25 @@ impl Param {
     }
 }
 
-/// The layer protocol: stateful forward (caches activations), backward
-/// (consumes the cache, accumulates parameter gradients, returns the input
-/// gradient), an immutable inference path, and parameter access for the
-/// optimizer and for persistence.
+/// The layer protocol: training forward, backward and inference on
+/// caller-owned memory, plus parameter access for the optimizer and for
+/// persistence.
 ///
-/// `train` distinguishes training from inference for layers with different
-/// behaviours (dropout, batch-norm running statistics).
-///
-/// [`Layer::infer`] is the shared-state entry point: it computes exactly
-/// what `forward(x, false)` computes (bit-identically) but takes `&self`,
-/// so a trained layer can serve concurrent batches from many threads
-/// without cloning or locking.
-///
-/// # The workspace protocol
-///
-/// The `*_ws` methods run the same arithmetic on caller-owned memory (see
-/// [`crate::workspace`]): the caller passes the input, an output slot of
+/// The caller passes the input `x` of shape `xd`, an output slot of
 /// [`Layer::out_dims`] elements and a workspace slice of
-/// [`Layer::ws_len`] floats, and the layer allocates nothing. In training
-/// the caller keeps `x`, `y` and `ws` untouched between
-/// [`Layer::forward_ws`] and [`Layer::backward_ws`] and hands them back,
-/// so a layer reads its input from that tape instead of cloning it. The
-/// defaults bridge to the tensor methods (allocating, with the cache held
-/// by the layer), so a layer only implements the protocol where the
-/// allocations matter; every path computes the same bits.
+/// [`Layer::ws_len`] floats, and the layer allocates nothing (see
+/// [`crate::workspace`]). In training the caller keeps `x`, `y` and `ws`
+/// untouched between [`Layer::forward_ws`] and [`Layer::backward_ws`] and
+/// hands them back, so a layer reads its input and whatever else it taped
+/// from there instead of caching it. [`Layer::infer_ws`] is the inference
+/// pass: it takes `&self` — no tape, no running-statistic updates — so a
+/// trained layer serves concurrent batches from many threads without
+/// cloning or locking.
+///
+/// A layer graph ([`crate::layers::Seq`]) is the one tensor front: its
+/// inherent `forward`/`backward`/`infer` take and return [`Tensor`]s and
+/// drive this protocol on the graph's own workspace.
 pub trait Layer {
-    /// Forward pass. Caches whatever `backward` will need when `train` is
-    /// true.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
-
-    /// Inference pass: identical output to `forward(x, false)`, but `&self`
-    /// — no activation caches, no running-statistic updates, safe to call
-    /// from many threads at once.
-    fn infer(&self, x: &Tensor) -> Tensor;
-
-    /// Backward pass: given ∂loss/∂output, accumulates parameter gradients
-    /// and returns ∂loss/∂input. Must be called after a `forward` with
-    /// `train = true`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
     /// Mutable access to all trainable parameters (possibly empty).
     fn params_mut(&mut self) -> Vec<&mut Param>;
 
@@ -122,10 +101,7 @@ pub trait Layer {
     }
 
     /// Training forward into `y`; `ws` becomes this call's tape.
-    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
-        let out = self.forward(&Tensor::from_vec(xd.as_slice(), x.to_vec()), true);
-        y.copy_from_slice(out.data());
-    }
+    fn forward_ws(&mut self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]);
 
     /// Backward of the last [`Layer::forward_ws`]: `x`, `y` and the first
     /// of `ws` are that call's input, output and tape, `gy` is ∂loss/∂y;
@@ -134,23 +110,18 @@ pub trait Layer {
     /// only for this call (siblings in a graph share it).
     fn backward_ws(
         &mut self,
-        _x: &[f32],
+        x: &[f32],
         xd: Dims,
-        _y: &[f32],
+        y: &[f32],
         gy: &[f32],
         gx: &mut [f32],
-        _ws: (&mut [f32], &mut [f32]),
-    ) {
-        let yd = self.out_dims(xd);
-        let g = self.backward(&Tensor::from_vec(yd.as_slice(), gy.to_vec()));
-        gx.copy_from_slice(g.data());
-    }
+        ws: (&mut [f32], &mut [f32]),
+    );
 
-    /// Inference into `y`, bitwise [`Layer::infer`].
-    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], _ws: &mut [f32]) {
-        let out = self.infer(&Tensor::from_vec(xd.as_slice(), x.to_vec()));
-        y.copy_from_slice(out.data());
-    }
+    /// Inference into `y` on `ws` scratch. Bitwise the output of
+    /// [`Layer::forward_ws`], except where the layer keeps running
+    /// statistics (batch norm normalises with those instead).
+    fn infer_ws(&self, x: &[f32], xd: Dims, y: &mut [f32], ws: &mut [f32]);
 
     /// Whether the layer is elementwise and runs in place on its input
     /// slot ([`Layer::forward_in_place`], [`Layer::infer_in_place`]); its
@@ -173,13 +144,6 @@ pub trait Layer {
     /// must then not overwrite that slot between forward and backward.
     fn reads_output(&self) -> bool {
         self.in_place()
-    }
-}
-
-/// Zeroes the gradients of a parameter list.
-pub fn zero_grads(params: &mut [&mut Param]) {
-    for p in params.iter_mut() {
-        p.zero_grad();
     }
 }
 

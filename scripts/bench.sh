@@ -15,12 +15,7 @@
 # Usage:
 #   scripts/bench.sh                 # bench at the default thread count
 #   KD_THREADS=1 scripts/bench.sh    # pin the worker count
-#   scripts/bench.sh --criterion     # also run the full criterion micro bench
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo run --release -p kdselector-bench --bin micro_kernels
-
-if [[ "${1:-}" == "--criterion" ]]; then
-    cargo bench -p kdselector-bench --bench micro
-fi

@@ -5,7 +5,8 @@
 //! shapes. The `Lstm` layer keeps its tape, gradients and scratch in a
 //! workspace sized on the first call and the `Seq` carves the rest from
 //! its own, so what remains is the fixed set of returned tensors, the
-//! same number at every batch size and sequence length.
+//! same number at every batch size and sequence length; the layer's own
+//! workspace passes allocate nothing at all.
 //!
 //! Lives in its own integration binary because the allocator is
 //! process-global.
@@ -13,7 +14,7 @@
 use kdselector::nn::layers::{Layer, Linear, Lstm, Seq};
 use kdselector::nn::loss::mse;
 use kdselector::nn::optim::Adam;
-use kdselector::nn::Tensor;
+use kdselector::nn::{Dims, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -77,9 +78,9 @@ fn allocations_in(f: impl FnOnce()) -> usize {
     ALLOCS.with(Cell::get) - before
 }
 
-/// Allocations of one `Lstm` call: each returns one tensor, whose shape and
-/// data are one buffer each.
-const LSTM_CALL: usize = 2;
+/// Allocations of one `Lstm` workspace call once its training buffer has
+/// grown: output, input gradient and scratch are the caller's.
+const LSTM_CALL: usize = 0;
 /// Allocations of one LSTM-AD training step, none of them working memory
 /// (the LSTM's tape is its own workspace, the head's activations and
 /// weight gradient live on the `Seq`'s, and zeroing, clipping and Adam
@@ -142,24 +143,25 @@ fn lstm_ad_steps_allocate_a_constant() {
 #[test]
 fn lstm_layer_allocates_only_its_results() {
     let mut lstm = Lstm::new(3, 17, &mut StdRng::seed_from_u64(3));
-    let warm = Tensor::zeros(&[40, 24, 3]);
-    lstm.forward(&warm, true);
-    lstm.backward(&Tensor::zeros(&[40, 17]));
+    // Caller-owned buffers at the largest shape; the layer's training
+    // buffer grows on the warm-up forward.
+    let warm = Dims::new(&[40, 24, 3]);
+    let (mut y, mut gx) = (vec![0.0; 40 * 17], vec![0.0; warm.numel()]);
+    let mut scratch = vec![0.0; lstm.ws_len(warm, false)];
+    let x = vec![0.0; warm.numel()];
+    lstm.forward_ws(&x, warm, &mut y, &mut []);
+    lstm.backward_ws(&x, warm, &y, &y, &mut gx, (&mut [], &mut []));
     for (n, t) in [(40, 24), (16, 24), (33, 2), (1, 1)] {
-        let x = Tensor::zeros(&[n, t, 3]);
-        let g = Tensor::zeros(&[n, 17]);
-        let forward = allocations_in(|| {
-            lstm.forward(&x, true);
-        });
-        let backward = allocations_in(|| {
-            lstm.backward(&g);
-        });
-        let inference = allocations_in(|| {
-            lstm.forward(&x, false);
-        });
+        let xd = Dims::new(&[n, t, 3]);
+        let (x, y) = (&x[..xd.numel()], &mut y[..n * 17]);
+        let g = vec![0.0; n * 17];
+        let gx = &mut gx[..xd.numel()];
+        let forward = allocations_in(|| lstm.forward_ws(x, xd, y, &mut []));
+        let backward = allocations_in(|| lstm.backward_ws(x, xd, y, &g, gx, (&mut [], &mut [])));
+        let inference = allocations_in(|| lstm.infer_ws(x, xd, y, &mut scratch));
         let at = format!("(n={n}, t={t})");
-        assert_eq!(forward, LSTM_CALL, "forward(train) {at}");
-        assert_eq!(backward, LSTM_CALL, "backward {at}");
-        assert_eq!(inference, LSTM_CALL, "forward(infer) {at}");
+        assert_eq!(forward, LSTM_CALL, "forward_ws {at}");
+        assert_eq!(backward, LSTM_CALL, "backward_ws {at}");
+        assert_eq!(inference, LSTM_CALL, "infer_ws {at}");
     }
 }

@@ -1,8 +1,9 @@
 //! Allocation counts of one KDSelector training step on the served ResNet
-//! (PISL + MKI), counted rather than asserted: a counting global allocator
-//! tallies the allocations the calling thread makes. After a first step
-//! sizes the training workspace, the encoder and classifier passes, the
-//! gradient clip and the Adam step allocate nothing, at two batch sizes;
+//! and on every other encoder architecture (PISL + MKI), counted rather
+//! than asserted: a counting global allocator tallies the allocations the
+//! calling thread makes. After a first step sizes the training workspace,
+//! the encoder and classifier passes, the gradient clip and the Adam step
+//! allocate nothing, at two batch sizes;
 //! the whole step's count is pinned with every remaining allocation named
 //! (all of them belong to the objective's loss terms). The step is the one
 //! `TrainSession` runs, assembled here from the public parts so each part
@@ -259,23 +260,25 @@ fn resnet_steps_allocate_only_in_the_objective() {
     tspar::set_parallelism(Parallelism::Fixed(1));
     let ds = dataset();
     assert!(ds.len() >= 64, "need a full batch, got {}", ds.len());
-    let cfg = TrainConfig {
-        width: 8,
-        ..TrainConfig::kdselector(Architecture::ResNet)
-    };
-    let mut trainer = Trainer::new(&cfg, &ds);
     let batch: Vec<usize> = (0..64).map(|i| (i * 7) % ds.len()).collect();
     let weights = vec![1.0f32; 64];
-    // The first step sizes the workspace and the optimizer moments.
-    trainer.step(&ds, &batch, &weights);
-    for b in [64, 17, 64, 17] {
-        let got = trainer.step(&ds, &batch[..b], &weights[..b]);
-        let want = StepAllocs {
-            forward: 0,
-            objective: OBJECTIVE,
-            backward: 0,
-            clip_and_adam: 0,
+    for arch in Architecture::ALL {
+        let cfg = TrainConfig {
+            width: 8,
+            ..TrainConfig::kdselector(arch)
         };
-        assert_eq!(got, want, "step at batch {b}");
+        let mut trainer = Trainer::new(&cfg, &ds);
+        // The first step sizes the workspace and the optimizer moments.
+        trainer.step(&ds, &batch, &weights);
+        for b in [64, 17, 64, 17] {
+            let got = trainer.step(&ds, &batch[..b], &weights[..b]);
+            let want = StepAllocs {
+                forward: 0,
+                objective: OBJECTIVE,
+                backward: 0,
+                clip_and_adam: 0,
+            };
+            assert_eq!(got, want, "{} step at batch {b}", arch.name());
+        }
     }
 }

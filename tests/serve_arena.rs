@@ -233,17 +233,25 @@ fn arena_pooling_is_invisible_and_allocation_free_after_warmup() {
     );
 
     // ---- A warm scoring call allocates only what it returns. ------------
-    // The served ResNet, warmed at the largest chunk, then scored at
-    // full, partial and single-row chunks and across a chunk boundary.
-    let served = TrainedSelector::build(Architecture::ResNet, 64, 8, 61);
+    // The served ResNet and the transformer, each warmed at the largest
+    // chunk, then scored at full, partial and single-row chunks and across
+    // a chunk boundary.
     let windows: Vec<Vec<f32>> = (0..300)
         .map(|i| (0..64).map(|t| ((i * 7 + t) as f32 * 0.13).sin()).collect())
         .collect();
     let rows: Vec<&[f32]> = windows.iter().map(Vec::as_slice).collect();
-    served.predict_logits_rows(&rows);
-    for n in [64, 17, 1, 300] {
-        let (got, scores) = allocations_in(|| served.predict_logits_rows(&rows[..n]));
-        assert_eq!(scores.len(), n);
-        assert_eq!(got, 1 + n, "{n} rows: the list plus one allocation per row");
+    for arch in [Architecture::ResNet, Architecture::Transformer] {
+        let served = TrainedSelector::build(arch, 64, 8, 61);
+        served.predict_logits_rows(&rows);
+        for n in [64, 17, 1, 300] {
+            let (got, scores) = allocations_in(|| served.predict_logits_rows(&rows[..n]));
+            assert_eq!(scores.len(), n);
+            assert_eq!(
+                got,
+                1 + n,
+                "{}, {n} rows: the list plus one allocation per row",
+                arch.name()
+            );
+        }
     }
 }
