@@ -3,8 +3,9 @@
 //! serving-throughput record (selections/sec through the batched
 //! `SelectorEngine` at a fixed 64-series batch) and a training record (the
 //! e2e configuration's windows/sec at 1 and 2 worker threads with the
-//! bitwise cross-thread-count guard asserted, forward and backward ms per
-//! step and allocations per step) and
+//! bitwise cross-thread-count guard asserted, the session step's
+//! forward/objective/backward/update ms from its spans, and the
+//! allocations of a warm epoch) and
 //! a streaming-loop record (windows/sec through incremental ingestion with
 //! cache publishing, plus the daemon's drift → retrain → deploy latency)
 //! and a `Conv1d` record (inference and backward cost at the served
@@ -938,27 +939,33 @@ fn allocations() -> usize {
 }
 
 /// Training cost of the e2e configuration (the `learn` workload's full
-/// KDSelector: ResNet width 8, batch 64, PISL + MKI + PA, one replica)
-/// over a synthetic-label dataset (no detector runs), at 1 and
-/// `THREADS_HI` worker threads:
+/// KDSelector: ResNet width 8, batch 64, PISL + MKI + PA) over a
+/// synthetic-label dataset (no detector runs), at 1 and `THREADS_HI`
+/// worker threads, all of it measured on `TrainSession`'s own step:
 ///
-/// * windows/sec through `TrainSession` (median of `ROUNDS` runs), with
-///   the final weights asserted bitwise equal across the thread counts;
+/// * windows/sec through `TrainSession` (median of `ROUNDS` runs, with the
+///   runs' quartiles), the final weights asserted bitwise equal across the
+///   thread counts;
 /// * one step split into its parts — encoder + classifier forward, the
-///   objective, encoder + classifier backward, and clip + Adam, in ms per
-///   step, on a step assembled from the same public parts the session
-///   uses — and the calling thread's allocations per
-///   step, whole and in the encoder, classifier, clip and Adam part (0
-///   once the workspace has grown).
+///   objective, encoder + classifier backward, and clip + Adam — read from
+///   the session's `kdprof` spans as ms per step (median over the rounds
+///   of each round's mean, with quartiles);
+/// * the calling thread's allocations over one warm epoch of a session,
+///   its step count, the allocations of one `Objective::accumulate` call,
+///   and the epoch's allocations outside the objective (the total less
+///   one objective per step: the epoch's pruning plan at 1 thread, plus
+///   the pool's per-region bookkeeping at `THREADS_HI`).
 fn train_benchmark() -> serde_json::Value {
     use kdselector_core::train::{BatchContext, Objective};
-    use tsnn::layers::{Layer, Linear};
-    use tsnn::optim::{clip_grad_norm_with, Adam};
-    use tsnn::{Dims, Workspace};
 
     const THREADS_HI: usize = 2;
     const ROUNDS: usize = 5;
-    const STEPS: usize = 40;
+    const PHASES: [kdprof::Phase; 4] = [
+        kdprof::Phase::Forward,
+        kdprof::Phase::Objective,
+        kdprof::Phase::Backward,
+        kdprof::Phase::Update,
+    ];
 
     // Synthetic perf rows: selector-learning signal without detector cost.
     let mut bcfg = BenchmarkConfig::tiny();
@@ -990,19 +997,37 @@ fn train_benchmark() -> serde_json::Value {
         seed: 7,
         ..TrainConfig::kdselector(Architecture::ResNet)
     };
+    // (q1, median, q3) of a handful of samples.
+    let quartiles = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        [v[n / 4], v[n / 2], v[(3 * n) / 4]]
+    };
 
+    // `ROUNDS` fresh sessions trained to completion: seconds per run and
+    // the mean ms per step of each phase, as quartiles over the rounds.
     let run = |threads: usize| {
         tspar::set_parallelism(tspar::Parallelism::Fixed(threads));
         // Warm-up (spawns pool workers, faults in the dataset).
         let mut warm = TrainSession::new(&dataset, &cfg);
         warm.run_epoch(&dataset);
         let mut samples = Vec::with_capacity(ROUNDS);
+        let mut phase_ms: [Vec<f64>; 4] = Default::default();
         let mut weights = None;
         for _ in 0..ROUNDS {
             let mut session = TrainSession::new(&dataset, &cfg);
+            kdprof::reset();
             let t = Instant::now();
             session.run_to_completion(&dataset);
             samples.push(t.elapsed().as_secs_f64());
+            let stats = kdprof::phase_stats();
+            for (ms, phase) in phase_ms.iter_mut().zip(PHASES) {
+                let s = stats
+                    .iter()
+                    .find(|s| s.name == phase.name())
+                    .expect("every phase reports");
+                ms.push(s.nanos as f64 / 1e6 / s.calls.max(1) as f64);
+            }
             let visited: usize = session.stats().epoch_examined.iter().sum();
             let (model, _) = session.finish();
             let snapshot = tsnn::serialize::save_params(&model.params());
@@ -1014,172 +1039,113 @@ fn train_benchmark() -> serde_json::Value {
                 ),
             }
         }
-        samples.sort_by(f64::total_cmp);
-        let seconds = samples[samples.len() / 2];
         let (weights, visited) = weights.expect("at least one round");
-        (visited as f64 / seconds, seconds, weights)
+        let seconds = quartiles(samples);
+        (
+            visited as f64 / seconds[1],
+            seconds,
+            phase_ms.map(quartiles),
+            weights,
+        )
     };
 
-    // One step, split: (forward ms, backward ms, allocations of the whole
-    // step, allocations outside the objective), medians over `STEPS`
-    // steps after a warm-up step.
-    let steps = |threads: usize| {
+    // Allocations of one warm epoch of the session (its second: the
+    // first sizes the workspace and optimizer moments) and of one
+    // `Objective::accumulate` call at the full batch.
+    let allocs = |threads: usize| {
         tspar::set_parallelism(tspar::Parallelism::Fixed(threads));
+        let mut session = TrainSession::new(&dataset, &cfg);
+        session.run_epoch(&dataset);
+        let a0 = allocations();
+        let report = session.run_epoch(&dataset);
+        let epoch = allocations() - a0;
+        let steps = report.examined.div_ceil(cfg.batch_size);
+
         let dim = cfg.arch.feature_dim(cfg.width);
-        let mut enc = cfg.arch.build(64, cfg.width, cfg.seed);
-        let mut head = Linear::new(
-            dim,
-            12,
-            &mut rand::SeedableRng::seed_from_u64(cfg.seed ^ 0xC1A5),
-        );
         let mut objective = Objective::from_config(&cfg, &dataset, dim);
-        let mut opt = Adam::new(cfg.lr, cfg.weight_decay);
-        let mut ws = Workspace::new();
-        let (mut x, mut features, mut logits, mut g_z) = (
-            Vec::new(),
-            Tensor::zeros(&[0]),
-            Tensor::zeros(&[0]),
-            Tensor::zeros(&[0]),
-        );
-        let mut fwd = Vec::with_capacity(STEPS);
-        let mut bwd = Vec::with_capacity(STEPS);
-        let mut obj = Vec::with_capacity(STEPS);
-        let mut upd = Vec::with_capacity(STEPS);
-        let mut whole = 0;
-        let mut outside = 0;
-        for step in 0..=STEPS {
-            let indices: Vec<usize> = (0..64).map(|i| (step * 64 + i) % dataset.len()).collect();
-            let weights = vec![1.0f32; 64];
-            let targets: Vec<usize> = indices.iter().map(|&i| dataset.hard_labels[i]).collect();
-            let a0 = allocations();
-            x.clear();
-            for &i in &indices {
-                x.extend_from_slice(&dataset.windows[i]);
-            }
-            let mut walk = |f: &mut dyn FnMut(&mut tsnn::Param)| {
-                enc.for_each_param_mut(f);
-                head.for_each_param_mut(f);
-                objective.for_each_param_mut(f);
-            };
-            walk(&mut |p| p.zero_grad());
-            let xd = Dims::new(&[64, 1, 64]);
-            let zd = enc.out_dims(xd);
-            let (et, ht) = (enc.ws_len(xd, true), head.ws_len(zd, true));
-            let sl = enc.grad_len(xd).max(head.grad_len(zd));
-            let buf = ws.get(et + ht + sl + xd.numel());
-            let (ew, rest) = buf.split_at_mut(et);
-            let (hw, rest) = rest.split_at_mut(ht);
-            let (scratch, gx) = rest.split_at_mut(sl);
-            features.set_shape(zd.as_slice());
-            logits.set_shape(head.out_dims(zd).as_slice());
-            let t = Instant::now();
-            enc.forward_ws(&x, xd, features.data_mut(), ew);
-            head.forward_ws(features.data(), zd, logits.data_mut(), hw);
-            let t_fwd = t.elapsed().as_secs_f64() * 1e3;
-            let a1 = allocations();
-            let t = Instant::now();
-            let out = objective.accumulate(&BatchContext {
-                dataset: &dataset,
-                indices: &indices,
-                weights: &weights,
-                targets: &targets,
-                features: &features,
-                logits: &logits,
-            });
-            let t_obj = t.elapsed().as_secs_f64() * 1e3;
-            let a2 = allocations();
-            g_z.set_shape(zd.as_slice());
-            let t = Instant::now();
-            head.backward_ws(
-                features.data(),
-                zd,
-                logits.data(),
-                out.grad_logits.data(),
-                g_z.data_mut(),
-                (hw, &mut *scratch),
-            );
-            if let Some(g) = &out.grad_features {
-                g_z.add_assign(g);
-            }
-            enc.backward_ws(&x, xd, features.data(), g_z.data(), gx, (ew, scratch));
-            let t_bwd = t.elapsed().as_secs_f64() * 1e3;
-            drop(out);
-            let a3 = allocations();
-            let mut walk = |f: &mut dyn FnMut(&mut tsnn::Param)| {
-                enc.for_each_param_mut(f);
-                head.for_each_param_mut(f);
-                objective.for_each_param_mut(f);
-            };
-            let t = Instant::now();
-            clip_grad_norm_with(&mut walk, cfg.grad_clip);
-            opt.step_with(walk);
-            let t_upd = t.elapsed().as_secs_f64() * 1e3;
-            let a4 = allocations();
-            if step > 0 {
-                fwd.push(t_fwd);
-                bwd.push(t_bwd);
-                obj.push(t_obj);
-                upd.push(t_upd);
-                whole = a4 - a0;
-                outside = (a1 - a0) + (a3 - a2) + (a4 - a3);
-            }
-        }
-        let median = |mut v: Vec<f64>| {
-            v.sort_by(f64::total_cmp);
-            v[STEPS / 2]
+        let indices: Vec<usize> = (0..64).collect();
+        let weights = vec![1.0f32; 64];
+        let targets: Vec<usize> = indices.iter().map(|&i| dataset.hard_labels[i]).collect();
+        let features = filled(&[64, dim], 3);
+        let logits = filled(&[64, 12], 4);
+        let ctx = BatchContext {
+            dataset: &dataset,
+            indices: &indices,
+            weights: &weights,
+            targets: &targets,
+            features: &features,
+            logits: &logits,
         };
-        let ms = [median(fwd), median(obj), median(bwd), median(upd)];
-        (ms, whole, outside)
+        objective.accumulate(&ctx); // sizes the terms' scratch
+        let a0 = allocations();
+        drop(objective.accumulate(&ctx));
+        let per_objective = allocations() - a0;
+        (steps, epoch, per_objective)
     };
 
-    let (wps_1, secs_1, weights_1) = run(1);
-    let (wps_n, secs_n, weights_n) = run(THREADS_HI);
-    let ([fwd_1, obj_1, bwd_1, upd_1], allocs_1, outside_1) = steps(1);
-    let ([fwd_n, obj_n, bwd_n, upd_n], allocs_n, outside_n) = steps(THREADS_HI);
+    let (wps_1, secs_1, ms_1, weights_1) = run(1);
+    let (wps_n, secs_n, ms_n, weights_n) = run(THREADS_HI);
+    let (steps, epoch_1, obj_1) = allocs(1);
+    let (_, epoch_n, obj_n) = allocs(THREADS_HI);
     tspar::set_parallelism(tspar::Parallelism::Auto);
     assert_eq!(
         weights_1, weights_n,
         "training diverged across thread counts"
     );
+    let outside_1 = epoch_1 as i64 - (steps * obj_1) as i64;
+    let outside_n = epoch_n as i64 - (steps * obj_n) as i64;
 
     let speedup = wps_n / wps_1;
+    let split = |ms: &[[f64; 3]; 4]| ms.map(|q| format!("{:.2}", q[1])).join("/");
     println!(
         "train throughput:   {wps_1:.0} windows/sec at 1 thread, {wps_n:.0} at {THREADS_HI} \
          ({speedup:.2}x, ResNet w{} PISL+MKI+PA, {} windows x {} epochs, bitwise-equal weights); \
-         step fwd/objective/bwd/update {fwd_1:.2}/{obj_1:.2}/{bwd_1:.2}/{upd_1:.2} ms at 1 \
-         thread, {fwd_n:.2}/{obj_n:.2}/{bwd_n:.2}/{upd_n:.2} ms at {THREADS_HI}; \
-         {allocs_1} allocations per step, {outside_1} outside the objective",
+         step fwd/objective/bwd/update {} ms at 1 thread, {} ms at {THREADS_HI}; \
+         warm epoch of {steps} steps: {epoch_1} allocations, {obj_1} per objective, \
+         {outside_1} outside the objective",
         cfg.width,
         dataset.len(),
         cfg.epochs,
+        split(&ms_1),
+        split(&ms_n),
     );
-    serde_json::json!({
+    let mut record = serde_json::json!({
         "windows": dataset.len(),
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
-        "replicas": cfg.replicas,
         "arch": "ResNet",
         "width": cfg.width,
         "objective": "PISL+MKI+PA",
         "threads_hi": THREADS_HI,
-        "seconds_t1": secs_1,
-        "seconds_tn": secs_n,
+        "rounds": ROUNDS,
+        "seconds_t1": secs_1[1],
+        "seconds_t1_q1": secs_1[0],
+        "seconds_t1_q3": secs_1[2],
+        "seconds_tn": secs_n[1],
+        "seconds_tn_q1": secs_n[0],
+        "seconds_tn_q3": secs_n[2],
         "windows_per_sec_t1": wps_1,
         "windows_per_sec_tn": wps_n,
         "speedup": speedup,
-        "step_forward_ms_t1": fwd_1,
-        "step_backward_ms_t1": bwd_1,
-        "step_forward_ms_tn": fwd_n,
-        "step_backward_ms_tn": bwd_n,
-        "step_objective_ms_t1": obj_1,
-        "step_objective_ms_tn": obj_n,
-        "step_update_ms_t1": upd_1,
-        "step_update_ms_tn": upd_n,
-        "step_allocations_t1": allocs_1,
-        "step_allocations_tn": allocs_n,
-        "step_allocations_outside_objective_t1": outside_1,
-        "step_allocations_outside_objective_tn": outside_n,
-    })
+        "epoch_steps": steps,
+        "epoch_allocations_t1": epoch_1,
+        "epoch_allocations_tn": epoch_n,
+        "objective_allocations_t1": obj_1,
+        "objective_allocations_tn": obj_n,
+        "epoch_allocations_outside_objective_t1": outside_1,
+        "epoch_allocations_outside_objective_tn": outside_n,
+    });
+    if let serde_json::Value::Object(fields) = &mut record {
+        for (i, phase) in PHASES.iter().enumerate() {
+            for (tag, [q1, median, q3]) in [("t1", ms_1[i]), ("tn", ms_n[i])] {
+                let key = format!("step_{}_ms_{tag}", phase.name());
+                fields.push((format!("{key}_q1"), serde_json::json!(q1)));
+                fields.push((key.clone(), serde_json::json!(median)));
+                fields.push((format!("{key}_q3"), serde_json::json!(q3)));
+            }
+        }
+    }
+    record
 }
 
 /// Streaming-loop record: ingestion throughput (windows/sec through

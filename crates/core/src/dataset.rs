@@ -157,8 +157,11 @@ pub fn metadata_text(ts: &TimeSeries) -> String {
     })
 }
 
-/// `softmax(row / t)` in f32.
-fn softmax_scaled(row: &[f64], t: f64) -> Vec<f32> {
+/// `softmax(row / t)` in f32 (the PISL soft label of one series).
+///
+/// # Panics
+/// Panics if `t` is not positive.
+pub(crate) fn softmax_scaled(row: &[f64], t: f64) -> Vec<f32> {
     assert!(t > 0.0, "temperature must be positive");
     let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let exps: Vec<f64> = row.iter().map(|&v| ((v - max) / t).exp()).collect();

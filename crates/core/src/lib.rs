@@ -16,10 +16,10 @@
 //!   **MKI** (InfoNCE alignment with frozen metadata embeddings,
 //!   [`train::TrainConfig::mki`]), and
 //!   **PA** (LSH-bucketed dynamic pruning, [`prune`]) alongside the InfoBatch
-//!   baseline — layered as composable loss terms ([`train::objective`]),
-//!   resumable, checkpointable sessions ([`train::TrainSession`]), and
-//!   deterministic data-parallel gradient accumulation ([`train::dp`]:
-//!   bitwise-identical results at any `KD_THREADS`),
+//!   baseline — layered as composable loss terms ([`train::objective`]) and
+//!   resumable, checkpointable sessions ([`train::TrainSession`]) whose
+//!   one training step gives bitwise-identical results at any
+//!   `KD_THREADS`,
 //! * the non-NN baselines ([`nonnn`]: KNN / SVC / AdaBoost / RandomForest on
 //!   TSFresh-style features, MiniRocket + ridge),
 //! * label generation by actually running the 12 detectors ([`labels`], with

@@ -1,5 +1,5 @@
-//! The KDSelector trainer: composable objectives, resumable sessions, and
-//! deterministic data-parallel gradient accumulation.
+//! The KDSelector trainer: composable objectives and resumable sessions
+//! with one training step.
 //!
 //! The trainer is layered (mirroring what [`crate::serve`] does for the
 //! serving side):
@@ -16,12 +16,10 @@
 //!   **PA / InfoBatch** module) and per-epoch RNG streams. Runs epoch by
 //!   epoch, snapshots epoch-boundary checkpoints through a
 //!   [`crate::manage::SelectorStore`], and resumes from a checkpoint with
-//!   bitwise-identical continuation.
-//! * [`dp`] — data-parallel gradient accumulation: the minibatch is split
-//!   into fixed micro-partitions, each replica runs forward/backward on
-//!   its own model clone on [`tspar`]'s worker pool, and gradients are
-//!   reduced in partition order — results depend on the replica count but
-//!   **never** on `KD_THREADS`.
+//!   bitwise-identical continuation. Its step (forward, objective,
+//!   backward, gradient clip, Adam) is the only training step in the
+//!   repository; its kernels split work over [`tspar`]'s pool, so results
+//!   never depend on `KD_THREADS`.
 //!
 //! [`train`] is the one-call convenience wrapper: build a session, run all
 //! epochs, return the [`TrainedSelector`] and [`TrainStats`]. The session
@@ -33,7 +31,6 @@
 //! counts, which the benchmark harness uses to reproduce the paper's time
 //! columns (and the `micro_kernels` "train" record uses for windows/sec).
 
-pub mod dp;
 pub mod objective;
 pub mod session;
 
@@ -96,7 +93,7 @@ use tsnn::layers::{Layer, Linear, Seq};
 pub struct PislConfig {
     /// Relative importance of the soft label, `α ∈ [0, 1]`.
     pub alpha: f32,
-    /// Soft-label temperature `t_soft`.
+    /// Soft-label temperature `t_soft`; finite and positive.
     pub t_soft: f64,
 }
 
@@ -118,7 +115,7 @@ pub struct MkiConfig {
     pub proj_dim: usize,
     /// Hidden width of the projection MLPs.
     pub hidden: usize,
-    /// InfoNCE temperature.
+    /// InfoNCE temperature; finite and positive.
     pub temperature: f32,
 }
 
@@ -158,14 +155,6 @@ pub struct TrainConfig {
     pub weight_decay: f32,
     /// Seed for init, shuffling and pruning randomness.
     pub seed: u64,
-    /// Data-parallel replica count ([`dp`]). Each minibatch is split into
-    /// this many **fixed** micro-partitions; every replica runs
-    /// forward/backward on its own model clone and gradients are reduced
-    /// in partition order. Results depend on this value (micro-batch
-    /// normalisation and contrastive statistics) but never on
-    /// `KD_THREADS`. `1` (the default) trains on the session's master
-    /// model directly, with no cloning.
-    pub replicas: usize,
     /// PISL module (None = hard labels only).
     pub pisl: Option<PislConfig>,
     /// MKI module (None = no knowledge integration).
@@ -185,7 +174,6 @@ impl Default for TrainConfig {
             grad_clip: 5.0,
             weight_decay: 1e-4,
             seed: 7,
-            replicas: 1,
             pisl: None,
             mki: None,
             pruning: PruningStrategy::None,
@@ -483,23 +471,6 @@ mod tests {
             "loss {:?}",
             stats.epoch_loss
         );
-    }
-
-    #[test]
-    fn data_parallel_replicas_run_and_learn() {
-        let ds = toy_dataset();
-        let mut cfg = quick_cfg();
-        cfg.replicas = 2;
-        cfg.pisl = Some(PislConfig::default());
-        cfg.epochs = 6;
-        let (sel, stats) = train(&ds, &cfg);
-        assert!(
-            stats.epoch_loss.last().unwrap() < stats.epoch_loss.first().unwrap(),
-            "loss {:?}",
-            stats.epoch_loss
-        );
-        let preds = sel.predict_windows(&ds.windows[..4]);
-        assert!(preds.iter().all(|&p| p < 12));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   trainable projection MLPs; the knowledge embedding `z_K` is a frozen
 //!   input.
 //!
-//! A term sees one (micro-)batch through a [`BatchContext`] and adds its
+//! A term sees one minibatch through a [`BatchContext`] and adds its
 //! **scaled** gradient contribution into the shared logit gradient (terms
 //! differentiating through the classifier) and/or the shared feature
 //! gradient (terms like MKI that bypass it). The [`Objective`] runs terms
@@ -24,19 +24,17 @@
 //! tensors and are reclaimed via [`Tensor::into_data`] after the term's
 //! backward pass (both the PISL soft-target buffer and the MKI knowledge
 //! buffer), so steady-state training performs no per-batch target/knowledge
-//! allocations — in a data-parallel session each replica clones its own
-//! terms and therefore its own scratch.
+//! allocations.
 
 use super::{MkiConfig, PislConfig, TrainConfig};
-use crate::dataset::SelectorDataset;
+use crate::dataset::{softmax_scaled, SelectorDataset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use tsnn::layers::{Layer, Seq};
 use tsnn::loss::{cross_entropy, info_nce, soft_cross_entropy};
 use tsnn::{Param, Tensor};
 
-/// Everything a loss term may read about the current (micro-)batch.
+/// Everything a loss term may read about the current minibatch.
 pub struct BatchContext<'a> {
     /// The training set (terms look up soft labels / knowledge rows).
     pub dataset: &'a SelectorDataset,
@@ -90,10 +88,7 @@ impl LazyGrad {
 }
 
 /// One composable piece of the training objective.
-///
-/// `Send` so a data-parallel replica can carry its own clone of every term
-/// onto a pool worker.
-pub trait LossTerm: Send {
+pub trait LossTerm {
     /// Display name (diagnostics, tests).
     fn name(&self) -> &'static str;
 
@@ -127,10 +122,6 @@ pub trait LossTerm: Send {
     fn params(&self) -> Vec<&Param> {
         Vec::new()
     }
-
-    /// An independent copy for a data-parallel replica: same weights,
-    /// fresh activation caches and scratch buffers.
-    fn clone_term(&self) -> Box<dyn LossTerm>;
 }
 
 /// Hard-label cross-entropy, scaled by `1 − α` under PISL.
@@ -169,19 +160,14 @@ impl LossTerm for HardCe {
                 .collect(),
         }
     }
-
-    fn clone_term(&self) -> Box<dyn LossTerm> {
-        Box::new(Self { scale: self.scale })
-    }
 }
 
 /// The PISL soft-label term: `α ·` soft cross-entropy against
-/// `softmax(perf / t_soft)` rows, precomputed once per series and shared
-/// (via `Arc`) across data-parallel replicas.
+/// `softmax(perf / t_soft)` rows, precomputed once per series.
 pub struct PislSoft {
     alpha: f32,
     classes: usize,
-    soft_by_series: Arc<Vec<Vec<f32>>>,
+    soft_by_series: Vec<Vec<f32>>,
     /// Scratch for batch soft-target assembly, reclaimed via
     /// [`Tensor::into_data`] each batch.
     soft_buf: Vec<f32>,
@@ -190,15 +176,20 @@ pub struct PislSoft {
 impl PislSoft {
     /// Precomputes the per-series soft labels from the dataset's
     /// performance rows.
+    ///
+    /// # Panics
+    /// Panics if `cfg.t_soft` is not positive.
     pub fn new(cfg: PislConfig, dataset: &SelectorDataset) -> Self {
-        let soft_by_series: Vec<Vec<f32>> = (0..dataset.n_series())
-            .map(|s| softmax_scaled_f32(&dataset.series_perf[s], cfg.t_soft))
+        let soft_by_series: Vec<Vec<f32>> = dataset
+            .series_perf
+            .iter()
+            .map(|row| softmax_scaled(row, cfg.t_soft))
             .collect();
         let classes = soft_by_series.first().map_or(0, |r| r.len());
         Self {
             alpha: cfg.alpha,
             classes,
-            soft_by_series: Arc::new(soft_by_series),
+            soft_by_series,
             soft_buf: Vec::new(),
         }
     }
@@ -236,15 +227,6 @@ impl LossTerm for PislSoft {
                 .map(|&l| self.alpha as f64 * l)
                 .collect(),
         }
-    }
-
-    fn clone_term(&self) -> Box<dyn LossTerm> {
-        Box::new(Self {
-            alpha: self.alpha,
-            classes: self.classes,
-            soft_by_series: Arc::clone(&self.soft_by_series),
-            soft_buf: Vec::new(),
-        })
     }
 }
 
@@ -331,15 +313,6 @@ impl LossTerm for MkiAlign {
         p.extend(self.h_k.params());
         p
     }
-
-    fn clone_term(&self) -> Box<dyn LossTerm> {
-        Box::new(Self {
-            cfg: self.cfg,
-            h_t: self.h_t.clone(),
-            h_k: self.h_k.clone(),
-            know_buf: Vec::new(),
-        })
-    }
 }
 
 /// The combined result of one objective evaluation.
@@ -381,12 +354,6 @@ impl Objective {
                 cfg.seed,
             )));
         }
-        Self { terms }
-    }
-
-    /// An objective over explicit terms (composability hook for custom
-    /// selector-learning experiments).
-    pub fn from_terms(terms: Vec<Box<dyn LossTerm>>) -> Self {
         Self { terms }
     }
 
@@ -444,23 +411,6 @@ impl Objective {
         }
         p
     }
-
-    /// An independent copy for a data-parallel replica (same weights, fresh
-    /// caches and scratch).
-    pub fn for_replica(&self) -> Objective {
-        Objective {
-            terms: self.terms.iter().map(|t| t.clone_term()).collect(),
-        }
-    }
-}
-
-/// Zero-bug duplicate of the dataset's softmax (kept local to avoid
-/// exposing an f32 variant publicly).
-fn softmax_scaled_f32(row: &[f64], t: f64) -> Vec<f32> {
-    let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = row.iter().map(|&v| ((v - max) / t).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.iter().map(|&e| (e / sum) as f32).collect()
 }
 
 #[cfg(test)]
@@ -543,45 +493,5 @@ mod tests {
         let gf = out.grad_features.expect("MKI touched the features");
         assert!(gf.data().iter().any(|&v| v != 0.0));
         assert!(out.grad_logits.data().iter().any(|&v| v != 0.0));
-    }
-
-    #[test]
-    fn replica_clone_computes_identically_and_independently() {
-        let ds = toy_dataset();
-        let cfg = TrainConfig {
-            pisl: Some(PislConfig::default()),
-            mki: Some(MkiConfig {
-                hidden: 16,
-                proj_dim: 8,
-                ..MkiConfig::default()
-            }),
-            ..TrainConfig::default()
-        };
-        let mut master = Objective::from_config(&cfg, &ds, 6);
-        let mut replica = master.for_replica();
-        let (indices, weights, targets) = probe_batch(&ds, 3);
-        let features = Tensor::from_vec(&[3, 6], (0..18).map(|i| (i % 4) as f32 * 0.2).collect());
-        let logits = Tensor::from_vec(&[3, 12], (0..36).map(|i| (i % 6) as f32 * 0.1).collect());
-        let ctx = BatchContext {
-            dataset: &ds,
-            indices: &indices,
-            weights: &weights,
-            targets: &targets,
-            features: &features,
-            logits: &logits,
-        };
-        let a = master.accumulate(&ctx);
-        let b = replica.accumulate(&ctx);
-        assert_eq!(a.loss, b.loss);
-        assert_eq!(a.per_sample, b.per_sample);
-        assert_eq!(a.grad_logits.data(), b.grad_logits.data());
-        assert_eq!(
-            a.grad_features.as_ref().map(|t| t.data().to_vec()),
-            b.grad_features.as_ref().map(|t| t.data().to_vec())
-        );
-        // Replica gradients accumulate on the replica's own parameters.
-        for (mp, rp) in master.params().iter().zip(replica.params()) {
-            assert_eq!(mp.grad.data(), rp.grad.data());
-        }
     }
 }

@@ -25,17 +25,19 @@
 //! only carries state that *accumulates*: weights, batch-norm buffers,
 //! optimizer moments, pruning loss means, and the stats so far.
 //!
-//! With `cfg.replicas > 1` the session delegates each minibatch to
-//! [`super::dp::ReplicaSet`] for deterministic data-parallel gradient
-//! accumulation; the master model then takes the optimizer step.
+//! Each minibatch takes one step: forward, objective, backward, gradient
+//! clip and Adam, each recorded as a [`kdprof`] span
+//! ([`kdprof::Phase::Forward`], [`Objective`](kdprof::Phase::Objective),
+//! [`Backward`](kdprof::Phase::Backward), [`Update`](kdprof::Phase::Update))
+//! so a release build can say where a step's time went.
 
-use super::dp::ReplicaSet;
 use super::objective::{BatchContext, Objective};
 use super::{TrainConfig, TrainStats, TrainedSelector};
 use crate::dataset::SelectorDataset;
 use crate::manage::{SavedState, SelectorStore};
 use crate::prune::{PruneSnapshot, PruneState, PruningStrategy};
 use crate::selector::argmax;
+use kdprof::{Phase, SpanGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsad_models::ModelId;
@@ -44,22 +46,17 @@ use tsnn::optim::{clip_grad_norm_with, Adam, AdamState};
 use tsnn::serialize::{load_params, save_params, StateDict};
 use tsnn::{Dims, Param, Tensor, Workspace};
 
-/// One model replica's working set: encoder, classifier, objective, and the
-/// memory a step reuses — the flat input batch, the feature, logit and
-/// feature-gradient staging tensors, and the training [`Workspace`] the
-/// encoder and classifier carve their activations, tapes and gradients
-/// from. The workspace is sized by the first batch the core runs (so the
-/// master of a data-parallel session, which never runs one, keeps it
-/// empty) and dropped with the core; after it, the encoder and classifier
-/// passes allocate nothing.
-///
-/// The session's *master* core owns the canonical weights and takes the
-/// optimizer steps; data-parallel replicas are [`TrainerCore::replicate`]d
-/// clones that only ever compute gradients.
-pub(crate) struct TrainerCore {
-    pub(crate) encoder: Seq,
-    pub(crate) classifier: Linear,
-    pub(crate) objective: Objective,
+/// The model a session trains and its working set: encoder, classifier,
+/// objective, and the memory a step reuses — the flat input batch, the
+/// feature, logit and feature-gradient staging tensors, and the training
+/// [`Workspace`] the encoder and classifier carve their activations, tapes
+/// and gradients from. The workspace is sized by the first batch and
+/// dropped with the core; after it, the encoder and classifier passes
+/// allocate nothing.
+struct TrainerCore {
+    encoder: Seq,
+    classifier: Linear,
+    objective: Objective,
     window: usize,
     x_buf: Vec<f32>,
     targets: Vec<usize>,
@@ -69,36 +66,31 @@ pub(crate) struct TrainerCore {
     ws: Workspace,
 }
 
-/// What one forward/backward pass over a (micro-)batch produced. Gradients
+/// What one forward/backward pass over a minibatch produced. Gradients
 /// stay accumulated on the core's parameters.
-pub(crate) struct StepOutput {
+struct StepOutput {
     /// Weighted mean loss over the batch.
-    pub(crate) loss: f64,
+    loss: f64,
     /// Per-sample losses for the pruning running means, batch order.
-    pub(crate) per_sample: Vec<f64>,
+    per_sample: Vec<f64>,
     /// Hard-label hits (training accuracy numerator).
-    pub(crate) correct: usize,
+    correct: usize,
 }
 
 impl TrainerCore {
-    /// Builds the master core with the trainer's canonical seed
-    /// derivations (encoder from `seed`, classifier from `seed ^ 0xC1A5`,
-    /// MKI projections from `seed ^ 0x17E` inside the objective).
+    /// Builds the core with the trainer's canonical seed derivations
+    /// (encoder from `seed`, classifier from `seed ^ 0xC1A5`, MKI
+    /// projections from `seed ^ 0x17E` inside the objective) and empty
+    /// scratch.
     fn build(cfg: &TrainConfig, dataset: &SelectorDataset, window: usize) -> Self {
         let encoder = cfg.arch.build(window, cfg.width, cfg.seed);
         let dim = cfg.arch.feature_dim(cfg.width);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xC1A5);
         let classifier = Linear::new(dim, ModelId::ALL.len(), &mut rng);
-        let objective = Objective::from_config(cfg, dataset, dim);
-        Self::assemble(encoder, classifier, objective, window)
-    }
-
-    /// A core over the given model, with empty scratch.
-    fn assemble(encoder: Seq, classifier: Linear, objective: Objective, window: usize) -> Self {
         Self {
             encoder,
             classifier,
-            objective,
+            objective: Objective::from_config(cfg, dataset, dim),
             window,
             x_buf: Vec::new(),
             targets: Vec::new(),
@@ -109,30 +101,14 @@ impl TrainerCore {
         }
     }
 
-    /// Calls `f` on every trainable parameter in [`TrainerCore::params_mut`]
-    /// order without collecting them (the per-step walk of clipping and
-    /// the optimizer).
-    pub(crate) fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    /// Calls `f` on every trainable parameter — encoder, classifier, then
+    /// objective terms — in the stable order the optimizer state relies
+    /// on, without collecting them (the per-step walk of clipping and the
+    /// optimizer).
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.encoder.for_each_param_mut(f);
         self.classifier.for_each_param_mut(f);
         self.objective.for_each_param_mut(f);
-    }
-
-    /// Every trainable parameter — encoder, classifier, then objective
-    /// terms — in the stable order the optimizer and checkpoints rely on.
-    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.encoder.params_mut();
-        p.extend(self.classifier.params_mut());
-        p.extend(self.objective.params_mut());
-        p
-    }
-
-    /// Read-only view of [`TrainerCore::params_mut`].
-    pub(crate) fn params(&self) -> Vec<&Param> {
-        let mut p = self.encoder.params();
-        p.extend(self.classifier.params());
-        p.extend(self.objective.params());
-        p
     }
 
     /// The selector-model parameters only (encoder + classifier), matching
@@ -150,51 +126,17 @@ impl TrainerCore {
         p
     }
 
-    /// Non-trainable state (batch-norm running statistics).
-    pub(crate) fn buffers(&self) -> Vec<&Vec<f32>> {
-        self.encoder.buffers()
-    }
-
-    pub(crate) fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
-        self.encoder.buffers_mut()
-    }
-
-    /// Zeroes every parameter gradient.
-    pub(crate) fn zero_grads(&mut self) {
-        self.for_each_param_mut(&mut |p| p.zero_grad());
-    }
-
-    /// Copies parameter values and buffers from `src` (same architecture).
-    pub(crate) fn sync_from(&mut self, src: &TrainerCore) {
-        for (dst, s) in self.params_mut().into_iter().zip(src.params()) {
-            dst.value.data_mut().copy_from_slice(s.value.data());
-        }
-        for (dst, s) in self.buffers_mut().into_iter().zip(src.buffers()) {
-            dst.copy_from_slice(s);
-        }
-    }
-
-    /// A data-parallel replica of this core: a deep copy of the model and
-    /// objective terms with fresh scratch.
-    pub(crate) fn replicate(&self) -> TrainerCore {
-        Self::assemble(
-            self.encoder.clone(),
-            self.classifier.clone(),
-            self.objective.for_replica(),
-            self.window,
-        )
-    }
-
-    /// One forward/backward pass over a (micro-)batch: assembles the input
+    /// One forward/backward pass over a minibatch: assembles the input
     /// tensor, evaluates the objective, backpropagates through classifier
     /// and encoder, and leaves the gradients accumulated on this core's
     /// parameters. Zeroes the gradients first.
-    pub(crate) fn run_batch(
+    fn run_batch(
         &mut self,
         dataset: &SelectorDataset,
         indices: &[usize],
         weights: &[f32],
     ) -> StepOutput {
+        let forward = SpanGuard::enter(Phase::Forward);
         let b = indices.len();
         let window = self.window;
         self.x_buf.clear();
@@ -206,7 +148,7 @@ impl TrainerCore {
         self.targets
             .extend(indices.iter().map(|&i| dataset.hard_labels[i]));
 
-        self.zero_grads();
+        self.for_each_param_mut(&mut |p| p.zero_grad());
         let xd = Dims::new(&[b, 1, window]);
         let zd = self.encoder.out_dims(xd);
         let ld = self.classifier.out_dims(zd);
@@ -228,6 +170,9 @@ impl TrainerCore {
             .forward_ws(&self.x_buf, xd, self.features.data_mut(), enc_ws);
         self.classifier
             .forward_ws(self.features.data(), zd, self.logits.data_mut(), head_ws);
+        drop(forward);
+
+        let objective = SpanGuard::enter(Phase::Objective);
         let ctx = BatchContext {
             dataset,
             indices,
@@ -237,6 +182,9 @@ impl TrainerCore {
             logits: &self.logits,
         };
         let out = self.objective.accumulate(&ctx);
+        drop(objective);
+
+        let backward = SpanGuard::enter(Phase::Backward);
         let g_z = &mut self.grad_features;
         g_z.set_shape(zd.as_slice());
         self.classifier.backward_ws(
@@ -258,6 +206,7 @@ impl TrainerCore {
             grad_x,
             (enc_ws, scratch),
         );
+        drop(backward);
 
         let correct = self
             .targets
@@ -327,9 +276,30 @@ pub struct TrainSession {
     core: TrainerCore,
     opt: Adam,
     prune: PruneState,
-    replicas: Option<ReplicaSet>,
     stats: TrainStats,
     next_epoch: usize,
+}
+
+/// Rejects a configuration no session can train: a zero batch size, or a
+/// PISL `t_soft` / MKI `temperature` that is not finite and positive.
+fn check_config(cfg: &TrainConfig) -> Result<(), String> {
+    let usable = |t: f64| t.is_finite() && t > 0.0;
+    if cfg.batch_size == 0 {
+        return Err("batch_size must be at least 1".to_string());
+    }
+    if let Some(p) = cfg.pisl.filter(|p| !usable(p.t_soft)) {
+        return Err(format!(
+            "PISL t_soft must be finite and positive, got {}",
+            p.t_soft
+        ));
+    }
+    if let Some(m) = cfg.mki.filter(|m| !usable(f64::from(m.temperature))) {
+        return Err(format!(
+            "MKI temperature must be finite and positive, got {}",
+            m.temperature
+        ));
+    }
+    Ok(())
 }
 
 /// Per-epoch shuffle stream: like the pruning module's, keyed on
@@ -352,16 +322,20 @@ fn shuffle_pair(indices: &mut [usize], weights: &mut [f32], rng: &mut StdRng) {
 
 impl TrainSession {
     /// Creates a session over `dataset`: builds the model components, the
-    /// objective, the pruning state (hashing LSH signatures for PA — the
-    /// setup cost the paper folds into training time), and, when
-    /// `cfg.replicas > 1`, the data-parallel replica set.
+    /// objective and the pruning state (hashing LSH signatures for PA — the
+    /// setup cost the paper folds into training time).
     ///
     /// # Panics
-    /// Panics if the dataset is empty or `cfg.batch_size` is 0 (an epoch
-    /// would never advance past its first minibatch).
+    /// Panics if the dataset is empty, if `cfg.batch_size` is 0 ("batch_size
+    /// must be at least 1": an epoch would never advance past its first
+    /// minibatch), or if the PISL `t_soft` or the MKI `temperature` is not
+    /// finite and positive ("… must be finite and positive": the soft
+    /// targets or the InfoNCE logits would be inf/NaN).
     pub fn new(dataset: &SelectorDataset, cfg: &TrainConfig) -> Self {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-        assert!(cfg.batch_size > 0, "batch_size must be at least 1");
+        if let Err(e) = check_config(cfg) {
+            panic!("{e}");
+        }
         // kdlint: allow(wallclock): reported setup-seconds metric only —
         // training math never reads the clock.
         let start = std::time::Instant::now();
@@ -377,7 +351,6 @@ impl TrainSession {
             _ => None,
         };
         let prune = PruneState::new(cfg.pruning, lsh_inputs.as_deref(), n, cfg.seed ^ 0x9A);
-        let replicas = (cfg.replicas > 1).then(|| ReplicaSet::new(&core, cfg));
         let stats = TrainStats {
             epoch_loss: Vec::with_capacity(cfg.epochs),
             epoch_accuracy: Vec::with_capacity(cfg.epochs),
@@ -392,7 +365,6 @@ impl TrainSession {
             core,
             opt: Adam::new(cfg.lr, cfg.weight_decay),
             prune,
-            replicas,
             stats,
             next_epoch: 0,
         }
@@ -419,9 +391,9 @@ impl TrainSession {
         &self.stats
     }
 
-    /// Runs one epoch: pruning plan, per-epoch shuffle, minibatch
-    /// forward/backward (data-parallel when configured), gradient clip and
-    /// optimizer step, loss bookkeeping for the pruning running means.
+    /// Runs one epoch: pruning plan, per-epoch shuffle, then one step per
+    /// minibatch (forward/backward, gradient clip and optimizer step) and
+    /// loss bookkeeping for the pruning running means.
     ///
     /// # Panics
     /// Panics if the session [`TrainSession::is_complete`] or `dataset` is
@@ -458,13 +430,12 @@ impl TrainSession {
             let b = batch_idx.len();
             cursor = end;
 
-            let out = match &mut self.replicas {
-                Some(set) => set.step(&mut self.core, dataset, batch_idx, batch_w),
-                None => self.core.run_batch(dataset, batch_idx, batch_w),
-            };
+            let out = self.core.run_batch(dataset, batch_idx, batch_w);
+            let update = SpanGuard::enter(Phase::Update);
             let core = &mut self.core;
             clip_grad_norm_with(|f| core.for_each_param_mut(f), self.cfg.grad_clip);
             self.opt.step_with(|f| core.for_each_param_mut(f));
+            drop(update);
             self.prune.record_losses(batch_idx, &out.per_sample);
             epoch_loss += out.loss * b as f64;
             correct += out.correct;
@@ -509,7 +480,7 @@ impl TrainSession {
             dataset_fingerprint: self.dataset_fingerprint,
             model: SavedState {
                 params: save_params(&self.core.model_params()),
-                buffers: self.core.buffers().iter().map(|b| b.to_vec()).collect(),
+                buffers: self.core.encoder.buffers().into_iter().cloned().collect(),
             },
             objective: save_params(&self.core.objective.params()),
             optimizer: self.opt.state(),
@@ -530,15 +501,14 @@ impl TrainSession {
     /// wall clock on top).
     ///
     /// # Errors
-    /// Rejects checkpoints with a zero `batch_size`, whose shapes
-    /// disagree with the rebuilt model, or whose sample count or content
-    /// fingerprint disagrees with `dataset` — a same-sized but different
-    /// dataset is a hard error, not a silent continuation over the wrong
-    /// data.
+    /// Rejects checkpoints whose configuration [`TrainSession::new`] would
+    /// panic on (a zero `batch_size`, a temperature that is not finite and
+    /// positive), whose shapes disagree with the rebuilt model, or whose
+    /// sample count or content fingerprint disagrees with `dataset` — a
+    /// same-sized but different dataset is a hard error, not a silent
+    /// continuation over the wrong data.
     pub fn resume(dataset: &SelectorDataset, ckpt: &TrainCheckpoint) -> Result<Self, String> {
-        if ckpt.config.batch_size == 0 {
-            return Err("corrupt checkpoint: batch_size is 0".to_string());
-        }
+        check_config(&ckpt.config).map_err(|e| format!("corrupt checkpoint: {e}"))?;
         if ckpt.stats.total_windows != dataset.len() {
             return Err(format!(
                 "checkpoint was taken over {} windows, dataset has {}",
@@ -565,7 +535,7 @@ impl TrainSession {
         let setup_seconds = session.stats.train_seconds;
         load_params(&mut session.core.model_params_mut(), &ckpt.model.params)?;
         {
-            let mut buffers = session.core.buffers_mut();
+            let mut buffers = session.core.encoder.buffers_mut();
             if buffers.len() != ckpt.model.buffers.len() {
                 return Err(format!(
                     "buffer count mismatch: model has {}, checkpoint has {}",
@@ -586,8 +556,6 @@ impl TrainSession {
         session.stats = ckpt.stats.clone();
         session.stats.train_seconds += setup_seconds;
         session.next_epoch = ckpt.epochs_done;
-        // Data-parallel replicas re-sync from the master at every step, so
-        // their (stale) initial weights never need restoring.
         Ok(session)
     }
 
@@ -827,6 +795,58 @@ mod tests {
     fn new_rejects_zero_batch_size() {
         let cfg = TrainConfig {
             batch_size: 0,
+            ..full_cfg()
+        };
+        let _ = TrainSession::new(&toy_dataset(), &cfg);
+    }
+
+    #[test]
+    fn checkpoint_with_a_replica_count_resumes_on_the_one_path() {
+        // Checkpoints written before the config lost its `replicas` field
+        // carry it; deserialisation ignores it and the run continues on
+        // the session's one step.
+        let ds = toy_dataset();
+        let mut session = TrainSession::new(&ds, &full_cfg());
+        session.run_epoch(&ds);
+        let json = serde_json::to_string(&session.checkpoint()).unwrap();
+        let old = json.replacen("\"batch_size\":", "\"replicas\":2,\"batch_size\":", 1);
+        assert_ne!(old, json);
+        let ckpt: TrainCheckpoint = serde_json::from_str(&old).unwrap();
+        let mut resumed = TrainSession::resume(&ds, &ckpt).expect("resume");
+        session.run_to_completion(&ds);
+        resumed.run_to_completion(&ds);
+        let (a, _) = session.finish();
+        let (b, _) = resumed.finish();
+        assert_eq!(save_params(&a.params()), save_params(&b.params()));
+    }
+
+    #[test]
+    fn resume_rejects_unusable_temperatures() {
+        let ds = toy_dataset();
+        let ckpt = TrainSession::new(&ds, &full_cfg()).checkpoint();
+        for t in [0.0, -0.25, f64::NAN, f64::INFINITY] {
+            let mut bad = ckpt.clone();
+            bad.config.pisl = Some(PislConfig {
+                t_soft: t,
+                ..PislConfig::default()
+            });
+            assert!(TrainSession::resume(&ds, &bad).is_err(), "t_soft {t}");
+            let mut bad = ckpt.clone();
+            if let Some(mki) = bad.config.mki.as_mut() {
+                mki.temperature = t as f32;
+            }
+            assert!(TrainSession::resume(&ds, &bad).is_err(), "temperature {t}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "t_soft must be finite and positive")]
+    fn new_rejects_non_positive_t_soft() {
+        let cfg = TrainConfig {
+            pisl: Some(PislConfig {
+                t_soft: 0.0,
+                ..PislConfig::default()
+            }),
             ..full_cfg()
         };
         let _ = TrainSession::new(&toy_dataset(), &cfg);

@@ -8,11 +8,13 @@
 //!   deterministic workload: a relaxed atomic add is order-independent,
 //!   so the totals are reproducible and tests can pin them exactly.
 //! * **Spans** ([`span!`]) — scoped wall-clock timing aggregated per
-//!   [`Phase`] (`admit → coalesce → window → pack → score → complete`).
-//!   Compiled into every build, so a release binary can say where its
-//!   time went: a span is two monotonic clock reads and two relaxed adds,
-//!   ≈110 ns on a 2-core x86-64 Xeon VM, against a per-request serving
-//!   cost in the milliseconds.
+//!   [`Phase`]: the serving phases (`admit → coalesce → window → pack →
+//!   score → complete`) and the four parts of a training step (`forward →
+//!   objective → backward → update`). Compiled into every build, so a
+//!   release binary can say where its time went: a span is two monotonic
+//!   clock reads and two relaxed adds, ≈110 ns on a 2-core x86-64 Xeon
+//!   VM, against a per-request serving cost and a ResNet training step
+//!   both in the milliseconds.
 //!
 //! # Determinism contract
 //!
@@ -29,7 +31,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Serving phases, in hot-path order.
+/// Serving phases in hot-path order, then the parts of a training step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Request admission (`ServeQueue::submit`).
@@ -44,17 +46,30 @@ pub enum Phase {
     Score,
     /// Ticket completion (splitting scores, waking producers).
     Complete,
+    /// Training step: staging the minibatch, zeroing the gradients, and
+    /// the encoder + classifier forward.
+    Forward,
+    /// Training step: the loss terms and their logit/feature gradients.
+    Objective,
+    /// Training step: the classifier + encoder backward.
+    Backward,
+    /// Training step: gradient-norm clip and the Adam update.
+    Update,
 }
 
 impl Phase {
     /// All phases, reporting order.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; 10] = [
         Phase::Admit,
         Phase::Coalesce,
         Phase::Window,
         Phase::Pack,
         Phase::Score,
         Phase::Complete,
+        Phase::Forward,
+        Phase::Objective,
+        Phase::Backward,
+        Phase::Update,
     ];
 
     /// Canonical lowercase name (the `profile` record's keys).
@@ -66,6 +81,10 @@ impl Phase {
             Phase::Pack => "pack",
             Phase::Score => "score",
             Phase::Complete => "complete",
+            Phase::Forward => "forward",
+            Phase::Objective => "objective",
+            Phase::Backward => "backward",
+            Phase::Update => "update",
         }
     }
 }
@@ -266,7 +285,18 @@ mod tests {
         let names: Vec<_> = Phase::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(
             names,
-            ["admit", "coalesce", "window", "pack", "score", "complete"]
+            [
+                "admit",
+                "coalesce",
+                "window",
+                "pack",
+                "score",
+                "complete",
+                "forward",
+                "objective",
+                "backward",
+                "update"
+            ]
         );
     }
 

@@ -33,8 +33,9 @@ use std::fmt::Debug;
 use std::ops::Range;
 
 /// A layer a graph can own: thread-safe (a trained graph serves from many
-/// threads through [`Layer::infer_ws`]) and cloneable behind a box (training
-/// replicas copy whole graphs). Every `Clone` layer is a node.
+/// threads through [`Layer::infer_ws`]) and cloneable behind a box (a graph
+/// is `Clone`, so a caller can snapshot a model mid-run). Every `Clone`
+/// layer is a node.
 pub trait Node: Layer + Debug + Send + Sync + 'static {
     /// Boxed deep copy.
     fn clone_node(&self) -> Box<dyn Node>;

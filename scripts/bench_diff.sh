@@ -12,7 +12,11 @@
 # suffixes: `infer_ns`, `backward_ns` and `backward_train_ns` (backward
 # at the 64-window training batch) are better-lower, and their
 # `infer_gflop_per_sec`, `backward_gflop_per_sec` and
-# `backward_train_gflop_per_sec` rates better-higher. A metric missing
+# `backward_train_gflop_per_sec` rates better-higher. Millisecond leaves
+# (`*_ms`, and per thread count `*_ms_t1`/`*_ms_tn`, such as the train
+# record's `step_forward_ms_t1`) and allocation counts (`*allocations*`)
+# are better-lower. A `_q1`/`_q3` suffix marks a quartile of the metric
+# it follows and takes that metric's direction. A metric missing
 # from the older record is skipped. Config fields (shapes, thread
 # counts, request counts) are compared only to warn when the two runs
 # measured different workloads.
@@ -53,7 +57,11 @@ def direction(key):
     if any(h in key for h in HIGHER):
         return "higher"
     leaf = key.rsplit(".", 1)[-1]
+    for quartile in ("_q1", "_q3"):
+        leaf = leaf.removesuffix(quartile)
     if leaf.endswith("_ns") or "seconds" in leaf:
+        return "lower"
+    if leaf.endswith(("_ms", "_ms_t1", "_ms_tn")) or "allocations" in leaf:
         return "lower"
     if leaf.startswith("ms_per_") or leaf.endswith("_ns_per_elem"):
         return "lower"

@@ -7,7 +7,8 @@
 //! the running statistics it leaves behind, and the input and parameter
 //! gradients of one backward pass. The NN detectors (AE, CNN, LSTM-AD) are
 //! pinned through `score()` on one fixed series and the MKI projection MLP
-//! through one forward/backward.
+//! through one forward/backward, and one short KDSelector training run
+//! through its trained weights, buffers and per-epoch statistics.
 //!
 //! The constants are the FNV-1a hashes of the f32/f64 bit patterns (shapes
 //! included), so any change to an arithmetic chain, an RNG draw order at
@@ -302,6 +303,73 @@ fn projection_mlp_matches_pinned_bits() {
         0xefc09421c699485a,
         0xcc97474f0e787443,
         0x5aecc44fce5ff9fc,
+    ];
+    assert_eq!(got, want, "got {got:#x?}");
+}
+
+/// A short KDSelector training run: the ResNet selector at width 8 with
+/// PISL, MKI and PA pruning, trained through `train` on the first six
+/// series of the tiny benchmark (window 64, stride 32) against fixed
+/// synthetic performance rows. Pins the trained weights, the batch-norm
+/// running statistics and the per-epoch losses, accuracies and examined
+/// counts, so any change to the training step's arithmetic, its
+/// minibatch order or the pruning plans fails here.
+#[test]
+fn kdselector_training_matches_pinned_bits() {
+    use kdselector::core::dataset::SelectorDataset;
+    use kdselector::core::labels::PerfMatrix;
+    use kdselector::core::train::{train, TrainConfig};
+    use tsdata::{Benchmark, BenchmarkConfig, WindowConfig};
+    use tstext::FrozenTextEncoder;
+
+    let series: Vec<_> = Benchmark::generate(BenchmarkConfig::tiny())
+        .train
+        .into_iter()
+        .take(6)
+        .collect();
+    let perf = PerfMatrix {
+        series_ids: series.iter().map(|s| s.id.clone()).collect(),
+        rows: (0..series.len())
+            .map(|i| {
+                (0..12)
+                    .map(|m| 0.05 + 0.08 * ((i * 5 + m * 3) % 11) as f64)
+                    .collect()
+            })
+            .collect(),
+    };
+    let wc = WindowConfig {
+        length: 64,
+        stride: 32,
+        znormalize: true,
+    };
+    let ds = SelectorDataset::build(&series, &perf, wc, &FrozenTextEncoder::new(64, 0));
+    let cfg = TrainConfig {
+        width: 8,
+        epochs: 4,
+        batch_size: 32,
+        ..TrainConfig::kdselector(Architecture::ResNet)
+    };
+    let (model, stats) = train(&ds, &cfg);
+    let mut h = Fnv::new();
+    h.usize(stats.epoch_loss.len());
+    for (&loss, &acc) in stats.epoch_loss.iter().zip(&stats.epoch_accuracy) {
+        h.bytes(&loss.to_bits().to_le_bytes());
+        h.bytes(&acc.to_bits().to_le_bytes());
+    }
+    for &examined in &stats.epoch_examined {
+        h.usize(examined);
+    }
+    let got = [
+        ds.len() as u64,
+        hash_params(model.params(), false),
+        hash_buffers(model.buffers()),
+        h.0,
+    ];
+    let want: [u64; 4] = [
+        0x48,
+        0x3f83db03192fdad1,
+        0x81e7a9d3392a8337,
+        0x8a1474a4a0e9ef78,
     ];
     assert_eq!(got, want, "got {got:#x?}");
 }

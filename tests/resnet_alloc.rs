@@ -1,13 +1,13 @@
-//! Allocation counts of one KDSelector training step on the served ResNet
+//! Allocation counts of the KDSelector training step on the served ResNet
 //! and on every other encoder architecture (PISL + MKI), counted rather
 //! than asserted: a counting global allocator tallies the allocations the
-//! calling thread makes. After a first step sizes the training workspace,
-//! the encoder and classifier passes, the gradient clip and the Adam step
-//! allocate nothing, at two batch sizes;
-//! the whole step's count is pinned with every remaining allocation named
-//! (all of them belong to the objective's loss terms). The step is the one
-//! `TrainSession` runs, assembled here from the public parts so each part
-//! is counted on its own.
+//! calling thread makes. The objective is counted alone, through a direct
+//! `Objective::accumulate` call; the whole step is counted on a warm
+//! `TrainSession` epoch, the step `train` runs. After a first epoch sizes
+//! the training workspace, the encoder and classifier passes, the gradient
+//! clip and the Adam step allocate nothing, at a full batch and a tail
+//! batch: a warm epoch's total is its named fixed allocations plus one
+//! objective's per step.
 //!
 //! Lives in its own integration binary because the allocator is
 //! process-global; runs at `KD_THREADS=1` so every allocation lands on the
@@ -15,13 +15,9 @@
 
 use kdselector::core::dataset::SelectorDataset;
 use kdselector::core::labels::PerfMatrix;
-use kdselector::core::train::{BatchContext, Objective, TrainConfig};
+use kdselector::core::train::{BatchContext, Objective, TrainConfig, TrainSession};
 use kdselector::core::Architecture;
-use kdselector::nn::layers::{Layer, Linear, Seq};
-use kdselector::nn::optim::{clip_grad_norm_with, Adam};
-use kdselector::nn::{Dims, Param, Tensor, Workspace};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use kdselector::nn::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tsdata::{Benchmark, BenchmarkConfig, WindowConfig};
@@ -103,139 +99,17 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
 ///   per-sample losses (25); the scaled copy (1).
 const OBJECTIVE: usize = (2 + 1 + 2 + 1) + (5 + 1) + (1 + 5 + 1) + (1 + 2 * (2 + 2) + 25 + 1);
 
-/// One TrainSession step, split into its parts.
-struct Trainer {
-    encoder: Seq,
-    classifier: Linear,
-    objective: Objective,
-    opt: Adam,
-    ws: Workspace,
-    x: Vec<f32>,
-    targets: Vec<usize>,
-    features: Tensor,
-    logits: Tensor,
-    grad_features: Tensor,
-}
+/// Allocations a warm, unpruned epoch makes outside its steps: the epoch
+/// plan's index and weight lists.
+const EPOCH_FIXED: usize = 2;
 
-/// Allocations counted per part of one step.
-#[derive(Debug, PartialEq)]
-struct StepAllocs {
-    forward: usize,
-    objective: usize,
-    backward: usize,
-    clip_and_adam: usize,
-}
-
-impl Trainer {
-    fn new(cfg: &TrainConfig, ds: &SelectorDataset) -> Self {
-        let dim = cfg.arch.feature_dim(cfg.width);
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xC1A5);
-        Self {
-            encoder: cfg.arch.build(ds.window_cfg.length, cfg.width, cfg.seed),
-            classifier: Linear::new(dim, 12, &mut rng),
-            objective: Objective::from_config(cfg, ds, dim),
-            opt: Adam::new(cfg.lr, cfg.weight_decay),
-            ws: Workspace::new(),
-            x: Vec::new(),
-            targets: Vec::new(),
-            features: Tensor::zeros(&[0]),
-            logits: Tensor::zeros(&[0]),
-            grad_features: Tensor::zeros(&[0]),
-        }
-    }
-
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.encoder.for_each_param_mut(f);
-        self.classifier.for_each_param_mut(f);
-        self.objective.for_each_param_mut(f);
-    }
-
-    fn step(&mut self, ds: &SelectorDataset, indices: &[usize], weights: &[f32]) -> StepAllocs {
-        let window = ds.window_cfg.length;
-        let (forward, xd) = allocations_in(|| {
-            self.x.clear();
-            for &i in indices {
-                self.x.extend_from_slice(&ds.windows[i]);
-            }
-            self.targets.clear();
-            self.targets
-                .extend(indices.iter().map(|&i| ds.hard_labels[i]));
-            self.for_each_param_mut(&mut |p| p.zero_grad());
-            let xd = Dims::new(&[indices.len(), 1, window]);
-            let zd = self.encoder.out_dims(xd);
-            let enc_len = self.encoder.ws_len(xd, true);
-            let ws = self.ws.get(enc_len + self.classifier.ws_len(zd, true));
-            let (enc_ws, head_ws) = ws.split_at_mut(enc_len);
-            self.features.set_shape(zd.as_slice());
-            self.logits
-                .set_shape(self.classifier.out_dims(zd).as_slice());
-            self.encoder
-                .forward_ws(&self.x, xd, self.features.data_mut(), enc_ws);
-            self.classifier
-                .forward_ws(self.features.data(), zd, self.logits.data_mut(), head_ws);
-            xd
-        });
-        let (objective, out) = allocations_in(|| {
-            self.objective.accumulate(&BatchContext {
-                dataset: ds,
-                indices,
-                weights,
-                targets: &self.targets,
-                features: &self.features,
-                logits: &self.logits,
-            })
-        });
-        let (backward, ()) = allocations_in(|| {
-            let zd = self.encoder.out_dims(xd);
-            let enc_len = self.encoder.ws_len(xd, true);
-            let head_len = self.classifier.ws_len(zd, true);
-            let scratch_len = self.encoder.grad_len(xd).max(self.classifier.grad_len(zd));
-            let ws = self.ws.get(enc_len + head_len + scratch_len + xd.numel());
-            let (enc_ws, rest) = ws.split_at_mut(enc_len);
-            let (head_ws, rest) = rest.split_at_mut(head_len);
-            let (scratch, grad_x) = rest.split_at_mut(scratch_len);
-            self.grad_features.set_shape(zd.as_slice());
-            self.classifier.backward_ws(
-                self.features.data(),
-                zd,
-                self.logits.data(),
-                out.grad_logits.data(),
-                self.grad_features.data_mut(),
-                (head_ws, &mut *scratch),
-            );
-            if let Some(g) = &out.grad_features {
-                self.grad_features.add_assign(g);
-            }
-            self.encoder.backward_ws(
-                &self.x,
-                xd,
-                self.features.data(),
-                self.grad_features.data(),
-                grad_x,
-                (enc_ws, scratch),
-            );
-        });
-        drop(out);
-        let (clip_and_adam, ()) = allocations_in(|| {
-            let mut opt = std::mem::replace(&mut self.opt, Adam::new(0.0, 0.0));
-            clip_grad_norm_with(|f| self.for_each_param_mut(f), 1.0);
-            opt.step_with(|f| self.for_each_param_mut(f));
-            self.opt = opt;
-        });
-        StepAllocs {
-            forward,
-            objective,
-            backward,
-            clip_and_adam,
-        }
-    }
-}
-
-/// Window-64 dataset over the tiny benchmark, with synthetic perf rows.
+/// Window-64 dataset over the tiny benchmark, with synthetic perf rows:
+/// three series of 27 windows, so an epoch at batch 64 runs one full
+/// batch and a 17-window tail.
 fn dataset() -> SelectorDataset {
     let mut cfg = BenchmarkConfig::tiny();
-    cfg.series_length = 1024;
-    let series: Vec<_> = Benchmark::generate(cfg).train.into_iter().take(4).collect();
+    cfg.series_length = 896;
+    let series: Vec<_> = Benchmark::generate(cfg).train.into_iter().take(3).collect();
     let rows = (0..series.len())
         .map(|i| {
             (0..12)
@@ -255,30 +129,65 @@ fn dataset() -> SelectorDataset {
     SelectorDataset::build(&series, &perf, wc, &FrozenTextEncoder::new(64, 0))
 }
 
+/// Allocations of one `Objective::accumulate` call over the first `b`
+/// windows, on deterministic features and logits.
+fn objective_allocations(
+    objective: &mut Objective,
+    ds: &SelectorDataset,
+    dim: usize,
+    b: usize,
+) -> usize {
+    let indices: Vec<usize> = (0..b).collect();
+    let weights = vec![1.0f32; b];
+    let targets: Vec<usize> = indices.iter().map(|&i| ds.hard_labels[i]).collect();
+    let pattern = |n: usize| (0..n).map(|i| (i % 7) as f32 * 0.1 - 0.3).collect();
+    let features = Tensor::from_vec(&[b, dim], pattern(b * dim));
+    let logits = Tensor::from_vec(&[b, 12], pattern(b * 12));
+    let ctx = BatchContext {
+        dataset: ds,
+        indices: &indices,
+        weights: &weights,
+        targets: &targets,
+        features: &features,
+        logits: &logits,
+    };
+    allocations_in(|| objective.accumulate(&ctx)).0
+}
+
 #[test]
 fn resnet_steps_allocate_only_in_the_objective() {
     tspar::set_parallelism(Parallelism::Fixed(1));
     let ds = dataset();
-    assert!(ds.len() >= 64, "need a full batch, got {}", ds.len());
-    let batch: Vec<usize> = (0..64).map(|i| (i * 7) % ds.len()).collect();
-    let weights = vec![1.0f32; 64];
+    assert_eq!(ds.len(), 64 + 17, "one full batch and a 17-window tail");
     for arch in Architecture::ALL {
         let cfg = TrainConfig {
             width: 8,
-            ..TrainConfig::kdselector(arch)
+            epochs: 3,
+            batch_size: 64,
+            ..TrainConfig::knowledge_enhanced(arch)
         };
-        let mut trainer = Trainer::new(&cfg, &ds);
-        // The first step sizes the workspace and the optimizer moments.
-        trainer.step(&ds, &batch, &weights);
-        for b in [64, 17, 64, 17] {
-            let got = trainer.step(&ds, &batch[..b], &weights[..b]);
-            let want = StepAllocs {
-                forward: 0,
-                objective: OBJECTIVE,
-                backward: 0,
-                clip_and_adam: 0,
-            };
-            assert_eq!(got, want, "{} step at batch {b}", arch.name());
+        let dim = arch.feature_dim(cfg.width);
+        let mut objective = Objective::from_config(&cfg, &ds, dim);
+        // The first call sizes the terms' scratch and the MLP workspaces.
+        objective_allocations(&mut objective, &ds, dim, 64);
+        for b in [64, 17, 64] {
+            let got = objective_allocations(&mut objective, &ds, dim, b);
+            assert_eq!(got, OBJECTIVE, "{} objective at batch {b}", arch.name());
+        }
+
+        let mut session = TrainSession::new(&ds, &cfg);
+        // The first epoch sizes the workspace and the optimizer moments.
+        session.run_epoch(&ds);
+        while !session.is_complete() {
+            let (got, report) = allocations_in(|| session.run_epoch(&ds));
+            assert_eq!(report.examined, ds.len(), "an unpruned epoch");
+            assert_eq!(
+                got,
+                EPOCH_FIXED + 2 * OBJECTIVE,
+                "{} epoch {}: two steps (64 + 17 windows)",
+                arch.name(),
+                report.epoch
+            );
         }
     }
 }

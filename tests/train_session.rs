@@ -1,4 +1,4 @@
-//! Training-session integration: the data-parallel determinism contract
+//! Training-session integration: the determinism contract
 //! (bitwise-identical weights and stats at any `KD_THREADS`), checkpoint
 //! round-trips with bitwise continuation, and live deployment of a
 //! session-trained selector into a serving engine under concurrent
@@ -51,16 +51,16 @@ fn toy_dataset(seed: u64) -> SelectorDataset {
     SelectorDataset::build(&series, &perf, wc, &enc)
 }
 
-/// The acceptance configuration: PISL + MKI + PA pruning, 2 data-parallel
-/// replicas.
-fn dp_cfg() -> TrainConfig {
+/// The acceptance configuration: PISL + MKI + PA pruning. Its batch of 24
+/// does not divide the 80-window datasets, so every full-data epoch ends
+/// on a short tail batch.
+fn kd_cfg() -> TrainConfig {
     TrainConfig {
         arch: Architecture::ConvNet,
         width: 4,
         epochs: 5,
-        batch_size: 16,
+        batch_size: 24,
         lr: 5e-3,
-        replicas: 2,
         pisl: Some(PislConfig::default()),
         mki: Some(MkiConfig {
             hidden: 16,
@@ -90,16 +90,21 @@ fn assert_stats_eq(a: &TrainStats, b: &TrainStats, what: &str) {
     );
 }
 
-/// The tentpole acceptance pin: a PISL+MKI+PA run with data-parallel
-/// replicas produces bitwise-identical `TrainedSelector` weights, buffers
-/// and per-epoch `TrainStats` at `KD_THREADS` ∈ {1, 2, 4}.
+/// The determinism pin: a PISL+MKI+PA run produces bitwise-identical
+/// `TrainedSelector` weights, buffers and per-epoch `TrainStats` at
+/// `KD_THREADS` ∈ {1, 2, 4}, tail batches included.
 ///
 /// One test fn so the global thread-policy mutations never interleave
 /// with themselves.
 #[test]
-fn dp_training_is_bitwise_identical_across_thread_counts() {
+fn training_is_bitwise_identical_across_thread_counts() {
     let ds = toy_dataset(11);
-    let cfg = dp_cfg();
+    let cfg = kd_cfg();
+    assert_ne!(
+        ds.len() % cfg.batch_size,
+        0,
+        "the sweep must cross a short tail batch"
+    );
 
     let run = |threads: usize| {
         tspar::set_parallelism(Parallelism::Fixed(threads));
@@ -111,18 +116,6 @@ fn dp_training_is_bitwise_identical_across_thread_counts() {
     let (w1, b1, s1) = run(1);
     let (w2, b2, s2) = run(2);
     let (w4, b4, s4) = run(4);
-
-    // Also sweep a replica count that does not divide the batch evenly,
-    // so short tail partitions cross the reduction too.
-    let mut cfg3 = cfg;
-    cfg3.replicas = 3;
-    let run3 = |threads: usize| {
-        tspar::set_parallelism(Parallelism::Fixed(threads));
-        let (model, stats) = train(&ds, &cfg3);
-        (weights_of(&model), stats)
-    };
-    let (w3_1, s3_1) = run3(1);
-    let (w3_4, s3_4) = run3(4);
     tspar::set_parallelism(Parallelism::Auto);
 
     assert_eq!(w1, w2, "weights at 1 vs 2 threads");
@@ -131,18 +124,6 @@ fn dp_training_is_bitwise_identical_across_thread_counts() {
     assert_eq!(b1, b4, "batch-norm buffers at 1 vs 4 threads");
     assert_stats_eq(&s1, &s2, "1 vs 2 threads");
     assert_stats_eq(&s1, &s4, "1 vs 4 threads");
-
-    assert_eq!(w3_1, w3_4, "replicas=3 weights at 1 vs 4 threads");
-    assert_stats_eq(&s3_1, &s3_4, "replicas=3, 1 vs 4 threads");
-
-    // The replica count itself is part of the configuration: 2 and 3
-    // replicas see different micro-batch statistics, so they are
-    // (deterministically) different runs. Guard that the sweep above is
-    // not vacuously comparing identical code paths.
-    assert_ne!(
-        w1, w3_1,
-        "different replica counts must change micro-batch statistics"
-    );
 }
 
 /// Satellite pin: save at epoch k, resume, and epochs k+1..n produce
@@ -151,7 +132,7 @@ fn dp_training_is_bitwise_identical_across_thread_counts() {
 #[test]
 fn checkpoint_roundtrip_through_store_is_bitwise_identical() {
     let ds = toy_dataset(5);
-    let mut cfg = dp_cfg();
+    let mut cfg = kd_cfg();
     cfg.epochs = 6;
 
     let mut straight = TrainSession::new(&ds, &cfg);
@@ -200,7 +181,7 @@ fn resume_rejects_same_sized_but_different_dataset() {
     let ds = toy_dataset(5);
     let other = toy_dataset(6); // same shape, different content
     assert_eq!(ds.len(), other.len(), "precondition: sizes match");
-    let mut cfg = dp_cfg();
+    let mut cfg = kd_cfg();
     cfg.epochs = 3;
     let mut session = TrainSession::new(&ds, &cfg);
     session.run_epoch(&ds);
@@ -220,7 +201,7 @@ fn resume_rejects_same_sized_but_different_dataset() {
 #[test]
 fn checkpoint_of_finished_run_resumes_complete() {
     let ds = toy_dataset(7);
-    let mut cfg = dp_cfg();
+    let mut cfg = kd_cfg();
     cfg.epochs = 2;
     let mut session = TrainSession::new(&ds, &cfg);
     session.run_to_completion(&ds);
@@ -265,7 +246,7 @@ fn deploy_hot_swaps_session_output_under_concurrent_serving() {
     let before = engine.select_batch("live", &series).expect("v1 serves");
 
     // References for both versions from independent engines.
-    let mut cfg = dp_cfg();
+    let mut cfg = kd_cfg();
     cfg.epochs = 2;
     let reference_v2 = {
         let (model, _) = train(&ds, &cfg);
@@ -355,7 +336,7 @@ fn deploy_hot_swaps_session_output_under_concurrent_serving() {
 fn deploy_equals_save_load_serve() {
     let ds = toy_dataset(9);
     let window = ds.window_cfg;
-    let mut cfg = dp_cfg();
+    let mut cfg = kd_cfg();
     cfg.epochs = 2;
     let (model, _) = train(&ds, &cfg);
 
