@@ -7,7 +7,6 @@
 use crate::dataset::SelectorDataset;
 use crate::eval::{evaluate, EvalReport};
 use crate::labels::{cached_perf_matrix, default_cache_dir, PerfMatrix};
-use crate::nonnn::{FeatureModel, FeatureSelector, RocketSelector};
 use crate::selector::{NnSelector, Selector};
 use crate::train::{TrainConfig, TrainSession, TrainStats};
 use std::path::PathBuf;
@@ -146,32 +145,6 @@ impl Pipeline {
             stats,
             report,
         }
-    }
-
-    /// Trains and evaluates a feature-based baseline.
-    pub fn run_feature_baseline(&self, kind: FeatureModel) -> (EvalReport, f64) {
-        // kdlint: allow(wallclock): reported training-time metric only — the
-        // selector and its evaluation never read the clock.
-        let start = std::time::Instant::now();
-        let selector = FeatureSelector::train(&self.dataset, kind, self.config.train.seed);
-        let seconds = start.elapsed().as_secs_f64();
-        (
-            evaluate(&selector, &self.benchmark.test, &self.test_perf),
-            seconds,
-        )
-    }
-
-    /// Trains and evaluates the Rocket baseline.
-    pub fn run_rocket_baseline(&self) -> (EvalReport, f64) {
-        // kdlint: allow(wallclock): reported training-time metric only — the
-        // selector and its evaluation never read the clock.
-        let start = std::time::Instant::now();
-        let selector = RocketSelector::train(&self.dataset, self.config.train.seed);
-        let seconds = start.elapsed().as_secs_f64();
-        (
-            evaluate(&selector, &self.benchmark.test, &self.test_perf),
-            seconds,
-        )
     }
 
     /// Evaluates an already-trained selector on this pipeline's test split.

@@ -229,11 +229,12 @@ impl PruneState {
         let avg: Vec<f64> = (0..self.n)
             .map(|i| self.avg_loss(i).unwrap_or(f64::INFINITY))
             .collect();
-        let visited: Vec<usize> = (0..self.n).filter(|&i| avg[i].is_finite()).collect();
-        if visited.is_empty() {
+        let visited = || avg.iter().filter(|a| a.is_finite());
+        let n_visited = visited().count();
+        if n_visited == 0 {
             return EpochPlan::full(self.n);
         }
-        let mean: f64 = visited.iter().map(|&i| avg[i]).sum::<f64>() / visited.len() as f64;
+        let mean: f64 = visited().sum::<f64>() / n_visited as f64;
 
         let mut indices = Vec::with_capacity(self.n);
         let mut weights = Vec::with_capacity(self.n);
@@ -241,7 +242,7 @@ impl PruneState {
 
         // Below-mean samples: InfoBatch pruning (never-visited samples count
         // as high-loss and are kept).
-        let mut high: Vec<usize> = Vec::new();
+        let mut high: Vec<usize> = Vec::with_capacity(self.n);
         for (i, &avg_i) in avg.iter().enumerate() {
             if avg_i < mean {
                 if rng.random_bool(1.0 - ratio) {
@@ -263,7 +264,7 @@ impl PruneState {
             }
             PruningStrategy::Pa { bins, .. } => {
                 self.prune_high_buckets(
-                    &high,
+                    &mut high,
                     &avg,
                     bins,
                     ratio,
@@ -280,10 +281,14 @@ impl PruneState {
     /// PA's above-mean handling: equi-depth bins over `¯L_i` × LSH signature
     /// → buckets; buckets with more than one member are pruned with gradient
     /// rescaling, singletons are kept untouched.
+    ///
+    /// The plan is one buffer of `(signature, bin, rank, sample)` sorted on
+    /// its first three fields: buckets come out in `(signature, bin)` order
+    /// with members in rank order, the order the RNG draws depend on.
     #[allow(clippy::too_many_arguments)]
     fn prune_high_buckets(
         &self,
-        high: &[usize],
+        high: &mut [usize],
         avg: &[f64],
         bins: usize,
         ratio: f64,
@@ -293,30 +298,29 @@ impl PruneState {
     ) {
         let signatures = self.signatures.as_ref().expect("PA state has signatures");
         let keep_weight = (1.0 / (1.0 - ratio)) as f32;
-        // Sort by average loss for equi-depth binning. Unvisited samples
-        // (infinite avg) sort last and land in the top bin.
-        let mut order: Vec<usize> = high.to_vec();
-        order.sort_by(|&a, &b| {
+        // Rank by average loss for equi-depth binning; equal losses keep
+        // sample order. Unvisited samples (infinite avg) rank last and land
+        // in the top bin.
+        high.sort_unstable_by(|&a, &b| {
             avg[a]
                 .partial_cmp(&avg[b])
                 .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
         });
-        let m = order.len();
+        let m = high.len().max(1);
         let bins = bins.max(1);
-        // BTreeMap iterates in key order, which is exactly the sorted-key
-        // order the RNG consumption sequence depends on.
-        let mut buckets: std::collections::BTreeMap<(u64, usize), Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (rank, &i) in order.iter().enumerate() {
-            let bin = rank * bins / m.max(1);
-            buckets.entry((signatures[i], bin)).or_default().push(i);
-        }
-        for members in buckets.values() {
-            if members.len() == 1 {
-                indices.push(members[0]);
+        let mut plan: Vec<(u64, usize, usize, usize)> = high
+            .iter()
+            .enumerate()
+            .map(|(rank, &i)| (signatures[i], rank * bins / m, rank, i))
+            .collect();
+        plan.sort_unstable_by_key(|&(signature, bin, rank, _)| (signature, bin, rank));
+        for bucket in plan.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            if let [(_, _, _, i)] = bucket {
+                indices.push(*i);
                 weights.push(1.0);
             } else {
-                for &i in members {
+                for &(_, _, _, i) in bucket {
                     if rng.random_bool(1.0 - ratio) {
                         indices.push(i);
                         weights.push(keep_weight);

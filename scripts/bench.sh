@@ -4,7 +4,7 @@
 # batch ("serve"), the queued, coalescing front-end ("serve_queue"), and
 # the supervised 4-shard router tier vs direct on the same producer
 # threads ("route", with a bitwise routed == direct guard) —
-# training throughput through the data-parallel session stack ("train":
+# training throughput through the session's one training step ("train":
 # windows/sec at 1 and N worker threads, weights asserted bitwise-equal
 # across the two), plus the MIN_PAR_WORK calibration sweep ("par_gate",
 # which measures pool dispatch overhead) and the label cost per

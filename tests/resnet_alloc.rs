@@ -7,7 +7,7 @@
 //! the training workspace, the encoder and classifier passes, the gradient
 //! clip and the Adam step allocate nothing, at a full batch and a tail
 //! batch: a warm epoch's total is its named fixed allocations plus one
-//! objective's per step.
+//! objective's per step. A pruned PA epoch adds only its plan's buffers.
 //!
 //! Lives in its own integration binary because the allocator is
 //! process-global; runs at `KD_THREADS=1` so every allocation lands on the
@@ -103,6 +103,11 @@ const OBJECTIVE: usize = (2 + 1 + 2 + 1) + (5 + 1) + (1 + 5 + 1) + (1 + 2 * (2 +
 /// plan's index and weight lists.
 const EPOCH_FIXED: usize = 2;
 
+/// Allocations a warm PA epoch that prunes makes outside its steps: the
+/// plan's average losses, above-mean samples and bucket buffer, and its
+/// index and weight lists.
+const PA_EPOCH_FIXED: usize = 5;
+
 /// Window-64 dataset over the tiny benchmark, with synthetic perf rows:
 /// three series of 27 windows, so an epoch at batch 64 runs one full
 /// batch and a 17-window tail.
@@ -189,5 +194,33 @@ fn resnet_steps_allocate_only_in_the_objective() {
                 report.epoch
             );
         }
+    }
+}
+
+#[test]
+fn pa_epochs_allocate_only_the_plan_and_the_objective() {
+    tspar::set_parallelism(Parallelism::Fixed(1));
+    let ds = dataset();
+    let cfg = TrainConfig {
+        width: 8,
+        epochs: 3,
+        batch_size: 64,
+        ..TrainConfig::kdselector(Architecture::ResNet)
+    };
+    let mut session = TrainSession::new(&ds, &cfg);
+    // The first epoch trains on full data and sizes the workspace; with
+    // 3 epochs and the default anneal, epochs 1 and 2 are pruned.
+    session.run_epoch(&ds);
+    while !session.is_complete() {
+        let (got, report) = allocations_in(|| session.run_epoch(&ds));
+        assert!(report.examined < ds.len(), "epoch {} prunes", report.epoch);
+        let steps = report.examined.div_ceil(cfg.batch_size);
+        assert_eq!(
+            got,
+            PA_EPOCH_FIXED + steps * OBJECTIVE,
+            "PA epoch {}: {steps} steps over {} windows",
+            report.epoch,
+            report.examined
+        );
     }
 }

@@ -2,7 +2,7 @@
 
 mod common;
 
-use kdselector::core::nonnn::FeatureModel;
+use kdselector::core::nonnn::{FeatureModel, FeatureSelector, RocketSelector};
 use kdselector::core::train::TrainConfig;
 use kdselector::core::Architecture;
 
@@ -15,10 +15,10 @@ fn feature_baselines_produce_reports() {
         FeatureModel::AdaBoost,
         FeatureModel::RandomForest,
     ] {
-        let (report, seconds) = pipeline.run_feature_baseline(kind);
+        let selector = FeatureSelector::train(&pipeline.dataset, kind, pipeline.config.train.seed);
+        let report = pipeline.evaluate_selector(&selector);
         assert_eq!(report.per_dataset.len(), 14, "{kind:?}");
         assert_eq!(report.selector, kind.name());
-        assert!(seconds >= 0.0);
         let avg = report.average_auc_pr();
         assert!((0.0..=1.0).contains(&avg), "{kind:?} avg={avg}");
     }
@@ -28,7 +28,8 @@ fn feature_baselines_produce_reports() {
 #[test]
 fn rocket_baseline_produces_report() {
     let pipeline = common::tiny_pipeline("rocketbase");
-    let (report, _seconds) = pipeline.run_rocket_baseline();
+    let selector = RocketSelector::train(&pipeline.dataset, pipeline.config.train.seed);
+    let report = pipeline.evaluate_selector(&selector);
     assert_eq!(report.per_dataset.len(), 14);
     assert_eq!(report.selector, "Rocket");
     common::cleanup("rocketbase");
